@@ -6,12 +6,14 @@ independent reference for the constructors.
 """
 from __future__ import annotations
 
+import functools
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import oracles
+from ringlab.catalog import build_preset
 from ringlab.core import (
     AxiomError,
     BimoduleError,
@@ -362,9 +364,28 @@ def test_verify_axioms_reports_bad_identity():
     assert any("identity" in v for v in violations)
 
 
-@given(st.integers(min_value=2, max_value=8), st.data())
-def test_single_cell_corruption_is_always_detected(n, data):
-    base = build_zmod(n)
+# Z2..Z8 have one additive generator each; the products and matrix rings
+# have two to four, so a check that works on additive generators must still
+# see a corrupted cell that lies off every generator's row and column.
+CORRUPTION_RECIPES = tuple(f"zmod:{n}" for n in range(2, 9)) + (
+    "product:zmod:2,zmod:2",
+    "product:zmod:2,zmod:4",
+    "cdtri:3:zmod:2",
+    "tri:2:zmod:2",
+    "mat:2:zmod:2",
+)
+
+
+@functools.cache
+def _corruption_base(recipe):
+    return build_preset(recipe)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(CORRUPTION_RECIPES), st.data())
+def test_single_cell_corruption_is_always_detected(recipe, data):
+    base = _corruption_base(recipe)
+    n = base.order
     which = data.draw(st.sampled_from(["add", "mul"]))
     i = data.draw(st.integers(min_value=0, max_value=n - 1))
     j = data.draw(st.integers(min_value=0, max_value=n - 1))
@@ -377,7 +398,12 @@ def test_single_cell_corruption_is_always_detected(n, data):
     rows[i][j] = wrong
     tables[which] = tuple(tuple(row) for row in rows)
     bad = FiniteRing(
-        order=n, add=tables["add"], mul=tables["mul"], zero=0, one=1, name="bad"
+        order=n,
+        add=tables["add"],
+        mul=tables["mul"],
+        zero=base.zero,
+        one=base.one,
+        name="bad",
     )
     assert verify_axioms(bad) != []
 
