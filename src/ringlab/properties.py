@@ -510,6 +510,13 @@ def _ring_semisimple(ring: FiniteRing) -> tuple[bool, int | None]:
 
 
 def _ring_right_pp(ring: FiniteRing) -> tuple[bool, int | None]:
+    """Decide "every aR is eR for an idempotent e", i.e. every aR is a direct summand.
+
+    This is stronger than the usual right-pp condition "r(a) = eR for an
+    idempotent e".  T2(Z2) separates them: r(a) = eR holds for every a, yet
+    the witness a = 2 has aR not a direct summand.  Which reading the paper
+    intends needs its full text, so the stronger one is kept as registered.
+    """
     for a in range(ring.order):
         if is_direct_summand(ring, principal_right_ideal(ring, a)) is None:
             return False, a

@@ -7,6 +7,76 @@ machinery, so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 
+def brute_verify_axioms(ring, max_violations=25):
+    """Check every ring axiom over all n^3 triples; return the violations.
+
+    This is the library's checker before it moved to additive generators.
+    Pass ``max_violations=math.inf`` to list every violation.
+    """
+    n = ring.order
+    add, mul = ring.add, ring.mul
+    out: list[str] = []
+
+    def push(message: str) -> bool:
+        out.append(message)
+        return len(out) >= max_violations
+
+    if n < 1:
+        return ["order must be at least 1"]
+    for table_name, table in (("addition", add), ("multiplication", mul)):
+        if len(table) != n or any(len(row) != n for row in table):
+            return [f"{table_name} table is not {n} x {n}"]
+        for i, row in enumerate(table):
+            for j, value in enumerate(row):
+                if not 0 <= value < n:
+                    if push(f"{table_name} entry at ({i},{j}) is out of range"):
+                        return out
+    if not 0 <= ring.zero < n:
+        return ["zero index out of range"]
+    if not 0 <= ring.one < n:
+        return ["one index out of range"]
+
+    zero, one = ring.zero, ring.one
+    for a in range(n):
+        if add[a][zero] != a and push(f"zero is not an additive identity at {a}"):
+            return out
+        if zero not in add[a] and push(f"no additive inverse for {a}"):
+            return out
+        for b in range(n):
+            if add[a][b] != add[b][a] and push(f"addition is not commutative at ({a},{b})"):
+                return out
+    for a in range(n):
+        if (mul[a][one] != a or mul[one][a] != a) and push(
+            f"one is not a multiplicative identity at {a}"
+        ):
+            return out
+    for a in range(n):
+        add_a, mul_a = add[a], mul[a]
+        for b in range(n):
+            ab_sum, ab_prod = add_a[b], mul_a[b]
+            add_ab_sum, mul_ab_sum = add[ab_sum], mul[ab_sum]
+            mul_ab_prod = mul[ab_prod]
+            mul_b = mul[b]
+            for c in range(n):
+                if add_ab_sum[c] != add_a[add[b][c]] and push(
+                    f"addition is not associative at ({a},{b},{c})"
+                ):
+                    return out
+                if mul_ab_prod[c] != mul_a[mul_b[c]] and push(
+                    f"multiplication is not associative at ({a},{b},{c})"
+                ):
+                    return out
+                if mul_a[add[b][c]] != add[ab_prod][mul_a[c]] and push(
+                    f"left distributivity fails at ({a},{b},{c})"
+                ):
+                    return out
+                if mul_ab_sum[c] != add[mul_a[c]][mul_b[c]] and push(
+                    f"right distributivity fails at ({a},{b},{c})"
+                ):
+                    return out
+    return out
+
+
 def brute_right_ideals(ring):
     """Every right ideal, found by scanning all 2^n subsets (small rings only)."""
     n = ring.order

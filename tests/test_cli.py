@@ -131,6 +131,29 @@ def test_report_rejects_invalid_ring_file(tmp_path, capsys):
     assert "error" in stderr
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [
+        {"zero": "0"},
+        {"one": None},
+        {"add": [[False, True], [True, False]]},
+        {"order": True, "zero": 0, "one": 0, "add": [[0]], "mul": [[0]]},
+        {"mul": [[0, 0], [0, 7]]},
+    ],
+    ids=["zero-string", "one-null", "bool-entries", "order-true", "entry-out-of-range"],
+)
+def test_report_rejects_mistyped_ring_file(tmp_path, capsys, changes):
+    ring = {"name": "Z2", "order": 2, "zero": 0, "one": 1,
+            "add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]}
+    ring.update(changes)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(ring))
+    code, stdout, stderr = run(capsys, "report", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 # ------------------------------------------------------------------- check
 
 def test_check_ring_property_pass(z4_file, capsys):

@@ -7,7 +7,10 @@ independent reference for the constructors.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -406,6 +409,173 @@ def test_single_cell_corruption_is_always_detected(recipe, data):
         name="bad",
     )
     assert verify_axioms(bad) != []
+
+
+def _with_rows(ring, which, rows):
+    tables = {"add": ring.add, "mul": ring.mul}
+    tables[which] = tuple(tuple(row) for row in rows)
+    return FiniteRing(
+        order=ring.order,
+        add=tables["add"],
+        mul=tables["mul"],
+        zero=ring.zero,
+        one=ring.one,
+        name="bad",
+    )
+
+
+def _cell_corruption(ring, which, count, rng):
+    """``count`` random cells of one table set to wrong values."""
+    n = ring.order
+    rows = [list(row) for row in getattr(ring, which)]
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in rng.sample(cells, count):
+        rows[i][j] = rng.choice([v for v in range(n) if v != rows[i][j]])
+    return _with_rows(ring, which, rows)
+
+
+def _coset_shift(ring, which, rng):
+    """Shift one table by d on a block S x C, mirrored for ``add``.
+
+    C is a coset of a cyclic <h> and S is another coset or one element; both
+    miss 0 (and 1 for ``mul``).  Each shifted row or column along C stays
+    additive along <h>, so a check that looked only at the generator h must
+    rely on the other side to see the fault.
+    """
+    n, add = ring.order, ring.add
+    h = rng.choice([1, rng.randrange(1, n)])
+    cyclic, y = {ring.zero}, h
+    while y not in cyclic:
+        cyclic.add(y)
+        y = add[y][h]
+    avoid = {ring.zero} if which == "add" else {ring.zero, ring.one}
+    cosets = {frozenset(add[c][y] for y in cyclic) for c in range(n)}
+    cosets = sorted((sorted(c) for c in cosets if not c & avoid))
+    if not cosets:
+        return None
+    first = rng.choice(cosets + [[a] for a in range(n) if a not in avoid])
+    cells = {(y, x) for y in first for x in rng.choice(cosets)}
+    mirrored = {(x, y) for y, x in cells}
+    if which == "add":
+        cells |= mirrored
+    elif rng.random() < 0.5:
+        cells = mirrored
+    d = rng.choice([x for x in range(n) if x != ring.zero])
+    table = getattr(ring, which)
+    rows = [list(row) for row in table]
+    for y, x in cells:
+        rows[y][x] = add[table[y][x]][d]
+    return _with_rows(ring, which, rows)
+
+
+def _assert_agrees_with_brute_force(bad, context):
+    fast = verify_axioms(bad)
+    brute = oracles.brute_verify_axioms(bad, math.inf)
+    assert bool(fast) == bool(brute), context
+    assert set(fast) <= set(brute), context
+
+
+def test_verify_axioms_matches_brute_force(catalog_rings):
+    """Same verdict as the n^3 oracle, and every message one the oracle also gives."""
+    for name, ring in catalog_rings.items():
+        assert verify_axioms(ring) == [], name
+        assert oracles.brute_verify_axioms(ring) == [], name
+        if ring.order > 16:
+            continue
+        rng = random.Random(f"axioms:{name}")
+        for which in ("add", "mul"):
+            for count in (1, 2):
+                for _ in range(25):
+                    bad = _cell_corruption(ring, which, count, rng)
+                    _assert_agrees_with_brute_force(bad, (name, which, count))
+            for _ in range(25):
+                bad = _coset_shift(ring, which, rng)
+                if bad is not None:
+                    _assert_agrees_with_brute_force(bad, (name, which, "coset"))
+
+
+def _bilinear_algebra(p, k, rng):
+    """(Z_p)^k with basis e_0..e_{k-1}, unit e_0 and random e_i e_j for i, j >= 1.
+
+    Addition is a group and both distributive laws hold, so only
+    multiplicative associativity can fail.
+    """
+    n = p**k
+
+    def vec(x):
+        return [(x // p**i) % p for i in range(k)]
+
+    def index(v):
+        return sum((c % p) * p**i for i, c in enumerate(v))
+
+    basis = [[int(i == j) for j in range(k)] for i in range(k)]
+    prod = {}
+    for i in range(k):
+        for j in range(k):
+            if i == 0 or j == 0:
+                prod[i, j] = basis[i + j]
+            else:
+                prod[i, j] = [rng.randrange(p) if rng.random() < 0.3 else 0 for _ in range(k)]
+    add, mul = [], []
+    for x in range(n):
+        u = vec(x)
+        add.append(tuple(index([a + b for a, b in zip(u, vec(y))]) for y in range(n)))
+        row = []
+        for y in range(n):
+            v, w = vec(y), [0] * k
+            for i in range(k):
+                for j in range(k):
+                    if u[i] and v[j]:
+                        w = [acc + u[i] * v[j] * c for acc, c in zip(w, prod[i, j])]
+            row.append(index(w))
+        mul.append(tuple(row))
+    return FiniteRing(order=n, add=tuple(add), mul=tuple(mul), zero=0, one=1, name="alg")
+
+
+def test_verify_axioms_on_nonassociative_algebras():
+    rng = random.Random("axioms:algebras")
+    verdicts = []
+    for p, k in [(2, 2), (2, 3), (2, 4), (3, 2)] * 15:
+        alg = _bilinear_algebra(p, k, rng)
+        _assert_agrees_with_brute_force(alg, (p, k))
+        verdicts.append(bool(verify_axioms(alg)))
+    assert True in verdicts and False in verdicts
+
+
+def _map_near_ring(group, compose):
+    """The maps G -> G fixing 0 under pointwise + and composition.
+
+    With ``compose="right"`` the product is f.g = f o g, which is right
+    distributive but not left; ``"left"`` takes g o f and swaps the two.
+    """
+    gadd, m = group.add, group.order
+    maps = [(0, *rest) for rest in itertools.product(range(m), repeat=m - 1)]
+    index = {f: i for i, f in enumerate(maps)}
+    add = tuple(
+        tuple(index[tuple(gadd[f[x]][g[x]] for x in range(m))] for g in maps) for f in maps
+    )
+    if compose == "right":
+        mul = tuple(tuple(index[tuple(f[g[x]] for x in range(m))] for g in maps) for f in maps)
+    else:
+        mul = tuple(tuple(index[tuple(g[f[x]] for x in range(m))] for g in maps) for f in maps)
+    return FiniteRing(
+        order=len(maps),
+        add=add,
+        mul=mul,
+        zero=index[(0,) * m],
+        one=index[tuple(range(m))],
+        name="near-ring",
+    )
+
+
+@pytest.mark.parametrize("recipe", ["zmod:3", "zmod:4", "product:zmod:2,zmod:2"])
+@pytest.mark.parametrize("compose", ["left", "right"])
+def test_verify_axioms_on_one_sided_near_rings(recipe, compose):
+    near = _map_near_ring(build_preset(recipe), compose)
+    brute = oracles.brute_verify_axioms(near, math.inf)
+    failing = "left" if compose == "right" else "right"
+    assert brute and {v.split()[0] for v in brute} == {failing}
+    _assert_agrees_with_brute_force(near, (recipe, compose))
 
 
 # ---------------------------------------------------------------- size cap
