@@ -282,13 +282,12 @@ def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
     add = [tuple(row) for row in ring.add]
     mul = [tuple(row) for row in ring.mul]
     zero, one = ring.zero, ring.one
-    columns = list(zip(*add))
-    for a in range(n):
+    for a, column in enumerate(zip(*add)):
         if add[a][zero] != a and push(f"zero is not an additive identity at {a}"):
             return out
         if zero not in add[a] and push(f"no additive inverse for {a}"):
             return out
-        if add[a] == columns[a]:
+        if add[a] == column:
             continue
         for b in range(n):
             if add[a][b] != add[b][a] and push(f"addition is not commutative at ({a},{b})"):
@@ -311,7 +310,7 @@ def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
                         f"addition is not associative at ({a},{g},{b})"
                     ):
                         return out
-    for side, rows in (("left", mul), ("right", list(zip(*mul)))):
+    for side, rows in (("left", mul), ("right", zip(*mul))):
         # rows[a][x] is ax on the left and xa on the right
         for a, row in enumerate(rows):
             times_a = itemgetter(*row)
