@@ -279,6 +279,7 @@ def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
     if not 0 <= ring.one < n:
         return ["one index out of range"]
 
+    # itemgetter below returns tuples, so rows are compared as tuples
     add = [tuple(row) for row in ring.add]
     mul = [tuple(row) for row in ring.mul]
     zero, one = ring.zero, ring.one
@@ -311,7 +312,7 @@ def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
                     ):
                         return out
     for side, rows in (("left", mul), ("right", zip(*mul))):
-        # rows[a][x] is ax on the left and xa on the right
+        # row[x] is ax on the left and xa on the right
         for a, row in enumerate(rows):
             times_a = itemgetter(*row)
             for g in gens:
