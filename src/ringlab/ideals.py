@@ -80,13 +80,14 @@ def _additive_closure_bits(ring: FiniteRing, bits: int) -> int:
 def _is_right_ideal_bits(ring: FiniteRing, bits: int) -> bool:
     if not (bits >> ring.zero) & 1:
         return False
+    pb = _principal_bits(ring)
     members = bit_members(bits)
     for a in members:
         row_add = ring.add[a]
         for b in members:
             if not (bits >> row_add[b]) & 1:
                 return False
-        if _principal_bits(ring)[a] & ~bits:
+        if pb[a] & ~bits:
             return False
     return True
 
@@ -305,40 +306,40 @@ def is_delta_small(ring: FiniteRing, subset: ElementSet) -> bool:
     essential ``K`` with ``I + K = R`` sits inside an essential maximal one
     with the same property.
     """
-    bits = _require_right_ideal(ring, subset)
-    for m in _essential_maximals(ring):
-        if _sum_is_full(ring, bits, m.bits):
-            return False
-    return True
+    return _is_delta_small_bits(ring, _require_right_ideal(ring, subset))
+
+
+def _is_delta_small_bits(ring: FiniteRing, bits: int) -> bool:
+    """:func:`is_delta_small` on a mask already known to be a right ideal."""
+    return not any(_sum_is_full(ring, bits, m.bits) for m in _essential_maximals(ring))
 
 
 def is_direct_summand(ring: FiniteRing, subset: ElementSet) -> int | None:
     """Least idempotent ``e`` with ``e R`` equal to the ideal, else ``None``."""
-    bits = _require_right_ideal(ring, subset)
+    return _summand_witness(ring, _require_right_ideal(ring, subset))
 
-    def compute():
-        return {}
 
-    memo = cached_on(ring, "summand_witness", compute)
-    if bits in memo:
-        return memo[bits]
-    pb = _principal_bits(ring)
-    _, idempotents, _ = element_sets(ring)
-    result = None
-    for e in idempotents.indices():
-        if pb[e] == bits:
-            result = e
-            break
-    memo[bits] = result
-    return result
+def _summand_witness(ring: FiniteRing, bits: int) -> int | None:
+    """:func:`is_direct_summand` on a mask already known to be a right ideal."""
+    memo = cached_on(ring, "summand_witness", dict)
+    if bits not in memo:
+        pb = _principal_bits(ring)
+        _, idempotents, _ = element_sets(ring)
+        memo[bits] = next((e for e in idempotents.indices() if pb[e] == bits), None)
+    return memo[bits]
 
 
 def ideal_core(ring: FiniteRing, subset: ElementSet) -> ElementSet:
     """The largest two-sided ideal contained in the given right ideal."""
     bits = _require_right_ideal(ring, subset)
+    return ElementSet(_ideal_core_bits(ring, bits), ring.order)
+
+
+def _ideal_core_bits(ring: FiniteRing, bits: int) -> int:
+    """:func:`ideal_core` on a mask already known to be a right ideal."""
     pb = _principal_bits(ring)
     out = 0
     for x in bit_members(bits):
         if all(pb[ring.mul[r][x]] & ~bits == 0 for r in range(ring.order)):
             out |= 1 << x
-    return ElementSet(out, ring.order)
+    return out

@@ -24,10 +24,10 @@ from ringlab.core import (
     units_map,
 )
 from ringlab.ideals import (
-    is_direct_summand,
+    _principal_bits,
+    _summand_witness,
     is_two_sided_ideal,
     maximal_right_ideals,
-    principal_right_ideal,
     socle,
 )
 from ringlab.radicals import (
@@ -517,8 +517,9 @@ def _ring_right_pp(ring: FiniteRing) -> tuple[bool, int | None]:
     the witness a = 2 has aR not a direct summand.  Which reading the paper
     intends needs its full text, so the stronger one is kept as registered.
     """
+    pb = _principal_bits(ring)
     for a in range(ring.order):
-        if is_direct_summand(ring, principal_right_ideal(ring, a)) is None:
+        if _summand_witness(ring, pb[a]) is None:
             return False, a
     return True, None
 

@@ -14,13 +14,14 @@ from ringlab.core import (
 )
 from ringlab.ideals import (
     _essential_maximals,
+    _ideal_core_bits,
+    _is_delta_small_bits,
     _principal_bits,
     _span_bits,
     _sum_is_full,
+    _summand_witness,
     all_right_ideals,
-    ideal_core,
     is_delta_small,
-    is_direct_summand,
     is_two_sided_ideal,
     socle,
 )
@@ -83,10 +84,7 @@ def jacobson(ring: FiniteRing) -> ElementSet:
 
 
 def commutant_bits(ring: FiniteRing, a: int) -> int:
-    def compute():
-        return {}
-
-    memo = cached_on(ring, "commutant_bits", compute)
+    memo = cached_on(ring, "commutant_bits", dict)
     if a not in memo:
         mul = ring.mul
         row = mul[a]
@@ -135,31 +133,36 @@ def delta_r1(ring: FiniteRing) -> ElementSet:
 def delta_r2(ring: FiniteRing) -> ElementSet:
     """Sum of all small-relative-to-essential right ideals; the sum itself
     must remain small, otherwise the computation is faulted."""
-    total = ElementSet(1 << ring.zero, ring.order)
+    total = 1 << ring.zero
     for ideal in all_right_ideals(ring):
-        if is_delta_small(ring, ideal):
-            total = ElementSet(_span_bits(ring, total.bits, ideal.bits), ring.order)
-    if not is_delta_small(ring, total):
+        if _is_delta_small_bits(ring, ideal.bits):
+            total = _span_bits(ring, total, ideal.bits)
+    # the public check also confirms that the computed sum is a right ideal
+    total_set = ElementSet(total, ring.order)
+    if not is_delta_small(ring, total_set):
         raise ComputationFault(
             f"sum of small right ideals of {ring.name} is not itself small"
         )
-    return total
+    return total_set
 
 
 def delta_r3(ring: FiniteRing) -> ElementSet:
     """Elements ``x`` such that whenever ``x R + K`` is everything, ``K`` is
-    already a direct summand."""
+    already a direct summand.  The condition depends on ``x`` only through
+    ``x R``, so it is decided once per distinct principal ideal."""
     pb = _principal_bits(ring)
-    lattice = all_right_ideals(ring)
+    non_summands = [
+        ideal.bits
+        for ideal in all_right_ideals(ring)
+        if _summand_witness(ring, ideal.bits) is None
+    ]
+    decided: dict[int, bool] = {}
     bits = 0
     for x in range(ring.order):
-        ok = True
-        for ideal in lattice:
-            if _sum_is_full(ring, pb[x], ideal.bits):
-                if is_direct_summand(ring, ideal) is None:
-                    ok = False
-                    break
-        if ok:
+        xr = pb[x]
+        if xr not in decided:
+            decided[xr] = not any(_sum_is_full(ring, xr, k) for k in non_summands)
+        if decided[xr]:
             bits |= 1 << x
     return ElementSet(bits, ring.order)
 
@@ -170,7 +173,7 @@ def delta_r4(ring: FiniteRing) -> ElementSet:
     full = (1 << ring.order) - 1
     bits = full
     for m in _essential_maximals(ring):
-        bits &= ideal_core(ring, m).bits
+        bits &= _ideal_core_bits(ring, m.bits)
     return ElementSet(bits, ring.order)
 
 

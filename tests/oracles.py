@@ -6,6 +6,10 @@ machinery, so agreement between the two is meaningful evidence.
 """
 from __future__ import annotations
 
+import math
+
+from ringlab.core import FiniteRing, check_size, mixed_radix_decode, mixed_radix_encode
+
 
 def brute_verify_axioms(ring, max_violations=25):
     """Check every ring axiom over all n^3 triples; return the violations.
@@ -80,7 +84,7 @@ def brute_verify_axioms(ring, max_violations=25):
 def brute_right_ideals(ring):
     """Every right ideal, found by scanning all 2^n subsets (small rings only)."""
     n = ring.order
-    if n > 12:
+    if n > 16:
         raise ValueError("subset scan is only intended for tiny rings")
     add, mul = ring.add, ring.mul
     found = []
@@ -253,3 +257,64 @@ def brute_clean_decompositions(ring, a):
             if ring.add[e][u] == a:
                 out.append((e, u))
     return out
+
+
+def brute_build_product(factors):
+    """The direct product, one mixed-radix encode per table cell.
+
+    This is the library's builder before it assembled rows arithmetically.
+    """
+    if not factors:
+        raise ValueError("a product needs at least one factor")
+    radices = [f.order for f in factors]
+    order = math.prod(radices)
+    check_size(order)
+    decode = [mixed_radix_decode(i, radices) for i in range(order)]
+    add = tuple(
+        tuple(
+            mixed_radix_encode(
+                [f.add[x][y] for f, x, y in zip(factors, da, db)], radices
+            )
+            for db in decode
+        )
+        for da in decode
+    )
+    mul = tuple(
+        tuple(
+            mixed_radix_encode(
+                [f.mul[x][y] for f, x, y in zip(factors, da, db)], radices
+            )
+            for db in decode
+        )
+        for da in decode
+    )
+    labels = tuple(
+        "(" + ",".join(f.label(x) for f, x in zip(factors, d)) + ")" for d in decode
+    )
+    return FiniteRing(
+        order=order,
+        add=add,
+        mul=mul,
+        zero=mixed_radix_encode([f.zero for f in factors], radices),
+        one=mixed_radix_encode([f.one for f in factors], radices),
+        name="x".join(f.name for f in factors),
+        labels=labels,
+    )
+
+
+def brute_delta_r3(ring):
+    """Elements x such that every right ideal K with xR + K = R is eR for an
+    idempotent e, scanning every right ideal and every idempotent."""
+    n, add, mul = ring.order, ring.add, ring.mul
+    whole = frozenset(range(n))
+    summands = {frozenset(mul[e]) for e in brute_idempotents(ring)}
+    ideal_list = brute_right_ideals(ring)
+    out = set()
+    for x in range(n):
+        xr = set(mul[x])
+        if all(
+            k in summands or frozenset(add[a][b] for a in xr for b in k) != whole
+            for k in ideal_list
+        ):
+            out.add(x)
+    return frozenset(out)

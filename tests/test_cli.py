@@ -1,11 +1,15 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 from __future__ import annotations
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ringlab.cli import main
+from ringlab.core import build_zmod, ring_to_json
 
 
 def run(capsys, *argv):
@@ -139,8 +143,18 @@ def test_report_rejects_invalid_ring_file(tmp_path, capsys):
         {"add": [[False, True], [True, False]]},
         {"order": True, "zero": 0, "one": 0, "add": [[0]], "mul": [[0]]},
         {"mul": [[0, 0], [0, 7]]},
+        {"labels": [None, {"x": 1}]},
+        {"name": ["a"]},
     ],
-    ids=["zero-string", "one-null", "bool-entries", "order-true", "entry-out-of-range"],
+    ids=[
+        "zero-string",
+        "one-null",
+        "bool-entries",
+        "order-true",
+        "entry-out-of-range",
+        "labels-not-strings",
+        "name-list",
+    ],
 )
 def test_report_rejects_mistyped_ring_file(tmp_path, capsys, changes):
     ring = {"name": "Z2", "order": 2, "zero": 0, "one": 1,
@@ -152,6 +166,83 @@ def test_report_rejects_mistyped_ring_file(tmp_path, capsys, changes):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+# Every value below is malformed where it is put, so each drawn ring file must
+# be rejected: a wrong JSON type, a wrong shape, or an index out of range.
+_NON_INT = (
+    st.none()
+    | st.booleans()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.lists(st.integers(), max_size=3)
+    | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+)
+_NON_STR = _NON_INT.filter(lambda v: not isinstance(v, str)) | st.integers()
+_WRONG_TYPE = {
+    "order": _NON_INT,
+    "zero": _NON_INT,
+    "one": _NON_INT,
+    "add": _NON_INT,
+    "mul": _NON_INT,
+    "labels": _NON_INT.filter(lambda v: v is not None),
+    "name": _NON_STR,
+}
+
+
+@st.composite
+def _malformed_ring(draw):
+    n = draw(st.sampled_from([2, 3]))
+    ring = ring_to_json(build_zmod(n))
+    out_of_range = st.integers(max_value=-1) | st.integers(min_value=n)
+    kind = draw(st.sampled_from(
+        ["not-object", "missing", "type", "cell", "rows", "row", "index", "order",
+         "label"]
+    ))
+    if kind == "not-object":
+        return draw(_NON_INT.filter(lambda v: not isinstance(v, dict)))
+    if kind == "missing":
+        del ring[draw(st.sampled_from(["order", "zero", "one", "add", "mul"]))]
+    elif kind == "type":
+        key = draw(st.sampled_from(sorted(_WRONG_TYPE)))
+        ring[key] = draw(_WRONG_TYPE[key])
+    elif kind == "cell":
+        table = ring[draw(st.sampled_from(["add", "mul"]))]
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        table[i][j] = draw(_NON_INT | out_of_range)
+    elif kind == "rows":
+        table = ring[draw(st.sampled_from(["add", "mul"]))]
+        if draw(st.booleans()):
+            table.pop()
+        else:
+            table.append(list(range(n)))
+    elif kind == "row":
+        row = ring[draw(st.sampled_from(["add", "mul"]))][draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(0)
+    elif kind == "index":
+        ring[draw(st.sampled_from(["zero", "one"]))] = draw(out_of_range)
+    elif kind == "order":
+        ring["order"] = draw(st.integers().filter(lambda v: v != n))
+    else:
+        ring["labels"][draw(st.integers(0, n - 1))] = draw(_NON_STR)
+    return ring
+
+
+@settings(max_examples=200)
+@given(_malformed_ring())
+def test_report_rejects_malformed_ring_json(tmp_path_factory, ring):
+    path = tmp_path_factory.mktemp("fuzz") / "bad.json"
+    path.write_text(json.dumps(ring))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main(["report", str(path)])
+    assert code == 2
+    assert stdout.getvalue() == ""
+    assert stderr.getvalue().startswith("error: ")
+    assert stderr.getvalue().count("\n") == 1
 
 
 # ------------------------------------------------------------------- check

@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from ringlab.catalog import build_preset
+from ringlab.claims import PRODUCT_PAIR_CAP
 from ringlab.core import (
     AxiomError,
     BimoduleError,
@@ -167,6 +168,21 @@ def test_product_single_factor_is_identity():
 def test_product_needs_a_factor():
     with pytest.raises(ValueError):
         build_product([])
+
+
+def test_build_product_matches_brute_force(catalog_rings):
+    rings = list(catalog_rings.values())
+    cases = [
+        [a, b]
+        for i, a in enumerate(rings)
+        for b in rings[i:]
+        if a.order * b.order <= PRODUCT_PAIR_CAP
+    ]
+    cases.append([catalog_rings["Z3"], catalog_rings["T2(Z2)"], catalog_rings["Z2xZ2"]])
+    for factors in cases:
+        got, want = build_product(factors), oracles.brute_build_product(factors)
+        for field in ("add", "mul", "zero", "one", "labels", "name"):
+            assert getattr(got, field) == getattr(want, field), (want.name, field)
 
 
 # ------------------------------------------------------------------ matrix

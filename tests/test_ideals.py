@@ -192,6 +192,12 @@ def test_essential_requires_right_ideal(z4):
         is_essential(z4, ElementSet.from_indices(4, [0, 1]))
 
 
+@pytest.mark.parametrize("predicate", [is_direct_summand, is_delta_small, ideal_core])
+def test_ideal_predicates_require_right_ideal(z4, predicate):
+    with pytest.raises(IdealError):
+        predicate(z4, ElementSet.from_indices(4, [0, 1]))
+
+
 @pytest.mark.parametrize("name,make", SMALL_RINGS)
 def test_essential_matches_brute_force(name, make):
     ring = make()

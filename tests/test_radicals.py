@@ -225,3 +225,15 @@ def test_delta_matches_brute_delta(catalog_rings):
         if ring.order > 12:
             continue
         assert set(delta_mask(ring).indices()) == oracles.brute_delta(ring), name
+
+
+def test_delta_r3_matches_brute_delta_r3(catalog_rings):
+    rings = [ring for ring in catalog_rings.values() if ring.order <= 16]
+    rings += [
+        build_product([catalog_rings[a], catalog_rings[b]])
+        for a, b in [
+            ("Z2", "Z4"), ("Z4", "Z4"), ("Z2", "T2(Z2)"), ("CT2(Z2)", "CT2(Z2)")
+        ]
+    ]
+    for ring in rings:
+        assert set(delta_r3(ring).indices()) == oracles.brute_delta_r3(ring), ring.name
