@@ -71,6 +71,14 @@ SMALL_RINGS = [
     ("Z2xZ2", lambda: build_product([build_zmod(2), build_zmod(2)])),
     ("T2(Z2)", lambda: build_upper_triangular(build_zmod(2), 2)),
     ("CT2(Z3)", lambda: build_constant_diagonal_triangular(build_zmod(3), 2)),
+    # rings where some principal right ideals are joins of smaller ones
+    ("Z2^3", lambda: build_product([build_zmod(2)] * 3)),
+    ("Z2^4", lambda: build_product([build_zmod(2)] * 4)),
+    ("Z2xZ4", lambda: build_product([build_zmod(2), build_zmod(4)])),
+    ("Z4xZ4", lambda: build_product([build_zmod(4), build_zmod(4)])),
+    ("T2(Z2)xZ2", lambda: build_product([build_upper_triangular(build_zmod(2), 2), build_zmod(2)])),
+    ("M2(Z2)", lambda: build_matrix_ring(build_zmod(2), 2)),
+    ("CT3(Z2)", lambda: build_constant_diagonal_triangular(build_zmod(2), 3)),
 ]
 
 
