@@ -12,6 +12,7 @@ from ringlab.core import (
     FiniteRing,
     IdealError,
     LatticeLimitError,
+    _additive_generators,
     bit_members,
     cached_on,
     element_sets,
@@ -42,20 +43,25 @@ def _principal_bits(ring: FiniteRing) -> tuple[int, ...]:
 def _span_bits(ring: FiniteRing, b1: int, b2: int) -> int:
     """Additive span of the union of two additive subgroups.
 
-    For subgroups the pairwise sums already form a subgroup, so no closure
-    iteration is needed.
+    ``I + K`` is the union of the cosets ``I + b`` for ``b`` in ``K``, where
+    ``I`` is the larger subgroup.  A ``b`` already reached lies in a coset
+    taken before, so each coset is taken once: ``|I + K|`` lookups in all.
     """
     if b2 & ~b1 == 0:
         return b1
     if b1 & ~b2 == 0:
         return b2
+    if b1.bit_count() < b2.bit_count():
+        b1, b2 = b2, b1
     add = ring.add
-    out = 0
-    second = bit_members(b2)
-    for a in bit_members(b1):
-        row = add[a]
-        for b in second:
-            out |= 1 << row[b]
+    base = bit_members(b1)
+    out = b1
+    rest = b2 & ~b1
+    while rest:
+        row = add[(rest & -rest).bit_length() - 1]
+        for a in base:
+            out |= 1 << row[a]
+        rest &= ~out
     return out
 
 
@@ -113,12 +119,21 @@ def is_right_ideal(ring: FiniteRing, subset: ElementSet) -> bool:
 
 
 def is_two_sided_ideal(ring: FiniteRing, subset: ElementSet) -> bool:
-    if not is_right_ideal(ring, subset):
-        return False
-    bits = subset.bits
-    for a in bit_members(bits):
-        for r in range(ring.order):
-            if not (bits >> ring.mul[r][a]) & 1:
+    return is_right_ideal(ring, subset) and _is_left_closed_bits(ring, subset.bits)
+
+
+def _is_left_closed_bits(ring: FiniteRing, bits: int) -> bool:
+    """Whether a right ideal is closed under left multiplication.
+
+    ``(g + h) x = g x + h x`` and the ideal is additively closed, so it is
+    enough to multiply by the additive generators of the ring.
+    """
+    gens = cached_on(ring, "additive_generators", lambda: _additive_generators(ring.add, ring.zero))
+    members = bit_members(bits)
+    for g in gens:
+        row = ring.mul[g]
+        for x in members:
+            if not (bits >> row[x]) & 1:
                 return False
     return True
 
@@ -165,10 +180,34 @@ def ideal_sum(ring: FiniteRing, left: ElementSet, right: ElementSet) -> ElementS
 # lattice enumeration
 
 
-def _enumerate_right_ideals(ring: FiniteRing, limit: int) -> tuple[ElementSet, ...]:
+def _join_irreducible_principals(ring: FiniteRing) -> list[int]:
+    """The principal right ideals ``aR`` that are not the join of the
+    principal right ideals strictly inside them.
+
+    Those are the ``xR`` with ``x`` in ``aR`` and ``xR != aR``.  Every
+    principal right ideal is a join of these, so they generate the lattice.
+    """
     pb = _principal_bits(ring)
-    seeds = sorted(set(pb))
-    found = set(seeds)
+    zero_bit = 1 << ring.zero
+    seeds = []
+    for p in sorted(set(pb)):
+        join = zero_bit
+        for x in bit_members(p):
+            q = pb[x]
+            if q != p and q & ~join:
+                join = _span_bits(ring, join, q)
+                if join == p:
+                    break
+        if join != p:
+            seeds.append(p)
+    return seeds
+
+
+def _enumerate_right_ideals(ring: FiniteRing, limit: int) -> tuple[ElementSet, ...]:
+    """Close ``{0}`` and the join-irreducible principal right ideals under
+    joins with the latter."""
+    seeds = _join_irreducible_principals(ring)
+    found = {1 << ring.zero, *seeds}
     if len(found) > limit:
         raise LatticeLimitError(
             f"{ring.name} has more than {limit} right ideals"
@@ -211,7 +250,7 @@ def two_sided_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
         return tuple(
             ideal
             for ideal in all_right_ideals(ring)
-            if is_two_sided_ideal(ring, ideal)
+            if _is_left_closed_bits(ring, ideal.bits)
         )
 
     return cached_on(ring, "two_sided_ideals", compute)
@@ -267,7 +306,11 @@ def socle(ring: FiniteRing) -> ElementSet:
 
 def is_essential(ring: FiniteRing, subset: ElementSet) -> bool:
     """True iff the right ideal meets every nonzero right ideal nontrivially."""
-    bits = _require_right_ideal(ring, subset)
+    return _is_essential_bits(ring, _require_right_ideal(ring, subset))
+
+
+def _is_essential_bits(ring: FiniteRing, bits: int) -> bool:
+    """:func:`is_essential` on a mask already known to be a right ideal."""
     zero_bit = 1 << ring.zero
     pb = _principal_bits(ring)
     for a in range(ring.order):
@@ -281,7 +324,7 @@ def is_essential(ring: FiniteRing, subset: ElementSet) -> bool:
 def _essential_maximals(ring: FiniteRing) -> tuple[ElementSet, ...]:
     def compute():
         return tuple(
-            m for m in maximal_right_ideals(ring) if is_essential(ring, m)
+            m for m in maximal_right_ideals(ring) if _is_essential_bits(ring, m.bits)
         )
 
     return cached_on(ring, "essential_maximals", compute)

@@ -112,11 +112,51 @@ def brute_right_ideals(ring):
     return sorted(found, key=lambda s: (len(s), tuple(sorted(s))))
 
 
-def brute_two_sided_ideals(ring):
+def brute_pairwise_span(ring, b1, b2):
+    """Every sum of a member of ``b1`` and a member of ``b2``, as a bitmask."""
+    n, add = ring.order, ring.add
+    second = [b for b in range(n) if (b2 >> b) & 1]
+    out = 0
+    for a in range(n):
+        if (b1 >> a) & 1:
+            row = add[a]
+            for b in second:
+                out |= 1 << row[b]
+    return out
+
+
+def brute_join_closure_right_ideals(ring):
+    """Every right ideal, as the closure of the principal right ideals under
+    sums with them, each sum taken pair by pair (rings too large to scan).
+
+    This is the library's enumerator before it joined only with
+    join-irreducible principal ideals and spanned by cosets.
+    """
+    n, mul = ring.order, ring.mul
+    seeds = sorted({sum(1 << ab for ab in set(mul[a])) for a in range(n)})
+    found = set(seeds)
+    queue = list(seeds)
+    while queue:
+        current = queue.pop()
+        for seed in seeds:
+            if seed & ~current == 0:
+                continue
+            span = brute_pairwise_span(ring, current, seed)
+            if span not in found:
+                found.add(span)
+                queue.append(span)
+    ideals = [frozenset(i for i in range(n) if (bits >> i) & 1) for bits in found]
+    return sorted(ideals, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def brute_two_sided_ideals(ring, right_ideals=None):
+    """The two-sided ones among ``right_ideals`` (default: the subset scan)."""
     n = ring.order
     mul = ring.mul
     out = []
-    for ideal in brute_right_ideals(ring):
+    if right_ideals is None:
+        right_ideals = brute_right_ideals(ring)
+    for ideal in right_ideals:
         if all((mul[r][a] in ideal) for a in ideal for r in range(n)):
             out.append(ideal)
     return out

@@ -5,11 +5,16 @@ the subset-scan oracle re-derives them independently at test time.
 """
 from __future__ import annotations
 
+import random
+import time
+
 import pytest
 
 import oracles
+from ringlab.catalog import build_preset
 from ringlab.core import (
     ElementSet,
+    FiniteRing,
     IdealError,
     LatticeLimitError,
     build_constant_diagonal_triangular,
@@ -18,8 +23,12 @@ from ringlab.core import (
     build_product,
     build_upper_triangular,
     build_zmod,
+    verify_axioms,
 )
 from ringlab.ideals import (
+    _join_irreducible_principals,
+    _principal_bits,
+    _span_bits,
     all_right_ideals,
     ideal_core,
     ideal_sum,
@@ -79,6 +88,14 @@ SMALL_RINGS = [
     ("T2(Z2)xZ2", lambda: build_product([build_upper_triangular(build_zmod(2), 2), build_zmod(2)])),
     ("M2(Z2)", lambda: build_matrix_ring(build_zmod(2), 2)),
     ("CT3(Z2)", lambda: build_constant_diagonal_triangular(build_zmod(2), 3)),
+]
+
+# Orders 17-128: too large for the subset scan, checked by the join closure.
+LARGER_RINGS = [
+    ("T3(Z2)", "tri:3:zmod:2"),
+    ("T2(Z2)xZ2^3", "product:tri:2:zmod:2,zmod:2,zmod:2,zmod:2"),
+    ("Z4xZ2^4", "product:zmod:4,zmod:2,zmod:2,zmod:2,zmod:2"),
+    ("CT4(Z2)", "cdtri:4:zmod:2"),
 ]
 
 
@@ -157,6 +174,77 @@ def test_two_sided_ideals_match_subset_scan(name, make):
     assert got == expected
 
 
+@pytest.mark.parametrize("name,make", SMALL_RINGS)
+def test_seeds_are_the_join_irreducible_right_ideals(name, make):
+    # a nonzero right ideal is join-irreducible iff it has one lower cover
+    ring = make()
+    brute = oracles.brute_right_ideals(ring)
+    irreducible = []
+    for ideal in brute[1:]:
+        below = [k for k in brute if k < ideal]
+        covers = [k for k in below if not any(k < j for j in below)]
+        if len(covers) == 1:
+            irreducible.append(sum(1 << i for i in ideal))
+    seeds = _join_irreducible_principals(ring)
+    assert sorted(seeds) == sorted(irreducible)
+    assert set(seeds) <= set(_principal_bits(ring))
+
+
+@pytest.mark.parametrize("name,preset", LARGER_RINGS)
+def test_lattice_matches_join_closure_oracle(name, preset):
+    ring = build_preset(preset)
+    expected = oracles.brute_join_closure_right_ideals(ring)
+    assert [frozenset(i.indices()) for i in all_right_ideals(ring)] == expected
+    got = [frozenset(i.indices()) for i in two_sided_ideals(ring)]
+    assert got == oracles.brute_two_sided_ideals(ring, expected)
+
+
+@pytest.mark.parametrize("name,preset", LARGER_RINGS)
+def test_span_matches_pairwise_sums(name, preset):
+    ring = build_preset(preset)
+    lattice = [i.bits for i in all_right_ideals(ring)]
+    rng = random.Random(f"span:{preset}")
+    for _ in range(100):
+        left, right = rng.choice(lattice), rng.choice(lattice)
+        assert _span_bits(ring, left, right) == oracles.brute_pairwise_span(ring, left, right)
+
+
+def _m3z2():
+    """M3(Z2) with a matrix packed as 9 bits, row r in bits 3r..3r+2 (built
+    directly: the general matrix builder takes seconds at order 512)."""
+    rows = [(a >> 6, (a >> 3) & 7, a & 7) for a in range(512)]
+    # times[b][v]: the row vector v times the matrix b
+    times = [
+        [(v >> 2 & 1) * b0 ^ (v >> 1 & 1) * b1 ^ (v & 1) * b2 for v in range(8)]
+        for b0, b1, b2 in rows
+    ]
+    mul = tuple(
+        tuple(t[r0] << 6 | t[r1] << 3 | t[r2] for t in times) for r0, r1, r2 in rows
+    )
+    add = tuple(tuple(a ^ b for b in range(512)) for a in range(512))
+    return FiniteRing(order=512, add=add, mul=mul, zero=0, one=0b100010001, name="M3(Z2)")
+
+
+def test_lattice_of_z2_power_nine():
+    # the old pairwise enumerator took about 40 s here
+    ring = build_product([build_zmod(2)] * 9)
+    start = time.perf_counter()
+    assert len(all_right_ideals(ring)) == 512
+    assert len(two_sided_ideals(ring)) == 512
+    assert time.perf_counter() - start < 5.0
+
+
+def test_lattice_of_m3z2():
+    # right ideals of M3(Z2) are the matrices with columns in a fixed
+    # subspace of Z2^3: 1 + 7 + 7 + 1 of them; only 0 and R are two-sided
+    ring = _m3z2()
+    assert verify_axioms(ring) == []
+    start = time.perf_counter()
+    assert [len(i) for i in all_right_ideals(ring)] == [1] + [8] * 7 + [64] * 7 + [512]
+    assert [len(i) for i in two_sided_ideals(ring)] == [1, 512]
+    assert time.perf_counter() - start < 5.0
+
+
 def test_two_sided_ideals_t2z2(t2z2):
     assert _sets(two_sided_ideals(t2z2)) == [
         {0},
@@ -174,6 +262,15 @@ def test_two_sided_ideals_m2z2(m2z2):
 def test_lattice_limit(z6):
     with pytest.raises(LatticeLimitError):
         all_right_ideals(z6, limit=3)
+
+
+def test_lattice_limit_boundary():
+    # 16 right ideals, generated by the 4 join-irreducible ones
+    ring = build_product([build_zmod(2)] * 4)
+    assert len(_join_irreducible_principals(ring)) == 4
+    with pytest.raises(LatticeLimitError):
+        all_right_ideals(ring, limit=15)
+    assert len(all_right_ideals(ring, limit=16)) == 16
 
 
 # --------------------------------------------------------------- essential
