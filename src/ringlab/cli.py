@@ -32,9 +32,22 @@ def _emit(payload) -> None:
     print(json.dumps(payload, indent=2))
 
 
+def _action_table(obj: dict, key: str) -> tuple[tuple[int, ...], ...]:
+    raw = obj[key]
+    # type(...) is int, not isinstance: JSON true/false load as bool, an int subclass
+    if not isinstance(raw, list) or not all(
+        isinstance(row, list) and all(type(v) is int for v in row) for row in raw
+    ):
+        raise ValueError(f"{key} must be a list of lists of integers")
+    return tuple(tuple(row) for row in raw)
+
+
 def _ring_from_spec_obj(obj: dict) -> FiniteRing:
     if not isinstance(obj, dict):
         raise ValueError("ring spec must be a JSON object")
+    for key in ("preset", "name"):
+        if key in obj and not isinstance(obj[key], str):
+            raise ValueError(f"{key} must be a string, got {obj[key]!r}")
     if obj.get("kind") == "dorroh":
         for key in ("base", "bimodule", "left_action", "right_action"):
             if key not in obj:
@@ -44,8 +57,8 @@ def _ring_from_spec_obj(obj: dict) -> FiniteRing:
         data = DorrohData(
             base=base,
             bimodule=bimodule,
-            left_action=tuple(tuple(row) for row in obj["left_action"]),
-            right_action=tuple(tuple(row) for row in obj["right_action"]),
+            left_action=_action_table(obj, "left_action"),
+            right_action=_action_table(obj, "right_action"),
         )
         ring = build_dorroh(data)
     elif "preset" in obj:
@@ -113,28 +126,9 @@ def _cmd_delta(args) -> int:
     try:
         computation = delta(ring)
     except DeltaDisagreement as err:
-        payload = {
-            "agree": False,
-            "error": str(err),
-            "r1": err.computation.r1.to_json(),
-            "r2": err.computation.r2.to_json(),
-            "r3": err.computation.r3.to_json(),
-            "r4": err.computation.r4.to_json(),
-            "r5": err.computation.r5.to_json(),
-        }
-        _emit(payload)
+        _emit({"error": str(err), **err.computation.to_json()})
         return 1
-    _emit(
-        {
-            "r1": computation.r1.to_json(),
-            "r2": computation.r2.to_json(),
-            "r3": computation.r3.to_json(),
-            "r4": computation.r4.to_json(),
-            "r5": computation.r5.to_json(),
-            "agree": computation.agree,
-            "consensus": computation.consensus.to_json(),
-        }
-    )
+    _emit(computation.to_json())
     return 0
 
 

@@ -208,32 +208,6 @@ def renamed(ring: FiniteRing, name: str) -> FiniteRing:
 
 
 # --------------------------------------------------------------------------
-# mixed radix helpers
-
-
-def mixed_radix_encode(digits: Sequence[int], radices: Sequence[int]) -> int:
-    """Pack digits into one index; the last digit is the fastest-moving one."""
-    if len(digits) != len(radices):
-        raise ValueError("digit and radix sequences differ in length")
-    index = 0
-    for digit, radix in zip(digits, radices):
-        if not 0 <= digit < radix:
-            raise ValueError(f"digit {digit} out of range for radix {radix}")
-        index = index * radix + digit
-    return index
-
-
-def mixed_radix_decode(index: int, radices: Sequence[int]) -> tuple[int, ...]:
-    digits = []
-    for radix in reversed(radices):
-        index, digit = divmod(index, radix)
-        digits.append(digit)
-    if index:
-        raise ValueError("index out of range for the given radices")
-    return tuple(reversed(digits))
-
-
-# --------------------------------------------------------------------------
 # axiom verification
 
 
@@ -433,97 +407,83 @@ def _matrix_label(rows: Sequence[Sequence[int]], base: FiniteRing) -> str:
     ) + "]"
 
 
-def build_matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
-    """The full ``k x k`` matrix ring, entries packed row-major."""
+def _pattern_ring(
+    base: FiniteRing, k: int, name: str, cells: Sequence[Sequence[tuple[int, int]]]
+) -> FiniteRing:
+    """The ``k x k`` matrices over ``base`` that follow a position pattern.
+
+    ``cells[i]`` lists the positions ``(r, c)`` that share stored digit i;
+    positions in no cell hold zero.  The pattern must hold the identity and be
+    closed under products.  Digits are packed in cell order, the last fastest,
+    so (R,+) is base^d for d cells and its table folds as in
+    :func:`build_product`.  b -> ab is additive, so row a of the product table
+    folds the d lists of ``a E_j(v)`` over v, where ``E_j(v)`` holds v on
+    cell j and zero elsewhere.
+    """
     if k < 1:
         raise ValueError(f"matrix size must be positive, got {k}")
-    n = base.order
-    order = n ** (k * k)
+    n, zero, badd, bmul = base.order, base.zero, base.add, base.mul
+    order = n ** len(cells)
     check_size(order)
-    radices = [n] * (k * k)
-    decode = [mixed_radix_decode(i, radices) for i in range(order)]
+    add = badd
+    for _ in cells[1:]:
+        add = _pair_table(add, badd)
+    first = [cell[0] for cell in cells]
 
-    def entry(d: Sequence[int], r: int, c: int) -> int:
-        return d[r * k + c]
+    def encode(entries: Sequence[Sequence[int]]) -> int:
+        index = 0
+        for r, c in first:
+            index = index * n + entries[r][c]
+        return index
 
-    badd, bmul = base.add, base.mul
+    def times(a: Sequence[Sequence[int]], cell: Sequence[tuple[int, int]], v: int) -> int:
+        # entry (r, c) of a E_j(v) sums a[r][m] v over the (m, c) in cell j
+        index = 0
+        for r, c in first:
+            acc = zero
+            for m, col in cell:
+                if col == c:
+                    acc = badd[acc][bmul[a[r][m]][v]]
+            index = index * n + acc
+        return index
 
-    def mat_add(da, db):
-        return mixed_radix_encode([badd[x][y] for x, y in zip(da, db)], radices)
-
-    def mat_mul(da, db):
-        out = []
-        for r in range(k):
-            for c in range(k):
-                acc = base.zero
-                for m in range(k):
-                    acc = badd[acc][bmul[entry(da, r, m)][entry(db, m, c)]]
-                out.append(acc)
-        return mixed_radix_encode(out, radices)
-
-    add = tuple(tuple(mat_add(da, db) for db in decode) for da in decode)
-    mul = tuple(tuple(mat_mul(da, db) for db in decode) for da in decode)
-    identity = [base.one if r == c else base.zero for r in range(k) for c in range(k)]
-    labels = tuple(
-        _matrix_label([d[r * k:(r + 1) * k] for r in range(k)], base) for d in decode
-    )
+    matrices = []
+    for digits in product(range(n), repeat=len(cells)):
+        entries = [[zero] * k for _ in range(k)]
+        for cell, v in zip(cells, digits):
+            for r, c in cell:
+                entries[r][c] = v
+        matrices.append(entries)
+    zero_index = encode([[zero] * k] * k)
+    mul = []
+    for a in matrices:
+        row = [zero_index]
+        for cell in cells:
+            column = [times(a, cell, v) for v in range(n)]
+            row = [add[x][y] for x in row for y in column]
+        mul.append(tuple(row))
     return FiniteRing(
         order=order,
         add=add,
-        mul=mul,
-        zero=mixed_radix_encode([base.zero] * (k * k), radices),
-        one=mixed_radix_encode(identity, radices),
-        name=f"M{k}({base.name})",
-        labels=labels,
+        mul=tuple(mul),
+        zero=zero_index,
+        one=encode([[base.one if r == c else zero for c in range(k)] for r in range(k)]),
+        name=name,
+        labels=tuple(_matrix_label(entries, base) for entries in matrices),
     )
+
+
+def build_matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
+    """The full ``k x k`` matrix ring, entries packed row-major."""
+    cells = [[(r, c)] for r in range(k) for c in range(k)]
+    return _pattern_ring(base, k, f"M{k}({base.name})", cells)
 
 
 def build_upper_triangular(base: FiniteRing, k: int) -> FiniteRing:
     """The upper triangular ``k x k`` matrix ring; stored entries are the
     positions ``(r, c)`` with ``r <= c`` in row-major order."""
-    if k < 1:
-        raise ValueError(f"matrix size must be positive, got {k}")
-    positions = [(r, c) for r in range(k) for c in range(r, k)]
-    slot = {pos: i for i, pos in enumerate(positions)}
-    n = base.order
-    order = n ** len(positions)
-    check_size(order)
-    radices = [n] * len(positions)
-    decode = [mixed_radix_decode(i, radices) for i in range(order)]
-    badd, bmul = base.add, base.mul
-
-    def tri_add(da, db):
-        return mixed_radix_encode([badd[x][y] for x, y in zip(da, db)], radices)
-
-    def tri_mul(da, db):
-        out = []
-        for r, c in positions:
-            acc = base.zero
-            for m in range(r, c + 1):
-                acc = badd[acc][bmul[da[slot[r, m]]][db[slot[m, c]]]]
-            out.append(acc)
-        return mixed_radix_encode(out, radices)
-
-    add = tuple(tuple(tri_add(da, db) for db in decode) for da in decode)
-    mul = tuple(tuple(tri_mul(da, db) for db in decode) for da in decode)
-    identity = [base.one if r == c else base.zero for r, c in positions]
-
-    def tri_rows(d):
-        return [
-            [d[slot[r, c]] if r <= c else base.zero for c in range(k)]
-            for r in range(k)
-        ]
-
-    labels = tuple(_matrix_label(tri_rows(d), base) for d in decode)
-    return FiniteRing(
-        order=order,
-        add=add,
-        mul=mul,
-        zero=mixed_radix_encode([base.zero] * len(positions), radices),
-        one=mixed_radix_encode(identity, radices),
-        name=f"T{k}({base.name})",
-        labels=labels,
-    )
+    cells = [[(r, c)] for r in range(k) for c in range(r, k)]
+    return _pattern_ring(base, k, f"T{k}({base.name})", cells)
 
 
 def build_constant_diagonal_triangular(base: FiniteRing, k: int) -> FiniteRing:
@@ -532,51 +492,9 @@ def build_constant_diagonal_triangular(base: FiniteRing, k: int) -> FiniteRing:
     Stored digits are the diagonal value followed by the strictly upper
     entries ``(r, c)`` with ``r < c`` in row-major order.
     """
-    if k < 1:
-        raise ValueError(f"matrix size must be positive, got {k}")
-    uppers = [(r, c) for r in range(k) for c in range(r + 1, k)]
-    slot = {pos: i + 1 for i, pos in enumerate(uppers)}
-    n = base.order
-    order = n ** (1 + len(uppers))
-    check_size(order)
-    radices = [n] * (1 + len(uppers))
-    decode = [mixed_radix_decode(i, radices) for i in range(order)]
-    badd, bmul = base.add, base.mul
-
-    def entry(d, r, c):
-        if r == c:
-            return d[0]
-        return d[slot[r, c]]
-
-    def cd_add(da, db):
-        return mixed_radix_encode([badd[x][y] for x, y in zip(da, db)], radices)
-
-    def cd_mul(da, db):
-        out = [bmul[da[0]][db[0]]]
-        for r, c in uppers:
-            acc = base.zero
-            for m in range(r, c + 1):
-                acc = badd[acc][bmul[entry(da, r, m)][entry(db, m, c)]]
-            out.append(acc)
-        return mixed_radix_encode(out, radices)
-
-    add = tuple(tuple(cd_add(da, db) for db in decode) for da in decode)
-    mul = tuple(tuple(cd_mul(da, db) for db in decode) for da in decode)
-
-    def cd_rows(d):
-        return [[entry(d, r, c) if r <= c else base.zero for c in range(k)] for r in range(k)]
-
-    labels = tuple(_matrix_label(cd_rows(d), base) for d in decode)
-    one_digits = [base.one] + [base.zero] * len(uppers)
-    return FiniteRing(
-        order=order,
-        add=add,
-        mul=mul,
-        zero=mixed_radix_encode([base.zero] * (1 + len(uppers)), radices),
-        one=mixed_radix_encode(one_digits, radices),
-        name=f"CT{k}({base.name})",
-        labels=labels,
-    )
+    diagonal = [(r, r) for r in range(k)]
+    uppers = [[(r, c)] for r in range(k) for c in range(r + 1, k)]
+    return _pattern_ring(base, k, f"CT{k}({base.name})", [diagonal, *uppers])
 
 
 @dataclass(frozen=True)
@@ -664,25 +582,22 @@ def build_dorroh(data: DorrohData) -> FiniteRing:
     def enc(r: int, v: int) -> int:
         return nv * r + v
 
-    add_rows = []
     mul_rows = []
     for r in range(nr):
         for v in range(nv):
-            add_row = []
             mul_row = []
             for s in range(nr):
                 for w in range(nv):
-                    add_row.append(enc(base.add[r][s], bim.add[v][w]))
                     vw = bim.add[bim.add[la[r][w]][ra[v][s]]][bim.mul[v][w]]
                     mul_row.append(enc(base.mul[r][s], vw))
-            add_rows.append(tuple(add_row))
             mul_rows.append(tuple(mul_row))
     labels = tuple(
         f"({base.label(r)},{bim.label(v)})" for r in range(nr) for v in range(nv)
     )
     ring = FiniteRing(
         order=order,
-        add=tuple(add_rows),
+        # (r, v) has the pair index of a two-factor product, so + is base x bimodule
+        add=_pair_table(base.add, bim.add),
         mul=tuple(mul_rows),
         zero=enc(base.zero, bim.zero),
         one=enc(base.one, bim.zero),
@@ -697,26 +612,14 @@ def build_dorroh(data: DorrohData) -> FiniteRing:
     return ring
 
 
-def _is_two_sided_subset(ring: FiniteRing, members: Sequence[int]) -> bool:
-    inside = set(members)
-    if ring.zero not in inside:
-        return False
-    for a in inside:
-        for b in inside:
-            if ring.add[a][b] not in inside:
-                return False
-        for r in range(ring.order):
-            if ring.mul[a][r] not in inside or ring.mul[r][a] not in inside:
-                return False
-    return True
-
-
 def build_quotient(
     ring: FiniteRing, ideal: ElementSet
 ) -> tuple[FiniteRing, tuple[int, ...]]:
     """Quotient by a two-sided ideal; returns the quotient and the projection."""
+    from ringlab.ideals import is_two_sided_ideal
+
     members = ideal.indices()
-    if not _is_two_sided_subset(ring, members):
+    if not is_two_sided_ideal(ring, ideal):
         raise IdealError(
             f"subset {list(members)} is not a two-sided ideal of {ring.name}"
         )

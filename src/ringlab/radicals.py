@@ -39,6 +39,15 @@ class DeltaComputation:
     agree: bool
     consensus: ElementSet | None
 
+    def to_json(self) -> dict:
+        """The five routes, whether they agree, and the consensus (or None)."""
+        routes = (self.r1, self.r2, self.r3, self.r4, self.r5)
+        return {
+            **{f"r{i}": route.to_json() for i, route in enumerate(routes, 1)},
+            "agree": self.agree,
+            "consensus": None if self.consensus is None else self.consensus.to_json(),
+        }
+
 
 class DeltaDisagreement(ComputationFault):
     """Raised when the five delta characterizations do not coincide."""

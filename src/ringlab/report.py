@@ -25,15 +25,7 @@ def build_report(ring: FiniteRing) -> dict:
             "jacobson": jacobson(ring).to_json(),
             "qnil": qnil_set(ring).to_json(),
         },
-        "delta": {
-            "r1": computation.r1.to_json(),
-            "r2": computation.r2.to_json(),
-            "r3": computation.r3.to_json(),
-            "r4": computation.r4.to_json(),
-            "r5": computation.r5.to_json(),
-            "agree": computation.agree,
-            "consensus": computation.consensus.to_json(),
-        },
+        "delta": computation.to_json(),
         "properties": {
             prop.value: ring_property(ring, prop)[0] for prop in PropertyName
         },

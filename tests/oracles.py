@@ -7,8 +7,31 @@ machinery, so agreement between the two is meaningful evidence.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
-from ringlab.core import FiniteRing, check_size, mixed_radix_decode, mixed_radix_encode
+from ringlab.core import FiniteRing, _matrix_label, check_size
+
+
+def mixed_radix_encode(digits: Sequence[int], radices: Sequence[int]) -> int:
+    """Pack digits into one index; the last digit is the fastest-moving one."""
+    if len(digits) != len(radices):
+        raise ValueError("digit and radix sequences differ in length")
+    index = 0
+    for digit, radix in zip(digits, radices):
+        if not 0 <= digit < radix:
+            raise ValueError(f"digit {digit} out of range for radix {radix}")
+        index = index * radix + digit
+    return index
+
+
+def mixed_radix_decode(index: int, radices: Sequence[int]) -> tuple[int, ...]:
+    digits = []
+    for radix in reversed(radices):
+        index, digit = divmod(index, radix)
+        digits.append(digit)
+    if index:
+        raise ValueError("index out of range for the given radices")
+    return tuple(reversed(digits))
 
 
 def brute_verify_axioms(ring, max_violations=25):
@@ -341,6 +364,156 @@ def brute_build_product(factors):
         labels=labels,
     )
 
+
+# The three matrix builders below are the library's before it built every
+# position pattern by rows; each decodes, multiplies and re-encodes one
+# table cell at a time.
+
+
+def brute_matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
+    """The full ``k x k`` matrix ring, entries packed row-major."""
+    if k < 1:
+        raise ValueError(f"matrix size must be positive, got {k}")
+    n = base.order
+    order = n ** (k * k)
+    check_size(order)
+    radices = [n] * (k * k)
+    decode = [mixed_radix_decode(i, radices) for i in range(order)]
+
+    def entry(d: Sequence[int], r: int, c: int) -> int:
+        return d[r * k + c]
+
+    badd, bmul = base.add, base.mul
+
+    def mat_add(da, db):
+        return mixed_radix_encode([badd[x][y] for x, y in zip(da, db)], radices)
+
+    def mat_mul(da, db):
+        out = []
+        for r in range(k):
+            for c in range(k):
+                acc = base.zero
+                for m in range(k):
+                    acc = badd[acc][bmul[entry(da, r, m)][entry(db, m, c)]]
+                out.append(acc)
+        return mixed_radix_encode(out, radices)
+
+    add = tuple(tuple(mat_add(da, db) for db in decode) for da in decode)
+    mul = tuple(tuple(mat_mul(da, db) for db in decode) for da in decode)
+    identity = [base.one if r == c else base.zero for r in range(k) for c in range(k)]
+    labels = tuple(
+        _matrix_label([d[r * k:(r + 1) * k] for r in range(k)], base) for d in decode
+    )
+    return FiniteRing(
+        order=order,
+        add=add,
+        mul=mul,
+        zero=mixed_radix_encode([base.zero] * (k * k), radices),
+        one=mixed_radix_encode(identity, radices),
+        name=f"M{k}({base.name})",
+        labels=labels,
+    )
+
+
+def brute_upper_triangular(base: FiniteRing, k: int) -> FiniteRing:
+    """The upper triangular ``k x k`` matrix ring; stored entries are the
+    positions ``(r, c)`` with ``r <= c`` in row-major order."""
+    if k < 1:
+        raise ValueError(f"matrix size must be positive, got {k}")
+    positions = [(r, c) for r in range(k) for c in range(r, k)]
+    slot = {pos: i for i, pos in enumerate(positions)}
+    n = base.order
+    order = n ** len(positions)
+    check_size(order)
+    radices = [n] * len(positions)
+    decode = [mixed_radix_decode(i, radices) for i in range(order)]
+    badd, bmul = base.add, base.mul
+
+    def tri_add(da, db):
+        return mixed_radix_encode([badd[x][y] for x, y in zip(da, db)], radices)
+
+    def tri_mul(da, db):
+        out = []
+        for r, c in positions:
+            acc = base.zero
+            for m in range(r, c + 1):
+                acc = badd[acc][bmul[da[slot[r, m]]][db[slot[m, c]]]]
+            out.append(acc)
+        return mixed_radix_encode(out, radices)
+
+    add = tuple(tuple(tri_add(da, db) for db in decode) for da in decode)
+    mul = tuple(tuple(tri_mul(da, db) for db in decode) for da in decode)
+    identity = [base.one if r == c else base.zero for r, c in positions]
+
+    def tri_rows(d):
+        return [
+            [d[slot[r, c]] if r <= c else base.zero for c in range(k)]
+            for r in range(k)
+        ]
+
+    labels = tuple(_matrix_label(tri_rows(d), base) for d in decode)
+    return FiniteRing(
+        order=order,
+        add=add,
+        mul=mul,
+        zero=mixed_radix_encode([base.zero] * len(positions), radices),
+        one=mixed_radix_encode(identity, radices),
+        name=f"T{k}({base.name})",
+        labels=labels,
+    )
+
+
+def brute_constant_diagonal_triangular(base: FiniteRing, k: int) -> FiniteRing:
+    """Upper triangular ``k x k`` matrices with one shared diagonal entry.
+
+    Stored digits are the diagonal value followed by the strictly upper
+    entries ``(r, c)`` with ``r < c`` in row-major order.
+    """
+    if k < 1:
+        raise ValueError(f"matrix size must be positive, got {k}")
+    uppers = [(r, c) for r in range(k) for c in range(r + 1, k)]
+    slot = {pos: i + 1 for i, pos in enumerate(uppers)}
+    n = base.order
+    order = n ** (1 + len(uppers))
+    check_size(order)
+    radices = [n] * (1 + len(uppers))
+    decode = [mixed_radix_decode(i, radices) for i in range(order)]
+    badd, bmul = base.add, base.mul
+
+    def entry(d, r, c):
+        if r == c:
+            return d[0]
+        return d[slot[r, c]]
+
+    def cd_add(da, db):
+        return mixed_radix_encode([badd[x][y] for x, y in zip(da, db)], radices)
+
+    def cd_mul(da, db):
+        out = [bmul[da[0]][db[0]]]
+        for r, c in uppers:
+            acc = base.zero
+            for m in range(r, c + 1):
+                acc = badd[acc][bmul[entry(da, r, m)][entry(db, m, c)]]
+            out.append(acc)
+        return mixed_radix_encode(out, radices)
+
+    add = tuple(tuple(cd_add(da, db) for db in decode) for da in decode)
+    mul = tuple(tuple(cd_mul(da, db) for db in decode) for da in decode)
+
+    def cd_rows(d):
+        return [[entry(d, r, c) if r <= c else base.zero for c in range(k)] for r in range(k)]
+
+    labels = tuple(_matrix_label(cd_rows(d), base) for d in decode)
+    one_digits = [base.one] + [base.zero] * len(uppers)
+    return FiniteRing(
+        order=order,
+        add=add,
+        mul=mul,
+        zero=mixed_radix_encode([base.zero] * (1 + len(uppers)), radices),
+        one=mixed_radix_encode(one_digits, radices),
+        name=f"CT{k}({base.name})",
+        labels=labels,
+    )
 
 def brute_delta_r3(ring):
     """Elements x such that every right ideal K with xR + K = R is eR for an

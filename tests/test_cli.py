@@ -96,6 +96,42 @@ def test_build_dorroh_spec_rejects_bad_action(tmp_path, capsys):
     assert code == 2
 
 
+def _dorroh_spec(left_action):
+    return {
+        "kind": "dorroh",
+        "base": {"preset": "zmod:2"},
+        "bimodule": {"preset": "zmod:2"},
+        "left_action": left_action,
+        "right_action": [[0, 0], [0, 1]],
+    }
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"preset": 5},
+        {"preset": "zmod:4", "name": 7},
+        {**_dorroh_spec([[0, 0], [0, 1]]), "base": {"preset": ["zmod:2"]}},
+        _dorroh_spec([1, 2]),
+        _dorroh_spec([[0, 0], [0, "1"]]),
+        _dorroh_spec([["0", 0], [0, 1]]),
+        _dorroh_spec([[0, 0], [0, True]]),
+        _dorroh_spec({"0": [0, 0]}),
+    ],
+    ids=["preset-int", "name-int", "nested-preset-list", "action-flat", "action-str",
+         "action-str-first", "action-bool", "action-object"],
+)
+def test_build_rejects_malformed_spec(tmp_path, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "r.json"
+    code, stdout, stderr = run(capsys, "build", str(spec_path), "-o", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ report
 
 @pytest.fixture()
@@ -300,6 +336,20 @@ def test_delta_command(z4_file, capsys):
     assert payload["agree"] is True
     for key in ("r1", "r2", "r3", "r4", "r5"):
         assert payload[key] == [0, 2]
+
+
+def test_delta_disagreement_exits_1_with_every_route(z4_file, capsys, monkeypatch):
+    from ringlab import radicals
+    from ringlab.core import ElementSet
+
+    monkeypatch.setattr(radicals, "delta_r5", lambda ring: ElementSet.empty(ring.order))
+    code, stdout, _ = run(capsys, "delta", str(z4_file))
+    assert code == 1
+    payload = json.loads(stdout)
+    assert list(payload) == ["error", "r1", "r2", "r3", "r4", "r5", "agree", "consensus"]
+    assert payload["error"].startswith("delta characterizations disagree on Z4")
+    assert [payload[f"r{i}"] for i in range(1, 6)] == [[0, 2]] * 4 + [[]]
+    assert payload["agree"] is False and payload["consensus"] is None
 
 
 # ------------------------------------------------------------------ search

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from oracles import mixed_radix_decode, mixed_radix_encode
 from ringlab.catalog import build_preset
 from ringlab.claims import PRODUCT_PAIR_CAP
 from ringlab.core import (
@@ -37,8 +38,6 @@ from ringlab.core import (
     element_sets,
     is_zmod2,
     load_ring,
-    mixed_radix_decode,
-    mixed_radix_encode,
     ring_from_json,
     ring_to_json,
     save_ring,
@@ -206,6 +205,58 @@ def test_matrix_ring_k1_is_base():
     assert m.add == z3.add and m.mul == z3.mul
 
 
+def _z3_with_zero_at_2():
+    """Z3 with index i standing for i + 1 mod 3, so zero is 2 and one is 0."""
+    value, index = (lambda i: (i + 1) % 3), (lambda x: (x - 1) % 3)
+    return FiniteRing(
+        order=3,
+        add=tuple(tuple(index(value(i) + value(j)) for j in range(3)) for i in range(3)),
+        mul=tuple(tuple(index(value(i) * value(j)) for j in range(3)) for i in range(3)),
+        zero=2,
+        one=0,
+        name="Z3'",
+        labels=("1", "2", "0"),
+    )
+
+
+PATTERN_BUILDERS = {
+    # name: (library builder, oracle builder, stored digits for k)
+    "M": (build_matrix_ring, oracles.brute_matrix_ring, lambda k: k * k),
+    "T": (build_upper_triangular, oracles.brute_upper_triangular, lambda k: k * (k + 1) // 2),
+    "CT": (
+        build_constant_diagonal_triangular,
+        oracles.brute_constant_diagonal_triangular,
+        lambda k: 1 + k * (k - 1) // 2,
+    ),
+}
+PATTERN_BASES = {
+    base.name: base
+    for base in [build_zmod(n) for n in (1, 2, 3, 4, 6)]
+    + [build_upper_triangular(build_zmod(2), 2), _z3_with_zero_at_2()]
+}
+
+
+@pytest.mark.parametrize(
+    "kind,base_name,k",
+    [
+        (kind, base_name, k)
+        for kind, (_, _, digits) in PATTERN_BUILDERS.items()
+        for base_name, base in PATTERN_BASES.items()
+        for k in (1, 2, 3)
+        # the per-cell oracles take seconds above order 256
+        if base.order ** digits(k) <= 256
+    ],
+)
+def test_pattern_builders_match_brute_force(kind, base_name, k):
+    build, brute, _ = PATTERN_BUILDERS[kind]
+    base = PATTERN_BASES[base_name]
+    got, want = build(base, k), brute(base, k)
+    for field in ("order", "add", "mul", "zero", "one", "labels", "name"):
+        assert getattr(got, field) == getattr(want, field), field
+    with pytest.raises(ValueError, match="matrix size must be positive"):
+        build(base, 0)
+
+
 # -------------------------------------------------------------- triangular
 
 def test_upper_triangular_t2_z2():
@@ -284,6 +335,13 @@ def test_dorroh_zero_bimodule_is_base():
     assert d.add == z4.add and d.mul == z4.mul
 
 
+def test_dorroh_addition_is_the_product_addition():
+    for preset in ("zmod:2", "zmod:4", "tri:2:zmod:2", "cdtri:2:zmod:3"):
+        data = _dorroh_of_ring(build_preset(preset))
+        want = oracles.brute_build_product([data.base, data.bimodule])
+        assert build_dorroh(data).add == want.add, preset
+
+
 def test_dorroh_rejects_bad_action():
     z2 = build_zmod(2)
     data = _dorroh_of_ring(z2)
@@ -324,6 +382,13 @@ def test_quotient_rejects_non_ideal():
     z4 = build_zmod(4)
     with pytest.raises(IdealError):
         build_quotient(z4, ElementSet.from_indices(4, [0, 1]))
+
+
+def test_quotient_rejects_subset_of_another_size():
+    z4 = build_zmod(4)
+    for members in ([0, 4], [0, 2]):
+        with pytest.raises(IdealError):
+            build_quotient(z4, ElementSet.from_indices(8, members))
 
 
 def test_quotient_rejects_one_sided_ideal():
