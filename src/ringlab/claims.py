@@ -190,51 +190,23 @@ def _check_two_in_delta(ctx: SuiteContext) -> list[dict]:
     return out
 
 
-def _check_local_quasipolar(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if _holds(ring, PropertyName.LOCAL) and _holds(ring, PropertyName.QUASIPOLAR):
-            holds, witness = ring_property(ring, PropertyName.DELTA_QUASIPOLAR)
-            if not holds:
-                out.append(_witness(name, witness))
-    return out
+def _implies(*hypotheses: PropertyName, conclusion: PropertyName) -> Checker:
+    """Every ring with all ``hypotheses`` has ``conclusion``; a failure is
+    witnessed by the least element failing the conclusion."""
 
-
-def _check_right_pp(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if _holds(ring, PropertyName.DELTA_QUASIPOLAR):
-            holds, witness = ring_property(ring, PropertyName.RIGHT_PP)
-            if not holds:
-                out.append(_witness(name, witness))
-    return out
-
-
-def _check_abelian_strongly_regular(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if _holds(ring, PropertyName.ABELIAN) and _holds(
-            ring, PropertyName.DELTA_QUASIPOLAR
-        ):
-            holds, witness = ring_property(ring, PropertyName.STRONGLY_REGULAR)
-            if not holds:
-                out.append(_witness(name, witness))
-    return out
-
-
-def _abelian_delta_implies(conclusion: PropertyName) -> Checker:
     def check(ctx: SuiteContext) -> list[dict]:
         out = []
         for name, ring in ctx.items():
-            if _holds(ring, PropertyName.ABELIAN) and _holds(
-                ring, PropertyName.DELTA_QUASIPOLAR
-            ):
+            if all(_holds(ring, h) for h in hypotheses):
                 holds, witness = ring_property(ring, conclusion)
                 if not holds:
                     out.append(_witness(name, witness))
         return out
 
     return check
+
+
+_ABELIAN_DELTA_QP = (PropertyName.ABELIAN, PropertyName.DELTA_QUASIPOLAR)
 
 
 def _check_quotient_boolean_lifting(ctx: SuiteContext) -> list[dict]:
@@ -272,16 +244,6 @@ def _check_delta_r_clean_equivalence(ctx: SuiteContext) -> list[dict]:
     return out
 
 
-def _check_exchange(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if _holds(ring, PropertyName.DELTA_QUASIPOLAR):
-            holds, witness = ring_property(ring, PropertyName.EXCHANGE)
-            if not holds:
-                out.append(_witness(name, witness))
-    return out
-
-
 def _check_boolean_regular_chain(ctx: SuiteContext) -> list[dict]:
     out = []
     for name, ring in ctx.items():
@@ -300,16 +262,6 @@ def _check_boolean_regular_chain(ctx: SuiteContext) -> list[dict]:
                 if not holds:
                     out.append(_witness(name, witness, detail=conclusion.value))
                     break
-    return out
-
-
-def _check_abelian_j_clean(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if _holds(ring, PropertyName.ABELIAN) and _holds(ring, PropertyName.J_CLEAN):
-            holds, witness = ring_property(ring, PropertyName.DELTA_QUASIPOLAR)
-            if not holds:
-                out.append(_witness(name, witness))
     return out
 
 
@@ -393,16 +345,6 @@ def _check_delta_implies_weakly(ctx: SuiteContext) -> list[dict]:
         if strict.bits & ~weak.bits:
             bad = next(a for a in strict.indices() if a not in weak)
             out.append(_witness(name, bad))
-    return out
-
-
-def _check_strongly_j_clean_weakly(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if _holds(ring, PropertyName.STRONGLY_J_CLEAN):
-            holds, witness = ring_property(ring, PropertyName.WEAKLY_DELTA_QUASIPOLAR)
-            if not holds:
-                out.append(_witness(name, witness))
     return out
 
 
@@ -563,7 +505,11 @@ def registry() -> list[Claim]:
         Claim(
             id="local-quasipolar-implies-delta-quasipolar",
             summary="Local quasipolar rings are delta-quasipolar.",
-            check=_check_local_quasipolar,
+            check=_implies(
+                PropertyName.LOCAL,
+                PropertyName.QUASIPOLAR,
+                conclusion=PropertyName.DELTA_QUASIPOLAR,
+            ),
             disputed=("Z9", "CT2(Z3)"),
             note=(
                 "The argument needs every unit u to have u+1 inside delta, "
@@ -579,7 +525,7 @@ def registry() -> list[Claim]:
                 "Every principal right ideal of a delta-quasipolar ring is "
                 "generated by an idempotent."
             ),
-            check=_check_right_pp,
+            check=_implies(PropertyName.DELTA_QUASIPOLAR, conclusion=PropertyName.RIGHT_PP),
             disputed=("Z4", "Z8", "T2(Z2)", "CT2(Z2)", "CT3(Z2)"),
             note=(
                 "The argument treats delta-quasipolarity of -1-a as "
@@ -591,7 +537,7 @@ def registry() -> list[Claim]:
         Claim(
             id="abelian-delta-quasipolar-implies-strongly-regular",
             summary="Abelian delta-quasipolar rings are strongly regular.",
-            check=_check_abelian_strongly_regular,
+            check=_implies(*_ABELIAN_DELTA_QP, conclusion=PropertyName.STRONGLY_REGULAR),
             disputed=("Z4", "Z8", "CT2(Z2)", "CT3(Z2)"),
             note=(
                 "Depends on the principal-ideal claim above.  Z4 is abelian "
@@ -602,12 +548,12 @@ def registry() -> list[Claim]:
         Claim(
             id="abelian-delta-quasipolar-implies-quasipolar",
             summary="Abelian delta-quasipolar rings are quasipolar.",
-            check=_abelian_delta_implies(PropertyName.QUASIPOLAR),
+            check=_implies(*_ABELIAN_DELTA_QP, conclusion=PropertyName.QUASIPOLAR),
         ),
         Claim(
             id="abelian-delta-quasipolar-implies-strongly-clean",
             summary="Abelian delta-quasipolar rings are strongly clean.",
-            check=_abelian_delta_implies(PropertyName.STRONGLY_CLEAN),
+            check=_implies(*_ABELIAN_DELTA_QP, conclusion=PropertyName.STRONGLY_CLEAN),
         ),
         Claim(
             id="delta-quasipolar-quotient-is-boolean-with-lifting",
@@ -628,7 +574,7 @@ def registry() -> list[Claim]:
         Claim(
             id="delta-quasipolar-implies-exchange",
             summary="Delta-quasipolar rings are exchange rings.",
-            check=_check_exchange,
+            check=_implies(PropertyName.DELTA_QUASIPOLAR, conclusion=PropertyName.EXCHANGE),
         ),
         Claim(
             id="boolean-regular-chain",
@@ -641,7 +587,11 @@ def registry() -> list[Claim]:
         Claim(
             id="abelian-j-clean-implies-delta-quasipolar",
             summary="Abelian j-clean rings are delta-quasipolar.",
-            check=_check_abelian_j_clean,
+            check=_implies(
+                PropertyName.ABELIAN,
+                PropertyName.J_CLEAN,
+                conclusion=PropertyName.DELTA_QUASIPOLAR,
+            ),
         ),
         Claim(
             id="trivial-idempotents-dichotomy",
@@ -690,7 +640,9 @@ def registry() -> list[Claim]:
         Claim(
             id="strongly-j-clean-implies-weakly-delta-quasipolar",
             summary="Strongly j-clean rings are weakly delta-quasipolar.",
-            check=_check_strongly_j_clean_weakly,
+            check=_implies(
+                PropertyName.STRONGLY_J_CLEAN, conclusion=PropertyName.WEAKLY_DELTA_QUASIPOLAR
+            ),
         ),
         Claim(
             id="weakly-delta-quasipolar-surjective-images",

@@ -42,13 +42,22 @@ def _action_table(obj: dict, key: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in raw)
 
 
+_PRESET_KEYS = {"preset", "name"}
+_DORROH_KEYS = {"kind", "base", "bimodule", "left_action", "right_action", "name"}
+
+
 def _ring_from_spec_obj(obj: dict) -> FiniteRing:
     if not isinstance(obj, dict):
         raise ValueError("ring spec must be a JSON object")
+    if obj.get("kind", "dorroh") != "dorroh":
+        raise ValueError(f"unknown ring spec kind: {obj['kind']!r}")
+    unknown = sorted(set(obj) - (_DORROH_KEYS if "kind" in obj else _PRESET_KEYS))
+    if unknown:
+        raise ValueError(f"unknown ring spec key: {unknown[0]!r}")
     for key in ("preset", "name"):
         if key in obj and not isinstance(obj[key], str):
             raise ValueError(f"{key} must be a string, got {obj[key]!r}")
-    if obj.get("kind") == "dorroh":
+    if "kind" in obj:
         for key in ("base", "bimodule", "left_action", "right_action"):
             if key not in obj:
                 raise ValueError(f"dorroh spec is missing {key!r}")

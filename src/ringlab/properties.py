@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 
 from ringlab.core import (
     ComputationFault,
@@ -131,89 +132,69 @@ def center(ring: FiniteRing) -> ElementSet:
 
 
 # --------------------------------------------------------------------------
-# shared target sets
+# idempotent companions
+#
+# Every quasipolar and clean property asks for an idempotent p in a
+# centraliser of a (all of R, comm(a) or comm2(a)) with a + p (sign +1) or
+# a - p (sign -1) in a target set.  "Strongly" needs no commutation test of
+# its own: for u = a - e, eu = ue exactly when ea = ae.
 
 
-def _target_bits(ring: FiniteRing, kind: str) -> int:
-    if kind == "delta":
-        return delta_mask(ring).bits
-    if kind == "j":
-        return jacobson(ring).bits
-    if kind == "nil":
-        return element_sets(ring)[2].bits
-    raise ValueError(f"unknown target kind: {kind!r}")
+_CENTRALISERS = {
+    "all": lambda ring, a: -1,
+    "comm": commutant_bits,
+    "dcomm": lambda ring, a: double_commutant(ring, a).bits,
+}
+
+_TARGETS = {
+    "units": lambda ring: element_sets(ring)[0].bits,
+    "nil": lambda ring: element_sets(ring)[2].bits,
+    "j": lambda ring: jacobson(ring).bits,
+    "delta": lambda ring: delta_mask(ring).bits,
+}
+
+_COMPANION_SPECS = {
+    PropertyName.QUASIPOLAR: ("dcomm", +1, "units"),
+    PropertyName.NIL_QUASIPOLAR: ("dcomm", +1, "nil"),
+    PropertyName.J_QUASIPOLAR: ("dcomm", +1, "j"),
+    PropertyName.DELTA_QUASIPOLAR: ("dcomm", +1, "delta"),
+    PropertyName.WEAKLY_DELTA_QUASIPOLAR: ("comm", +1, "delta"),
+    PropertyName.CLEAN: ("all", -1, "units"),
+    PropertyName.STRONGLY_CLEAN: ("comm", -1, "units"),
+    PropertyName.UNIQUELY_CLEAN: ("all", -1, "units"),
+    PropertyName.J_CLEAN: ("all", -1, "j"),
+    PropertyName.STRONGLY_J_CLEAN: ("comm", -1, "j"),
+    PropertyName.DELTA_R_CLEAN: ("all", -1, "delta"),
+    PropertyName.STRONGLY_DELTA_R_CLEAN: ("comm", -1, "delta"),
+    PropertyName.UNIQUELY_DELTA_R_CLEAN: ("all", -1, "delta"),
+}
+
+_UNIQUE = frozenset({PropertyName.UNIQUELY_CLEAN, PropertyName.UNIQUELY_DELTA_R_CLEAN})
+
+
+def _companions(ring: FiniteRing, a: int, prop: PropertyName):
+    """Yield each idempotent companion of ``a`` for ``prop`` in ascending order."""
+    centraliser, sign, target = _COMPANION_SPECS[prop]
+    candidates = element_sets(ring)[1].bits & _CENTRALISERS[centraliser](ring, a)
+    goal = _TARGETS[target](ring)
+    # quasipolar also needs ap quasinilpotent; -1 has every bit set
+    qnil = qnil_set(ring).bits if prop is PropertyName.QUASIPOLAR else -1
+    add_a, mul_a = ring.add[a], ring.mul[a]
+    for p in bit_members(candidates):
+        shifted = add_a[p] if sign > 0 else ring.sub(a, p)
+        if (goal >> shifted) & 1 and (qnil >> mul_a[p]) & 1:
+            yield p
+
+
+def _companion_witnesses(ring: FiniteRing, a: int, prop: PropertyName, p: int) -> dict:
+    _, sign, target = _COMPANION_SPECS[prop]
+    if sign > 0:
+        return {"p": p}
+    return {"e": p, "u" if target == "units" else "w": ring.sub(a, p)}
 
 
 # --------------------------------------------------------------------------
-# witness finders (return a dict of named witnesses, or None)
-
-
-def _find_quasipolar(ring: FiniteRing, a: int) -> dict | None:
-    units = element_sets(ring)[0].bits
-    qnil = qnil_set(ring).bits
-    for p in element_sets(ring)[1].indices():
-        if p not in double_commutant(ring, a):
-            continue
-        if (units >> ring.add[a][p]) & 1 and (qnil >> ring.mul[a][p]) & 1:
-            return {"p": p}
-    return None
-
-
-def _find_quasipolar_into(ring: FiniteRing, a: int, kind: str) -> dict | None:
-    target = _target_bits(ring, kind)
-    for p in element_sets(ring)[1].indices():
-        if p not in double_commutant(ring, a):
-            continue
-        if (target >> ring.add[a][p]) & 1:
-            return {"p": p}
-    return None
-
-
-def _find_weakly_delta_quasipolar(ring: FiniteRing, a: int) -> dict | None:
-    target = delta_mask(ring).bits
-    comm = commutant_bits(ring, a)
-    for p in element_sets(ring)[1].indices():
-        if (comm >> p) & 1 and (target >> ring.add[a][p]) & 1:
-            return {"p": p}
-    return None
-
-
-def _find_clean(ring: FiniteRing, a: int, strong: bool) -> dict | None:
-    units = element_sets(ring)[0].bits
-    for e in element_sets(ring)[1].indices():
-        u = ring.sub(a, e)
-        if not (units >> u) & 1:
-            continue
-        if strong and ring.mul[e][u] != ring.mul[u][e]:
-            continue
-        return {"e": e, "u": u}
-    return None
-
-
-def _find_additive_clean(ring: FiniteRing, a: int, kind: str, strong: bool) -> dict | None:
-    target = _target_bits(ring, kind)
-    for e in element_sets(ring)[1].indices():
-        w = ring.sub(a, e)
-        if not (target >> w) & 1:
-            continue
-        if strong and ring.mul[e][w] != ring.mul[w][e]:
-            continue
-        return {"e": e, "w": w}
-    return None
-
-
-def _count_clean_decompositions(ring: FiniteRing, a: int) -> int:
-    units = element_sets(ring)[0].bits
-    return sum(
-        1 for e in element_sets(ring)[1].indices() if (units >> ring.sub(a, e)) & 1
-    )
-
-
-def _count_delta_decompositions(ring: FiniteRing, a: int) -> int:
-    target = delta_mask(ring).bits
-    return sum(
-        1 for e in element_sets(ring)[1].indices() if (target >> ring.sub(a, e)) & 1
-    )
+# witness finders of other shapes (return a dict of named witnesses, or None)
 
 
 def _find_von_neumann_regular(ring: FiniteRing, a: int) -> dict | None:
@@ -263,19 +244,6 @@ def _find_exchange(ring: FiniteRing, a: int) -> dict | None:
 
 
 _FINDERS = {
-    PropertyName.QUASIPOLAR: _find_quasipolar,
-    PropertyName.NIL_QUASIPOLAR: lambda R, a: _find_quasipolar_into(R, a, "nil"),
-    PropertyName.J_QUASIPOLAR: lambda R, a: _find_quasipolar_into(R, a, "j"),
-    PropertyName.DELTA_QUASIPOLAR: lambda R, a: _find_quasipolar_into(R, a, "delta"),
-    PropertyName.WEAKLY_DELTA_QUASIPOLAR: _find_weakly_delta_quasipolar,
-    PropertyName.CLEAN: lambda R, a: _find_clean(R, a, strong=False),
-    PropertyName.STRONGLY_CLEAN: lambda R, a: _find_clean(R, a, strong=True),
-    PropertyName.J_CLEAN: lambda R, a: _find_additive_clean(R, a, "j", strong=False),
-    PropertyName.STRONGLY_J_CLEAN: lambda R, a: _find_additive_clean(R, a, "j", strong=True),
-    PropertyName.DELTA_R_CLEAN: lambda R, a: _find_additive_clean(R, a, "delta", strong=False),
-    PropertyName.STRONGLY_DELTA_R_CLEAN: lambda R, a: _find_additive_clean(
-        R, a, "delta", strong=True
-    ),
     PropertyName.VON_NEUMANN_REGULAR: _find_von_neumann_regular,
     PropertyName.STRONGLY_REGULAR: _find_strongly_regular,
     PropertyName.STRONGLY_PI_REGULAR: _find_strongly_pi_regular,
@@ -295,6 +263,10 @@ def _certificate_checks(
 
     def idempotent_check(name: str, value: int):
         checks.append((f"{name} is idempotent", value in idempotents))
+
+    def unique_check(target: ElementSet):
+        count = sum(ring.sub(a, f) in target for f in idempotents.indices())
+        checks.append(("the decomposition is unique", count == 1))
 
     if prop in (
         PropertyName.QUASIPOLAR,
@@ -337,9 +309,7 @@ def _certificate_checks(
         if prop is PropertyName.STRONGLY_CLEAN:
             checks.append(("e and u commute", ring.mul[e][u] == ring.mul[u][e]))
         if prop is PropertyName.UNIQUELY_CLEAN:
-            checks.append(
-                ("the decomposition is unique", _count_clean_decompositions(ring, a) == 1)
-            )
+            unique_check(units)
     elif prop in (
         PropertyName.J_CLEAN,
         PropertyName.STRONGLY_J_CLEAN,
@@ -357,9 +327,7 @@ def _certificate_checks(
         if prop in (PropertyName.STRONGLY_J_CLEAN, PropertyName.STRONGLY_DELTA_R_CLEAN):
             checks.append(("e and w commute", ring.mul[e][w] == ring.mul[w][e]))
         if prop is PropertyName.UNIQUELY_DELTA_R_CLEAN:
-            checks.append(
-                ("the decomposition is unique", _count_delta_decompositions(ring, a) == 1)
-            )
+            unique_check(delta_mask(ring))
     elif prop is PropertyName.VON_NEUMANN_REGULAR:
         b = witnesses["b"]
         checks.append(("a b a equals a", ring.mul[ring.mul[a][b]][a] == a))
@@ -408,16 +376,14 @@ def element_property(ring: FiniteRing, a: int, prop) -> Certificate | None:
         return memo[key]
 
     witness_count = None
-    if prop is PropertyName.UNIQUELY_CLEAN:
-        count = _count_clean_decompositions(ring, a)
-        witnesses = _find_clean(ring, a, strong=False) if count == 1 else None
-        witness_count = count if witnesses else None
-    elif prop is PropertyName.UNIQUELY_DELTA_R_CLEAN:
-        count = _count_delta_decompositions(ring, a)
-        witnesses = (
-            _find_additive_clean(ring, a, "delta", strong=False) if count == 1 else None
-        )
-        witness_count = count if witnesses else None
+    if prop in _COMPANION_SPECS:
+        # a uniquely-* property needs exactly one companion, so look for two
+        unique = prop in _UNIQUE
+        found = tuple(islice(_companions(ring, a, prop), 1 + unique))
+        witnesses = None
+        if len(found) == 1:
+            witnesses = _companion_witnesses(ring, a, prop, found[0])
+            witness_count = 1 if unique else None
     else:
         witnesses = _FINDERS[prop](ring, a)
 
@@ -450,11 +416,9 @@ def recheck_certificate(ring: FiniteRing, certificate: Certificate) -> bool:
         return False
     if not all(ok for _, ok in checks):
         return False
-    if certificate.witness_count is not None:
-        if prop is PropertyName.UNIQUELY_CLEAN:
-            return certificate.witness_count == _count_clean_decompositions(ring, a)
-        if prop is PropertyName.UNIQUELY_DELTA_R_CLEAN:
-            return certificate.witness_count == _count_delta_decompositions(ring, a)
+    # the checks above confirm that the decomposition is unique
+    if certificate.witness_count is not None and prop in _UNIQUE:
+        return certificate.witness_count == 1
     return True
 
 
@@ -559,33 +523,22 @@ def ring_property(ring: FiniteRing, prop) -> tuple[bool, int | None]:
 # spectral candidates and idempotent lifting
 
 
-_SPECTRAL_FLAVORS = ("delta", "j", "nil", "quasipolar", "weakly-delta")
+_SPECTRAL_FLAVORS = {
+    "delta": PropertyName.DELTA_QUASIPOLAR,
+    "j": PropertyName.J_QUASIPOLAR,
+    "nil": PropertyName.NIL_QUASIPOLAR,
+    "quasipolar": PropertyName.QUASIPOLAR,
+    "weakly-delta": PropertyName.WEAKLY_DELTA_QUASIPOLAR,
+}
 
 
 def spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tuple[int, ...]:
     """All idempotents usable as the companion of ``a`` for the given flavor."""
-    if flavor not in _SPECTRAL_FLAVORS:
+    if not isinstance(flavor, str) or flavor not in _SPECTRAL_FLAVORS:
         raise ValueError(f"unknown spectral flavor: {flavor!r}")
     if not 0 <= a < ring.order:
         raise ValueError(f"element {a} out of range")
-    units, idempotents, _ = element_sets(ring)
-    out = []
-    for p in idempotents.indices():
-        if flavor == "weakly-delta":
-            if p not in commutant(ring, a):
-                continue
-            if ring.add[a][p] in delta_mask(ring):
-                out.append(p)
-            continue
-        if p not in double_commutant(ring, a):
-            continue
-        shifted = ring.add[a][p]
-        if flavor == "quasipolar":
-            if shifted in units and ring.mul[a][p] in qnil_set(ring):
-                out.append(p)
-        elif (_target_bits(ring, flavor) >> shifted) & 1:
-            out.append(p)
-    return tuple(out)
+    return tuple(_companions(ring, a, _SPECTRAL_FLAVORS[flavor]))
 
 
 def idempotents_lift(ring: FiniteRing, ideal: ElementSet) -> tuple[bool, int | None]:

@@ -2,14 +2,18 @@
 
 Everything here is deliberately naive: straight subset scans and definition
 chasing.  Nothing is shared with the library's lattice or consensus
-machinery, so agreement between the two is meaningful evidence.
+machinery, so agreement between the two is meaningful evidence.  The
+reference companion finders at the end are the one exception: they read the
+library's target sets and search them the way the library used to.
 """
 from __future__ import annotations
 
 import math
 from typing import Sequence
 
-from ringlab.core import FiniteRing, _matrix_label, check_size
+from ringlab.core import FiniteRing, _matrix_label, check_size, element_sets
+from ringlab.properties import commutant, double_commutant
+from ringlab.radicals import commutant_bits, delta_mask, jacobson, qnil_set
 
 
 def mixed_radix_encode(digits: Sequence[int], radices: Sequence[int]) -> int:
@@ -531,3 +535,144 @@ def brute_delta_r3(ring):
         ):
             out.add(x)
     return frozenset(out)
+
+
+# --------------------------------------------------------------------------
+# reference companion finders
+#
+# The per-property searches that `ringlab.properties` used before its one
+# spec-driven companion generator, kept verbatim (leading underscores
+# dropped) as the reference for the differential test.  Each walks every
+# idempotent and tests its centraliser membership one p at a time.
+
+
+def target_bits(ring: FiniteRing, kind: str) -> int:
+    if kind == "delta":
+        return delta_mask(ring).bits
+    if kind == "j":
+        return jacobson(ring).bits
+    if kind == "nil":
+        return element_sets(ring)[2].bits
+    raise ValueError(f"unknown target kind: {kind!r}")
+
+
+def find_quasipolar(ring: FiniteRing, a: int) -> dict | None:
+    units = element_sets(ring)[0].bits
+    qnil = qnil_set(ring).bits
+    for p in element_sets(ring)[1].indices():
+        if p not in double_commutant(ring, a):
+            continue
+        if (units >> ring.add[a][p]) & 1 and (qnil >> ring.mul[a][p]) & 1:
+            return {"p": p}
+    return None
+
+
+def find_quasipolar_into(ring: FiniteRing, a: int, kind: str) -> dict | None:
+    target = target_bits(ring, kind)
+    for p in element_sets(ring)[1].indices():
+        if p not in double_commutant(ring, a):
+            continue
+        if (target >> ring.add[a][p]) & 1:
+            return {"p": p}
+    return None
+
+
+def find_weakly_delta_quasipolar(ring: FiniteRing, a: int) -> dict | None:
+    target = delta_mask(ring).bits
+    comm = commutant_bits(ring, a)
+    for p in element_sets(ring)[1].indices():
+        if (comm >> p) & 1 and (target >> ring.add[a][p]) & 1:
+            return {"p": p}
+    return None
+
+
+def find_clean(ring: FiniteRing, a: int, strong: bool) -> dict | None:
+    units = element_sets(ring)[0].bits
+    for e in element_sets(ring)[1].indices():
+        u = ring.sub(a, e)
+        if not (units >> u) & 1:
+            continue
+        if strong and ring.mul[e][u] != ring.mul[u][e]:
+            continue
+        return {"e": e, "u": u}
+    return None
+
+
+def find_additive_clean(ring: FiniteRing, a: int, kind: str, strong: bool) -> dict | None:
+    target = target_bits(ring, kind)
+    for e in element_sets(ring)[1].indices():
+        w = ring.sub(a, e)
+        if not (target >> w) & 1:
+            continue
+        if strong and ring.mul[e][w] != ring.mul[w][e]:
+            continue
+        return {"e": e, "w": w}
+    return None
+
+
+def count_clean_decompositions(ring: FiniteRing, a: int) -> int:
+    units = element_sets(ring)[0].bits
+    return sum(
+        1 for e in element_sets(ring)[1].indices() if (units >> ring.sub(a, e)) & 1
+    )
+
+
+def count_delta_decompositions(ring: FiniteRing, a: int) -> int:
+    target = delta_mask(ring).bits
+    return sum(
+        1 for e in element_sets(ring)[1].indices() if (target >> ring.sub(a, e)) & 1
+    )
+
+
+REFERENCE_FINDERS = {
+    "quasipolar": find_quasipolar,
+    "nil-quasipolar": lambda R, a: find_quasipolar_into(R, a, "nil"),
+    "j-quasipolar": lambda R, a: find_quasipolar_into(R, a, "j"),
+    "delta-quasipolar": lambda R, a: find_quasipolar_into(R, a, "delta"),
+    "weakly-delta-quasipolar": find_weakly_delta_quasipolar,
+    "clean": lambda R, a: find_clean(R, a, strong=False),
+    "strongly-clean": lambda R, a: find_clean(R, a, strong=True),
+    "j-clean": lambda R, a: find_additive_clean(R, a, "j", strong=False),
+    "strongly-j-clean": lambda R, a: find_additive_clean(R, a, "j", strong=True),
+    "delta-r-clean": lambda R, a: find_additive_clean(R, a, "delta", strong=False),
+    "strongly-delta-r-clean": lambda R, a: find_additive_clean(
+        R, a, "delta", strong=True
+    ),
+}
+
+
+def reference_companion(ring: FiniteRing, a: int, prop: str) -> tuple[dict | None, int | None]:
+    """The (witnesses, witness_count) pair the old ``element_property`` gave
+    for one of the thirteen companion properties."""
+    if prop == "uniquely-clean":
+        count = count_clean_decompositions(ring, a)
+        witnesses = find_clean(ring, a, strong=False) if count == 1 else None
+        return witnesses, count if witnesses else None
+    if prop == "uniquely-delta-r-clean":
+        count = count_delta_decompositions(ring, a)
+        witnesses = (
+            find_additive_clean(ring, a, "delta", strong=False) if count == 1 else None
+        )
+        return witnesses, count if witnesses else None
+    return REFERENCE_FINDERS[prop](ring, a), None
+
+
+def reference_spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tuple[int, ...]:
+    units, idempotents, _ = element_sets(ring)
+    out = []
+    for p in idempotents.indices():
+        if flavor == "weakly-delta":
+            if p not in commutant(ring, a):
+                continue
+            if ring.add[a][p] in delta_mask(ring):
+                out.append(p)
+            continue
+        if p not in double_commutant(ring, a):
+            continue
+        shifted = ring.add[a][p]
+        if flavor == "quasipolar":
+            if shifted in units and ring.mul[a][p] in qnil_set(ring):
+                out.append(p)
+        elif (target_bits(ring, flavor) >> shifted) & 1:
+            out.append(p)
+    return tuple(out)

@@ -117,9 +117,11 @@ def _dorroh_spec(left_action):
         _dorroh_spec([["0", 0], [0, 1]]),
         _dorroh_spec([[0, 0], [0, True]]),
         _dorroh_spec({"0": [0, 0]}),
+        {"kind": "dorrow", "preset": "zmod:2", "nmae": "x"},
+        {"preset": "zmod:2", "nmae": "x"},
     ],
     ids=["preset-int", "name-int", "nested-preset-list", "action-flat", "action-str",
-         "action-str-first", "action-bool", "action-object"],
+         "action-str-first", "action-bool", "action-object", "unknown-kind", "unknown-key"],
 )
 def test_build_rejects_malformed_spec(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"

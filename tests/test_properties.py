@@ -8,6 +8,7 @@ from __future__ import annotations
 import pytest
 
 import oracles
+from ringlab.catalog import build_preset
 from ringlab.core import (
     ComputationFault,
     ElementSet,
@@ -18,7 +19,11 @@ from ringlab.core import (
     build_zmod,
 )
 from ringlab.properties import (
+    _COMPANION_SPECS,
+    _FINDERS,
+    _RING_ONLY,
     PropertyName,
+    _certificate_checks,
     center,
     commutant,
     double_commutant,
@@ -168,6 +173,58 @@ def test_all_certificates_revalidate(catalog_rings):
                 cert = element_property(ring, a, prop)
                 if cert is not None:
                     assert recheck_certificate(ring, cert), (name, prop, a)
+
+
+# ------------------------------------------------------ companion search
+
+def test_property_dispatch_partitions_property_names():
+    groups = [set(_COMPANION_SPECS), set(_FINDERS), set(PropertyName.ring_only())]
+    assert sum(map(len, groups)) == len(PropertyName)
+    assert set().union(*groups) == set(PropertyName)
+    assert set(_RING_ONLY) == PropertyName.ring_only()
+
+
+def _assert_companions_match_reference(ring):
+    for a in range(ring.order):
+        for prop in _COMPANION_SPECS:
+            witnesses, count = oracles.reference_companion(ring, a, prop.value)
+            cert = element_property(ring, a, prop)
+            if witnesses is None:
+                assert cert is None, (ring.name, a, prop)
+                continue
+            assert dict(cert.witnesses) == witnesses, (ring.name, a, prop)
+            assert cert.witness_count == count, (ring.name, a, prop)
+            assert cert.checks == _certificate_checks(ring, prop, a, witnesses)
+            assert all(ok for _, ok in cert.checks), (ring.name, a, prop)
+            assert recheck_certificate(ring, cert), (ring.name, a, prop)
+        for flavor in ("delta", "j", "nil", "quasipolar", "weakly-delta"):
+            assert spectral_candidates(ring, a, flavor) == (
+                oracles.reference_spectral_candidates(ring, a, flavor)
+            ), (ring.name, a, flavor)
+
+
+@pytest.mark.parametrize(
+    "preset",
+    [
+        "mat:2:zmod:2",
+        "tri:2:zmod:3",
+        "cdtri:3:zmod:2",
+        "product:tri:2:zmod:2,zmod:2",
+        "product:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
+        "zmod:9",
+        "zmod:16",
+        "product:zmod:3,zmod:4",
+        "dorroh:zmod:4",
+        "cdtri:2:zmod:4",
+    ],
+)
+def test_companion_search_matches_reference(preset):
+    _assert_companions_match_reference(build_preset(preset))
+
+
+def test_companion_search_matches_reference_on_catalog(catalog_rings):
+    for ring in catalog_rings.values():
+        _assert_companions_match_reference(ring)
 
 
 # ------------------------------------------------------- frozen ring flags
