@@ -274,7 +274,7 @@ def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
         ):
             return out
 
-    gens = _additive_generators(add, zero)
+    gens = _subgroup_generators(ring, (1 << n) - 1)
     # Each row comparison runs in C: itemgetter(*add[g])(row) is the tuple
     # of row[g + x] over all x.
     plus = {g: itemgetter(*add[g]) for g in gens}
@@ -308,27 +308,35 @@ def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
     return out
 
 
-def _additive_generators(add: Sequence[Sequence[int]], zero: int) -> list[int]:
-    """Greedy generators of (R,+): each is the least element not yet reached.
+def _subgroup_generators(ring: FiniteRing, bits: int) -> list[int]:
+    """Greedy generators of the additive subgroup ``bits``; cached per mask.
 
-    The reached set starts at ``zero`` and is closed under x -> x+g for every
-    generator g chosen so far.
+    Each generator is the least member of ``bits`` above the last one that
+    is not yet reached.  The reached set starts at zero and is closed under
+    x -> x+g for every generator g chosen so far.  That is well defined on
+    any square table, so ``verify_axioms`` can call it on tables it has not
+    validated yet (with ``bits`` the full mask).
     """
-    reached = {zero}
-    gens: list[int] = []
-    for g in range(len(add)):
-        if g in reached:
-            continue
-        gens.append(g)
-        todo = list(reached)
-        while todo:
-            x = todo.pop()
-            for h in gens:
-                y = add[x][h]
-                if y not in reached:
-                    reached.add(y)
-                    todo.append(y)
-    return gens
+    memo = cached_on(ring, "subgroup_generators", dict)
+    if bits not in memo:
+        add = ring.add
+        reached = 1 << ring.zero
+        gens: list[int] = []
+        candidates = bits & ~reached
+        while candidates:
+            g = (candidates & -candidates).bit_length() - 1
+            gens.append(g)
+            todo = bit_members(reached)
+            while todo:
+                x = todo.pop()
+                for h in gens:
+                    y = add[x][h]
+                    if not (reached >> y) & 1:
+                        reached |= 1 << y
+                        todo.append(y)
+            candidates = bits & ~reached & (-1 << (g + 1))
+        memo[bits] = gens
+    return memo[bits]
 
 
 # --------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from ringlab.core import (
     FiniteRing,
     IdealError,
     LatticeLimitError,
-    _additive_generators,
+    _subgroup_generators,
     bit_members,
     cached_on,
     element_sets,
@@ -128,7 +128,7 @@ def _is_left_closed_bits(ring: FiniteRing, bits: int) -> bool:
     ``(g + h) x = g x + h x`` and the ideal is additively closed, so it is
     enough to multiply by the additive generators of the ring.
     """
-    gens = cached_on(ring, "additive_generators", lambda: _additive_generators(ring.add, ring.zero))
+    gens = _subgroup_generators(ring, (1 << ring.order) - 1)
     members = bit_members(bits)
     for g in gens:
         row = ring.mul[g]

@@ -17,6 +17,7 @@ from ringlab.core import (
     ElementSet,
     FiniteRing,
     IdealError,
+    _subgroup_generators,
     bit_members,
     build_quotient,
     cached_on,
@@ -107,28 +108,28 @@ def double_commutant(ring: FiniteRing, a: int) -> ElementSet:
         raise ValueError(f"element {a} out of range")
     memo = cached_on(ring, "double_commutant_bits", dict)
     if a not in memo:
-        comm = bit_members(commutant_bits(ring, a))
-        mul = ring.mul
-        bits = 0
-        for x in range(ring.order):
-            row = mul[x]
-            if all(row[y] == mul[y][x] for y in comm):
-                bits |= 1 << x
-        memo[a] = bits
+        memo[a] = _centraliser_bits(ring, commutant_bits(ring, a))
     return ElementSet(memo[a], ring.order)
 
 
 def center(ring: FiniteRing) -> ElementSet:
-    def compute():
-        mul = ring.mul
-        bits = 0
-        for x in range(ring.order):
-            row = mul[x]
-            if all(row[y] == mul[y][x] for y in range(ring.order)):
-                bits |= 1 << x
-        return ElementSet(bits, ring.order)
+    return cached_on(
+        ring,
+        "center",
+        lambda: ElementSet(_centraliser_bits(ring, (1 << ring.order) - 1), ring.order),
+    )
 
-    return cached_on(ring, "center", compute)
+
+def _centraliser_bits(ring: FiniteRing, subgroup: int) -> int:
+    """The elements commuting with every member of an additive subgroup.
+
+    x commutes with g and h, hence with g + h, so x centralises the subgroup
+    exactly when it commutes with the subgroup's additive generators.
+    """
+    bits = (1 << ring.order) - 1
+    for g in _subgroup_generators(ring, subgroup):
+        bits &= commutant_bits(ring, g)
+    return bits
 
 
 # --------------------------------------------------------------------------
@@ -206,40 +207,34 @@ def _find_von_neumann_regular(ring: FiniteRing, a: int) -> dict | None:
 
 
 def _find_strongly_regular(ring: FiniteRing, a: int) -> dict | None:
-    mul = ring.mul
-    aa = mul[a][a]
-    for b in range(ring.order):
-        if mul[aa][b] == a:
-            return {"b": b}
+    aa = ring.mul[a][a]
+    if (_principal_bits(ring)[aa] >> a) & 1:
+        return {"b": ring.mul[aa].index(a)}
     return None
 
 
 def _find_strongly_pi_regular(ring: FiniteRing, a: int) -> dict | None:
     mul = ring.mul
+    pb = _principal_bits(ring)
     power = a
     for n in range(1, ring.order + 1):
         next_power = mul[power][a]
-        for x in range(ring.order):
-            if mul[next_power][x] == power:
-                return {"n": n, "x": x}
+        if (pb[next_power] >> power) & 1:
+            return {"n": n, "x": mul[next_power].index(power)}
         power = next_power
     return None
 
 
 def _find_exchange(ring: FiniteRing, a: int) -> dict | None:
     mul = ring.mul
-    complement = ring.sub(ring.one, a)
-    for e in element_sets(ring)[1].indices():
-        e_conj = ring.sub(ring.one, e)
-        r_found = next((r for r in range(ring.order) if mul[a][r] == e), None)
-        if r_found is None:
-            continue
-        s_found = next(
-            (s for s in range(ring.order) if mul[complement][s] == e_conj), None
-        )
-        if s_found is None:
-            continue
-        return {"e": e, "r": r_found, "s": s_found}
+    pb = _principal_bits(ring)
+    one = ring.one
+    complement = ring.sub(one, a)
+    # e in aR and 1 - e in (1 - a)R; row.index gives the least r and s
+    for e in bit_members(element_sets(ring)[1].bits & pb[a]):
+        e_conj = ring.sub(one, e)
+        if (pb[complement] >> e_conj) & 1:
+            return {"e": e, "r": mul[a].index(e), "s": mul[complement].index(e_conj)}
     return None
 
 
@@ -448,11 +443,9 @@ def _ring_boolean(ring: FiniteRing) -> tuple[bool, int | None]:
 
 
 def _ring_abelian(ring: FiniteRing) -> tuple[bool, int | None]:
-    mul = ring.mul
-    for e in element_sets(ring)[1].indices():
-        row = mul[e]
-        if any(row[r] != mul[r][e] for r in range(ring.order)):
-            return False, e
+    outside = element_sets(ring)[1].bits & ~center(ring).bits
+    if outside:
+        return False, (outside & -outside).bit_length() - 1
     return True, None
 
 

@@ -3,8 +3,8 @@
 Everything here is deliberately naive: straight subset scans and definition
 chasing.  Nothing is shared with the library's lattice or consensus
 machinery, so agreement between the two is meaningful evidence.  The
-reference companion finders at the end are the one exception: they read the
-library's target sets and search them the way the library used to.
+reference finders at the end are the one exception: they read the library's
+target sets and idempotents and search them the way the library used to.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import math
 from typing import Sequence
 
 from ringlab.core import FiniteRing, _matrix_label, check_size, element_sets
-from ringlab.properties import commutant, double_commutant
+from ringlab.properties import commutant
 from ringlab.radicals import commutant_bits, delta_mask, jacobson, qnil_set
 
 
@@ -270,6 +270,15 @@ def brute_double_commutant(ring, a):
         x
         for x in range(ring.order)
         if all(mul[x][y] == mul[y][x] for y in comm)
+    }
+
+
+def brute_center(ring):
+    mul = ring.mul
+    return {
+        x
+        for x in range(ring.order)
+        if all(mul[x][y] == mul[y][x] for y in range(ring.order))
     }
 
 
@@ -559,8 +568,9 @@ def target_bits(ring: FiniteRing, kind: str) -> int:
 def find_quasipolar(ring: FiniteRing, a: int) -> dict | None:
     units = element_sets(ring)[0].bits
     qnil = qnil_set(ring).bits
+    dcomm = brute_double_commutant(ring, a)
     for p in element_sets(ring)[1].indices():
-        if p not in double_commutant(ring, a):
+        if p not in dcomm:
             continue
         if (units >> ring.add[a][p]) & 1 and (qnil >> ring.mul[a][p]) & 1:
             return {"p": p}
@@ -569,8 +579,9 @@ def find_quasipolar(ring: FiniteRing, a: int) -> dict | None:
 
 def find_quasipolar_into(ring: FiniteRing, a: int, kind: str) -> dict | None:
     target = target_bits(ring, kind)
+    dcomm = brute_double_commutant(ring, a)
     for p in element_sets(ring)[1].indices():
-        if p not in double_commutant(ring, a):
+        if p not in dcomm:
             continue
         if (target >> ring.add[a][p]) & 1:
             return {"p": p}
@@ -659,6 +670,7 @@ def reference_companion(ring: FiniteRing, a: int, prop: str) -> tuple[dict | Non
 
 def reference_spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tuple[int, ...]:
     units, idempotents, _ = element_sets(ring)
+    dcomm = brute_double_commutant(ring, a)
     out = []
     for p in idempotents.indices():
         if flavor == "weakly-delta":
@@ -667,7 +679,7 @@ def reference_spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tupl
             if ring.add[a][p] in delta_mask(ring):
                 out.append(p)
             continue
-        if p not in double_commutant(ring, a):
+        if p not in dcomm:
             continue
         shifted = ring.add[a][p]
         if flavor == "quasipolar":
@@ -676,3 +688,49 @@ def reference_spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tupl
         elif (target_bits(ring, flavor) >> shifted) & 1:
             out.append(p)
     return tuple(out)
+
+
+# --------------------------------------------------------------------------
+# reference regularity and exchange finders
+#
+# The scans `ringlab.properties` used before it read aR from the principal
+# ideal masks, kept verbatim (leading underscores dropped): each walks every
+# candidate multiplier and returns the first hit.
+
+
+def find_strongly_regular(ring: FiniteRing, a: int) -> dict | None:
+    mul = ring.mul
+    aa = mul[a][a]
+    for b in range(ring.order):
+        if mul[aa][b] == a:
+            return {"b": b}
+    return None
+
+
+def find_strongly_pi_regular(ring: FiniteRing, a: int) -> dict | None:
+    mul = ring.mul
+    power = a
+    for n in range(1, ring.order + 1):
+        next_power = mul[power][a]
+        for x in range(ring.order):
+            if mul[next_power][x] == power:
+                return {"n": n, "x": x}
+        power = next_power
+    return None
+
+
+def find_exchange(ring: FiniteRing, a: int) -> dict | None:
+    mul = ring.mul
+    complement = ring.sub(ring.one, a)
+    for e in element_sets(ring)[1].indices():
+        e_conj = ring.sub(ring.one, e)
+        r_found = next((r for r in range(ring.order) if mul[a][r] == e), None)
+        if r_found is None:
+            continue
+        s_found = next(
+            (s for s in range(ring.order) if mul[complement][s] == e_conj), None
+        )
+        if s_found is None:
+            continue
+        return {"e": e, "r": r_found, "s": s_found}
+    return None

@@ -1,6 +1,7 @@
 """Command-line behavior: exit codes, output formats, determinism."""
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -425,3 +426,26 @@ def test_report_byte_identical_runs(tmp_path, capsys):
     first = run(capsys, "report", str(out))
     second = run(capsys, "report", str(out))
     assert first == second
+
+
+# sha256 of `ringlab report FILE` stdout (default JSON), one ring file per
+# preset written by `ringlab build`
+GOLDEN_REPORT_SHA256 = {
+    "mat:2:zmod:2": "0f58bcd21e3ebb483d406a830defb2c8877a3717fa3e2e710b4034054e55c954",
+    "tri:2:zmod:4": "37f9ffdffdade1284835ec7b4982179302859e47d57b49100c5ed43acf211840",
+    "product:tri:2:zmod:2,zmod:2": (
+        "2a8c9e74eac32fed6b0e2e49d3d30a39786c88a30ac5fa48f27b1c8cda13beca"
+    ),
+    "cdtri:3:zmod:2": "a0c76fa5374a27958184b4d3e16032feb736cefc07f57bbc68796219abf8bbe7",
+    "zmod:256": "9d027918bbd93677a993edfb70d52a889d61c2c94ce2c96107ba1774331955b0",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GOLDEN_REPORT_SHA256))
+def test_report_matches_golden_hash(tmp_path, capsys, preset):
+    out = tmp_path / "ring.json"
+    assert main(["build", preset, "-o", str(out)]) == 0
+    capsys.readouterr()
+    code, stdout, _ = run(capsys, "report", str(out))
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_REPORT_SHA256[preset]

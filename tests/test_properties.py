@@ -203,21 +203,23 @@ def _assert_companions_match_reference(ring):
             ), (ring.name, a, flavor)
 
 
-@pytest.mark.parametrize(
-    "preset",
-    [
-        "mat:2:zmod:2",
-        "tri:2:zmod:3",
-        "cdtri:3:zmod:2",
-        "product:tri:2:zmod:2,zmod:2",
-        "product:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
-        "zmod:9",
-        "zmod:16",
-        "product:zmod:3,zmod:4",
-        "dorroh:zmod:4",
-        "cdtri:2:zmod:4",
-    ],
-)
+# rings beyond the catalog: non-commutative ones where comm(a) is not R,
+# and commutative ones of several additive shapes
+NON_CATALOG_PRESETS = [
+    "mat:2:zmod:2",
+    "tri:2:zmod:3",
+    "cdtri:3:zmod:2",
+    "product:tri:2:zmod:2,zmod:2",
+    "product:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
+    "zmod:9",
+    "zmod:16",
+    "product:zmod:3,zmod:4",
+    "dorroh:zmod:4",
+    "cdtri:2:zmod:4",
+]
+
+
+@pytest.mark.parametrize("preset", NON_CATALOG_PRESETS)
 def test_companion_search_matches_reference(preset):
     _assert_companions_match_reference(build_preset(preset))
 
@@ -225,6 +227,42 @@ def test_companion_search_matches_reference(preset):
 def test_companion_search_matches_reference_on_catalog(catalog_rings):
     for ring in catalog_rings.values():
         _assert_companions_match_reference(ring)
+
+
+REFERENCE_FINDERS = {
+    PropertyName.EXCHANGE: oracles.find_exchange,
+    PropertyName.STRONGLY_REGULAR: oracles.find_strongly_regular,
+    PropertyName.STRONGLY_PI_REGULAR: oracles.find_strongly_pi_regular,
+}
+
+
+def _assert_centralisers_and_finders_match_reference(ring):
+    assert set(center(ring).indices()) == oracles.brute_center(ring), ring.name
+    outside = oracles.brute_idempotents(ring) - oracles.brute_center(ring)
+    witness = min(outside, default=None)
+    assert ring_property(ring, PropertyName.ABELIAN) == (witness is None, witness)
+    for a in range(ring.order):
+        assert set(double_commutant(ring, a).indices()) == (
+            oracles.brute_double_commutant(ring, a)
+        ), (ring.name, a)
+        for prop, reference in REFERENCE_FINDERS.items():
+            witnesses = reference(ring, a)
+            cert = element_property(ring, a, prop)
+            if witnesses is None:
+                assert cert is None, (ring.name, a, prop)
+                continue
+            assert dict(cert.witnesses) == witnesses, (ring.name, a, prop)
+            assert recheck_certificate(ring, cert), (ring.name, a, prop)
+
+
+@pytest.mark.parametrize("preset", NON_CATALOG_PRESETS)
+def test_centralisers_and_finders_match_reference(preset):
+    _assert_centralisers_and_finders_match_reference(build_preset(preset))
+
+
+def test_centralisers_and_finders_match_reference_on_catalog(catalog_rings):
+    for ring in catalog_rings.values():
+        _assert_centralisers_and_finders_match_reference(ring)
 
 
 # ------------------------------------------------------- frozen ring flags
