@@ -348,8 +348,13 @@ def build_zmod(n: int) -> FiniteRing:
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     check_size(n)
-    add = tuple(tuple((a + b) % n for b in range(n)) for a in range(n))
-    mul = tuple(tuple((a * b) % n for b in range(n)) for a in range(n))
+    # every cell points at one of the n ints of base: row a of + is a
+    # rotation, row a of * walks base in steps of a
+    base = tuple(range(n))
+    add = tuple(base[a:] + base[:a] for a in range(n))
+    mul = ((0,) * n,) + tuple(
+        tuple([base[x % n] for x in range(0, a * n, a)]) for a in range(1, n)
+    )
     return FiniteRing(
         order=n,
         add=add,
@@ -819,13 +824,35 @@ def ring_from_json(obj: dict) -> FiniteRing:
 
 
 def save_ring(ring: FiniteRing, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(ring_to_json(ring), indent=2) + "\n")
+    """Write ``json.dumps(ring_to_json(ring), indent=2)`` and a newline.
+
+    json's C encoder does not indent, so the tables go out row by row in the
+    same layout instead of as one string.  Table entries must be element
+    indices; any other entry raises KeyError.
+    """
+    names = {i: str(i) for i in range(ring.order)}
+    with Path(path).open("w") as out:
+        out.write("{")
+        sep = "\n  "
+        for key, value in ring_to_json(ring).items():
+            out.write(sep + json.dumps(key) + ": ")
+            sep = ",\n  "
+            if key not in ("add", "mul"):
+                out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
+                continue
+            row_sep = "[\n"
+            for row in value:
+                cells = ",\n      ".join(map(names.__getitem__, row))
+                out.write(row_sep + "    [\n      " + cells + "\n    ]")
+                row_sep = ",\n"
+            out.write("\n  ]")
+        out.write("\n}\n")
 
 
 def load_ring(path: str | Path) -> FiniteRing:
-    text = Path(path).read_text()
     try:
-        obj = json.loads(text)
+        # no name for the text, so it is freed before the tables are built
+        obj = json.loads(Path(path).read_text())
     except json.JSONDecodeError as err:
         raise ValueError(f"{path} is not valid JSON: {err}") from None
     return ring_from_json(obj)

@@ -181,8 +181,13 @@ def _companions(ring: FiniteRing, a: int, prop: PropertyName):
     # quasipolar also needs ap quasinilpotent; -1 has every bit set
     qnil = qnil_set(ring).bits if prop is PropertyName.QUASIPOLAR else -1
     add_a, mul_a = ring.add[a], ring.mul[a]
-    for p in bit_members(candidates):
-        shifted = add_a[p] if sign > 0 else ring.sub(a, p)
+    neg = ring._neg_table()
+    # walk the mask lazily: most callers stop at the first companion
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        p = low.bit_length() - 1
+        shifted = add_a[p] if sign > 0 else add_a[neg[p]]
         if (goal >> shifted) & 1 and (qnil >> mul_a[p]) & 1:
             yield p
 

@@ -8,10 +8,17 @@ target sets and idempotents and search them the way the library used to.
 """
 from __future__ import annotations
 
+import json
 import math
 from typing import Sequence
 
-from ringlab.core import FiniteRing, _matrix_label, check_size, element_sets
+from ringlab.core import (
+    FiniteRing,
+    _matrix_label,
+    check_size,
+    element_sets,
+    ring_to_json,
+)
 from ringlab.properties import commutant
 from ringlab.radicals import commutant_bits, delta_mask, jacobson, qnil_set
 
@@ -333,6 +340,30 @@ def brute_clean_decompositions(ring, a):
             if ring.add[e][u] == a:
                 out.append((e, u))
     return out
+
+
+def brute_zmod(n: int) -> FiniteRing:
+    """Z_n, one ``%`` per table cell.
+
+    This is the library's builder before its rows shared one set of ints.
+    """
+    if n < 1:
+        raise ValueError(f"modulus must be positive, got {n}")
+    check_size(n)
+    return FiniteRing(
+        order=n,
+        add=tuple(tuple((a + b) % n for b in range(n)) for a in range(n)),
+        mul=tuple(tuple((a * b) % n for b in range(n)) for a in range(n)),
+        zero=0,
+        one=1 % n,
+        name=f"Z{n}",
+        labels=tuple(str(i) for i in range(n)),
+    )
+
+
+def brute_save_bytes(ring: FiniteRing) -> bytes:
+    """The bytes ``save_ring`` wrote before it streamed the tables row by row."""
+    return (json.dumps(ring_to_json(ring), indent=2) + "\n").encode()
 
 
 def brute_build_product(factors):

@@ -50,6 +50,12 @@ def test_build_bad_preset_exits_2(tmp_path, capsys):
     assert "error" in stderr
 
 
+def test_build_into_directory_exits_2(tmp_path, capsys):
+    code, stdout, stderr = run(capsys, "build", "zmod:2", "-o", str(tmp_path))
+    assert code == 2 and stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 def test_build_size_cap_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RINGLAB_SIZE_CAP", "10")
     code, _, stderr = run(capsys, "build", "mat:2:zmod:2", "-o", str(tmp_path / "x.json"))

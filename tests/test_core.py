@@ -6,6 +6,7 @@ independent reference for the constructors.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -112,6 +113,14 @@ def test_zmod_tables():
     assert r.mul[3][3] == 1
     assert r.labels == ("0", "1", "2", "3")
     assert verify_axioms(r) == []
+
+
+@pytest.mark.parametrize("n", [*range(1, 65), 1024])
+def test_zmod_matches_oracle(n):
+    ring = build_zmod(n)
+    assert ring == oracles.brute_zmod(n)
+    # all 2n^2 cells point at the same n int objects
+    assert len({id(x) for row in ring.add + ring.mul for x in row}) == n
 
 
 def test_zmod_rejects_nonpositive():
@@ -686,6 +695,45 @@ def test_ring_json_structure():
     assert obj["add"] == [[0, 1], [1, 0]]
     assert obj["mul"] == [[0, 0], [0, 1]]
     assert ring_from_json(obj).one == 1
+
+
+def _unlabelled_z5():
+    obj = ring_to_json(build_zmod(5))
+    del obj["labels"]
+    return ring_from_json(obj)
+
+
+def _quoted_t2():
+    t2 = build_upper_triangular(build_zmod(2), 2)
+    labels = ('q"0', "b\\1", "é2", "€3", "n\n4", "t\t5", "\U0001d4b56", "7")
+    return dataclasses.replace(t2, name='T2 "Z2" \\ ü', labels=labels)
+
+
+def _check_save_bytes(ring, path):
+    save_ring(ring, path)
+    assert path.read_bytes() == oracles.brute_save_bytes(ring)
+    assert load_ring(path) == ring
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: build_preset("tri:2:zmod:8"),
+        lambda: build_preset("zmod:1024"),
+        lambda: build_zmod(1),
+        _unlabelled_z5,
+        _quoted_t2,
+    ],
+    ids=["tri:2:zmod:8", "zmod:1024", "Z1", "no-labels", "quoted"],
+)
+def test_save_ring_matches_oracle_bytes(make, tmp_path):
+    _check_save_bytes(make(), tmp_path / "ring.json")
+
+
+def test_save_ring_matches_oracle_bytes_on_catalog(catalog_rings, tmp_path):
+    assert len(catalog_rings) == 18
+    for i, ring in enumerate(catalog_rings.values()):
+        _check_save_bytes(ring, tmp_path / f"{i}.json")
 
 
 def test_load_rejects_axiom_violations(tmp_path):
