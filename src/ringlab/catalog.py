@@ -397,20 +397,36 @@ def verify_expected(entry: CatalogEntry, ring: FiniteRing) -> list[str]:
 # manifests
 
 
+_MANIFEST_KEYS = ("name", "preset", "file", "basis", "expected")
+
+
 def load_catalog_manifest(path: str | Path) -> list[CatalogEntry]:
     """Read a catalog description: ``{"entries": [{"name", "preset"|"file"}]}``.
 
-    File paths are resolved relative to the manifest location.
+    Each entry has a unique string ``name``, exactly one of the strings
+    ``preset`` and ``file``, and optionally a string ``basis`` and an object
+    ``expected``; any other key is an error.  File paths are resolved
+    relative to the manifest location.
     """
     path = Path(path)
     obj = json.loads(path.read_text())
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise ValueError("catalog manifest must be an object with an 'entries' list")
     entries: list[CatalogEntry] = []
+    names: set[str] = set()
     for raw in obj["entries"]:
         if not isinstance(raw, dict) or "name" not in raw:
             raise ValueError(f"malformed catalog entry: {raw!r}")
-        name = str(raw["name"])
+        for key, value in raw.items():
+            if key not in _MANIFEST_KEYS:
+                raise ValueError(f"unknown catalog entry key: {key!r}")
+            want, what = (dict, "an object") if key == "expected" else (str, "a string")
+            if not isinstance(value, want):
+                raise ValueError(f"catalog entry {key} must be {what}, got {value!r}")
+        name = raw["name"]
+        if name in names:
+            raise ValueError(f"duplicate catalog entry name {name!r}")
+        names.add(name)
         has_preset = "preset" in raw
         has_file = "file" in raw
         if has_preset == has_file:
@@ -420,9 +436,9 @@ def load_catalog_manifest(path: str | Path) -> list[CatalogEntry]:
         entries.append(
             CatalogEntry(
                 name=name,
-                recipe=str(raw["preset"]) if has_preset else None,
+                recipe=raw.get("preset"),
                 file=str(path.parent / raw["file"]) if has_file else None,
-                basis=str(raw.get("basis", "")),
+                basis=raw.get("basis", ""),
                 expected=raw.get("expected"),
             )
         )

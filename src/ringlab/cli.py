@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from ringlab.catalog import default_catalog, load_catalog_manifest
+from ringlab.catalog import build_preset, default_catalog, load_catalog_manifest
 from ringlab.core import (
     DorrohData,
     FiniteRing,
@@ -71,8 +71,6 @@ def _ring_from_spec_obj(obj: dict) -> FiniteRing:
         )
         ring = build_dorroh(data)
     elif "preset" in obj:
-        from ringlab.catalog import build_preset
-
         ring = build_preset(obj["preset"])
     else:
         raise ValueError("ring spec needs a 'preset' or a 'kind' entry")
@@ -88,8 +86,6 @@ def _cmd_build(args) -> int:
         obj = json.loads(path.read_text())
         ring = _ring_from_spec_obj(obj)
     else:
-        from ringlab.catalog import build_preset
-
         ring = build_preset(source)
     save_ring(ring, args.output)
     print(f"wrote {ring.name} of order {ring.order} to {args.output}")

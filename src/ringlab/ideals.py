@@ -65,24 +65,6 @@ def _span_bits(ring: FiniteRing, b1: int, b2: int) -> int:
     return out
 
 
-def _additive_closure_bits(ring: FiniteRing, bits: int) -> int:
-    """Additive span of an arbitrary subset (worklist closure)."""
-    add = ring.add
-    bits |= 1 << ring.zero
-    members = bit_members(bits)
-    queue = list(members)
-    while queue:
-        a = queue.pop()
-        row = add[a]
-        for b in list(members):
-            c = row[b]
-            if not (bits >> c) & 1:
-                bits |= 1 << c
-                members.append(c)
-                queue.append(c)
-    return bits
-
-
 def _is_right_ideal_bits(ring: FiniteRing, bits: int) -> bool:
     if not (bits >> ring.zero) & 1:
         return False
@@ -159,15 +141,21 @@ def right_ideal_closure(ring: FiniteRing, generators) -> ElementSet:
 
 
 def two_sided_closure(ring: FiniteRing, generators) -> ElementSet:
+    """The two-sided ideal generated by ``generators``.
+
+    It is the sum of the right ideals ``h g R`` over the generators g and
+    the additive generators h of R: RgR is spanned by the products r g s,
+    each r is a sum of h's, and (h + h')gR lies in hgR + h'gR.
+    """
     bits = 1 << ring.zero
+    pb = _principal_bits(ring)
+    gens = _subgroup_generators(ring, (1 << ring.order) - 1)
     for g in generators:
         if not 0 <= g < ring.order:
             raise ValueError(f"generator {g} out of range")
-        for r in range(ring.order):
-            rg = ring.mul[r][g]
-            for s in ring.mul[rg]:
-                bits |= 1 << s
-    return ElementSet(_additive_closure_bits(ring, bits), ring.order)
+        for h in gens:
+            bits = _span_bits(ring, bits, pb[ring.mul[h][g]])
+    return ElementSet(bits, ring.order)
 
 
 def ideal_sum(ring: FiniteRing, left: ElementSet, right: ElementSet) -> ElementSet:

@@ -13,6 +13,8 @@ import math
 from typing import Sequence
 
 from ringlab.core import (
+    BimoduleError,
+    ElementSet,
     FiniteRing,
     _matrix_label,
     check_size,
@@ -196,6 +198,35 @@ def brute_two_sided_ideals(ring, right_ideals=None):
     return out
 
 
+def brute_two_sided_closure(ring, generators):
+    """Every r g s over the generators, closed under + by a worklist.
+
+    This is the library's closure before it summed the principal right
+    ideals h g R over the additive generators h.
+    """
+    bits = 1 << ring.zero
+    for g in generators:
+        if not 0 <= g < ring.order:
+            raise ValueError(f"generator {g} out of range")
+        for r in range(ring.order):
+            rg = ring.mul[r][g]
+            for s in ring.mul[rg]:
+                bits |= 1 << s
+    add = ring.add
+    members = [i for i in range(ring.order) if (bits >> i) & 1]
+    queue = list(members)
+    while queue:
+        a = queue.pop()
+        row = add[a]
+        for b in list(members):
+            c = row[b]
+            if not (bits >> c) & 1:
+                bits |= 1 << c
+                members.append(c)
+                queue.append(c)
+    return ElementSet(bits, ring.order)
+
+
 def brute_is_essential(ring, subset, ideal_list):
     """subset is essential iff it meets every nonzero right ideal nontrivially."""
     zero = ring.zero
@@ -364,6 +395,70 @@ def brute_zmod(n: int) -> FiniteRing:
 def brute_save_bytes(ring: FiniteRing) -> bytes:
     """The bytes ``save_ring`` wrote before it streamed the tables row by row."""
     return (json.dumps(ring_to_json(ring), indent=2) + "\n").encode()
+
+
+def brute_validate_dorroh(data) -> None:
+    """Raise BimoduleError unless the actions of ``data`` are well formed,
+    unital, and satisfy every bimodule law, each law looped over directly.
+
+    This is the library's validator before it left the laws to
+    ``verify_axioms`` on the assembled extension.
+    """
+    base, bim = data.base, data.bimodule
+    la, ra = data.left_action, data.right_action
+    nr, nv = base.order, bim.order
+    if len(la) != nr or any(len(row) != nv for row in la):
+        raise BimoduleError(f"left action table is not {nr} x {nv}")
+    if len(ra) != nv or any(len(row) != nr for row in ra):
+        raise BimoduleError(f"right action table is not {nv} x {nr}")
+    for table, bound, which in ((la, nv, "left"), (ra, nv, "right")):
+        for row in table:
+            for value in row:
+                if not 0 <= value < bound:
+                    raise BimoduleError(f"{which} action entry {value} out of range")
+    for v in range(nv):
+        if la[base.one][v] != v:
+            raise BimoduleError(f"left action is not unital at {v}")
+        if ra[v][base.one] != v:
+            raise BimoduleError(f"right action is not unital at {v}")
+    for r in range(nr):
+        for s in range(nr):
+            for v in range(nv):
+                if la[base.mul[r][s]][v] != la[r][la[s][v]]:
+                    raise BimoduleError(
+                        f"left action is not associative at ({r},{s},{v})"
+                    )
+                if ra[v][base.mul[r][s]] != ra[ra[v][r]][s]:
+                    raise BimoduleError(
+                        f"right action is not associative at ({r},{s},{v})"
+                    )
+                if la[base.add[r][s]][v] != bim.add[la[r][v]][la[s][v]]:
+                    raise BimoduleError(f"left action is not additive at ({r},{s},{v})")
+                if ra[v][base.add[r][s]] != bim.add[ra[v][r]][ra[v][s]]:
+                    raise BimoduleError(f"right action is not additive at ({r},{s},{v})")
+    for r in range(nr):
+        for v in range(nv):
+            for w in range(nv):
+                if la[r][bim.add[v][w]] != bim.add[la[r][v]][la[r][w]]:
+                    raise BimoduleError(
+                        f"left action does not distribute at ({r},{v},{w})"
+                    )
+                if ra[bim.add[v][w]][r] != bim.add[ra[v][r]][ra[w][r]]:
+                    raise BimoduleError(
+                        f"right action does not distribute at ({r},{v},{w})"
+                    )
+                if ra[bim.mul[v][w]][r] != bim.mul[v][ra[w][r]]:
+                    raise BimoduleError(
+                        f"(v w) r = v (w r) fails at ({v},{w},{r})"
+                    )
+                if bim.mul[ra[v][r]][w] != bim.mul[v][la[r][w]]:
+                    raise BimoduleError(
+                        f"(v r) w = v (r w) fails at ({v},{r},{w})"
+                    )
+                if bim.mul[la[r][v]][w] != la[r][bim.mul[v][w]]:
+                    raise BimoduleError(
+                        f"(r v) w = r (v w) fails at ({r},{v},{w})"
+                    )
 
 
 def brute_build_product(factors):

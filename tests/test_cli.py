@@ -423,6 +423,45 @@ def test_verify_paper_bad_catalog_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        [{"name": "a", "preset": "zmod:2"}, {"name": "a", "preset": "zmod:3"}],
+        [{"name": "a", "file": 5}],
+        [{"name": ["a"], "preset": "zmod:2"}],
+        [{"name": "a", "preset": "zmod:2", "nmae": "x"}],
+        [{"name": "a", "preset": 2}],
+        [{"name": "a", "preset": "zmod:2", "basis": 1}],
+        [{"name": "a", "preset": "zmod:2", "expected": [2]}],
+        [{"name": "a", "preset": "zmod:2", "file": "a.json"}],
+        [["a", "zmod:2"]],
+    ],
+    ids=["duplicate-name", "file-int", "name-list", "unknown-key", "preset-int",
+         "basis-int", "expected-list", "preset-and-file", "entry-list"],
+)
+def test_verify_paper_rejects_malformed_manifest(tmp_path, capsys, entries):
+    path = tmp_path / "cat.json"
+    path.write_text(json.dumps({"entries": entries}))
+    code, stdout, stderr = run(capsys, "verify-paper", "--catalog", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+# sha256 of `ringlab verify-paper` stdout on the default catalog
+GOLDEN_VERIFY_SHA256 = {
+    "text": "6ab5f61c44d72d517367340e7ffef022ed1da8c927a7d413b9cc1ec9eb85ec22",
+    "json": "6ba9d4ca6bd5886d56ca69d44524719e4ddd660409e6fe9aa17ad9ffdc9e4f13",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(GOLDEN_VERIFY_SHA256))
+def test_verify_paper_matches_golden_hash(capsys, fmt):
+    code, stdout, _ = run(capsys, "verify-paper", "--format", fmt)
+    assert code == 0
+    assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_VERIFY_SHA256[fmt]
+
+
 # ------------------------------------------------------------ determinism
 
 def test_report_byte_identical_runs(tmp_path, capsys):
@@ -444,6 +483,12 @@ GOLDEN_REPORT_SHA256 = {
     ),
     "cdtri:3:zmod:2": "a0c76fa5374a27958184b4d3e16032feb736cefc07f57bbc68796219abf8bbe7",
     "zmod:256": "9d027918bbd93677a993edfb70d52a889d61c2c94ce2c96107ba1774331955b0",
+    "dorroh:tri:2:zmod:2": (
+        "7f84af8b165c3167d41152ab3d245de9b430426e1ecd36fa3a76c3b6b0fcbe64"
+    ),
+    "quot:gen:2:tri:2:zmod:4": (
+        "f308480397eedd21ffecf6c44cd67e7e6bb913b841948cea251020b6916a2006"
+    ),
 }
 
 

@@ -18,7 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import mixed_radix_decode, mixed_radix_encode
-from ringlab.catalog import build_preset
+from ringlab.catalog import build_preset, dorroh_of_ring
 from ringlab.claims import PRODUCT_PAIR_CAP
 from ringlab.core import (
     AxiomError,
@@ -363,6 +363,84 @@ def test_dorroh_rejects_bad_action():
     with pytest.raises(BimoduleError) as err:
         build_dorroh(broken)
     assert "unital" in str(err.value)
+
+
+DORROH_BASES = ("zmod:2", "zmod:3", "zmod:4", "zmod:6", "product:zmod:2,zmod:2",
+                "tri:2:zmod:2", "cdtri:2:zmod:2")
+DORROH_BIMODULES = ("zmod:1", "zmod:2", "zmod:3", "zmod:4", "product:zmod:2,zmod:2",
+                    "cdtri:2:zmod:2")
+
+
+def _dorroh_cells(data):
+    """The extension's product cell by cell: (r,v)(s,w) = (rs, rw + vs + vw)."""
+    base, bim, la, ra = data.base, data.bimodule, data.left_action, data.right_action
+    nr, nv = base.order, bim.order
+    return tuple(
+        tuple(
+            nv * base.mul[r][s] + bim.add[la[r][w]][bim.add[ra[v][s]][bim.mul[v][w]]]
+            for s in range(nr)
+            for w in range(nv)
+        )
+        for r in range(nr)
+        for v in range(nv)
+    )
+
+
+def _random_unital_action(rng, base, bim):
+    nr, nv = base.order, bim.order
+    la = tuple(
+        tuple(v if r == base.one else rng.randrange(nv) for v in range(nv))
+        for r in range(nr)
+    )
+    ra = tuple(
+        tuple(v if r == base.one else rng.randrange(nv) for r in range(nr))
+        for v in range(nv)
+    )
+    return DorrohData(base=base, bimodule=bim, left_action=la, right_action=ra)
+
+
+def _perturbed_action(rng, data):
+    tables = [list(map(list, data.left_action)), list(map(list, data.right_action))]
+    for _ in range(rng.randint(1, 3)):
+        table = rng.choice(tables)
+        row = rng.choice(table)
+        col = rng.randrange(len(row))
+        row[col] = rng.choice([x for x in range(data.bimodule.order) if x != row[col]])
+    la, ra = (tuple(map(tuple, table)) for table in tables)
+    return dataclasses.replace(data, left_action=la, right_action=ra)
+
+
+def _dorroh_cases():
+    rng = random.Random("dorroh:actions")
+    rings = {p: build_preset(p) for p in DORROH_BASES + DORROH_BIMODULES}
+    for b in DORROH_BASES:
+        for m in DORROH_BIMODULES:
+            for _ in range(4):
+                yield _random_unital_action(rng, rings[b], rings[m])
+    # Z1 has no other value to perturb a cell to
+    for preset in sorted(set(DORROH_BASES + DORROH_BIMODULES) - {"zmod:1"}):
+        exact = dorroh_of_ring(rings[preset])
+        yield exact
+        for _ in range(30):
+            yield _perturbed_action(rng, exact)
+
+
+def test_dorroh_matches_oracle_validator():
+    """Tables the old law loops reject still fail to build, and tables they
+    accept build the extension cell by cell."""
+    verdicts = {"accepted": 0, "not unital": 0, "law fails": 0}
+    for data in _dorroh_cases():
+        try:
+            oracles.brute_validate_dorroh(data)
+        except BimoduleError as err:
+            with pytest.raises(BimoduleError):
+                build_dorroh(data)
+            verdicts["not unital" if "unital" in str(err) else "law fails"] += 1
+            continue
+        ring = build_dorroh(data)
+        assert ring.mul == _dorroh_cells(data)
+        verdicts["accepted"] += 1
+    assert min(verdicts.values()) >= 20, verdicts
 
 
 # ---------------------------------------------------------------- quotient

@@ -136,6 +136,36 @@ def test_two_sided_closure_t2z2(t2z2):
     assert two_sided_closure(t2z2, [1]).indices() == (0, 1, 2, 3)
 
 
+CLOSURE_EXTRA = ("tri:3:zmod:2", "mat:2:zmod:4", "cdtri:4:zmod:2", "dorroh:tri:2:zmod:2")
+
+
+def _closure_cases(ring, seed):
+    """Every single generator (a seeded 16 above order 64) and 12 seeded
+    lists of 0-3 generators."""
+    rng = random.Random(f"closure:{seed}")
+    n = ring.order
+    singles = range(n) if n <= 64 else sorted(rng.sample(range(n), 16))
+    lists = [rng.sample(range(n), rng.randint(0, min(3, n))) for _ in range(12)]
+    return [[g] for g in singles] + lists
+
+
+def _assert_closure_matches_oracle(ring, seed):
+    for generators in _closure_cases(ring, seed):
+        got = two_sided_closure(ring, generators)
+        assert got == oracles.brute_two_sided_closure(ring, generators), generators
+        assert is_two_sided_ideal(ring, got)
+
+
+def test_two_sided_closure_matches_oracle_on_catalog(catalog_rings):
+    for name, ring in catalog_rings.items():
+        _assert_closure_matches_oracle(ring, name)
+
+
+@pytest.mark.parametrize("preset", CLOSURE_EXTRA)
+def test_two_sided_closure_matches_oracle(preset):
+    _assert_closure_matches_oracle(build_preset(preset), preset)
+
+
 # ----------------------------------------------------------------- lattice
 
 def test_all_right_ideals_z4(z4):
