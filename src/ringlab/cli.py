@@ -8,6 +8,7 @@ errors.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -26,6 +27,15 @@ from ringlab.claims import has_violation, search_counterexample, theorem_suite
 from ringlab.properties import _coerce, element_property, ring_property
 from ringlab.radicals import DeltaDisagreement, delta
 from ringlab.report import build_report, render_text
+
+
+try:  # glibc's malloc_trim, which hands freed heap pages back to the system
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
+except (AttributeError, OSError, TypeError):  # another C library: nothing to trim
+
+    def _malloc_trim(pad: int) -> int:
+        return 0
 
 
 def _emit(payload) -> None:
@@ -80,6 +90,11 @@ def _ring_from_spec_obj(obj: dict) -> FiniteRing:
 
 
 def _cmd_build(args) -> int:
+    # Once a large block has been freed, glibc keeps freed heap pages.  Without
+    # a trim on both sides, the resident size of a process that builds rings
+    # one after another would depend on what it freed before and on the order
+    # of the rings, not only on the ring being built.
+    _malloc_trim(0)
     source = args.source
     path = Path(source)
     if path.exists():
@@ -89,6 +104,8 @@ def _cmd_build(args) -> int:
         ring = build_preset(source)
     save_ring(ring, args.output)
     print(f"wrote {ring.name} of order {ring.order} to {args.output}")
+    del ring
+    _malloc_trim(0)
     return 0
 
 

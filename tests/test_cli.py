@@ -4,6 +4,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -28,6 +29,24 @@ def test_build_preset_writes_ring_file(tmp_path, capsys):
     assert "order 4" in stdout
     obj = json.loads(out.read_text())
     assert obj["order"] == 4
+
+
+def test_build_trims_the_heap_before_building_and_after_dropping_the_ring(
+    tmp_path, capsys, monkeypatch
+):
+    from ringlab import cli
+
+    saved, trims = [], []
+
+    def save(ring, path):
+        saved.append(weakref.ref(ring))
+        real_save(ring, path)
+
+    real_save = cli.save_ring
+    monkeypatch.setattr(cli, "save_ring", save)
+    monkeypatch.setattr(cli, "_malloc_trim", lambda pad: trims.append((pad, [r() for r in saved])))
+    code, _, _ = run(capsys, "build", "zmod:4", "-o", str(tmp_path / "z4.json"))
+    assert code == 0 and trims == [(0, []), (0, [None])]
 
 
 def test_build_examples_match_expected_orders(tmp_path, capsys):
