@@ -400,13 +400,37 @@ def verify_expected(entry: CatalogEntry, ring: FiniteRing) -> list[str]:
 _MANIFEST_KEYS = ("name", "preset", "file", "basis", "expected")
 
 
+def _check_expected(name: str, expected: dict) -> None:
+    """Reject expected facts that :func:`verify_expected` cannot read."""
+    from ringlab.properties import _coerce
+
+    for key, value in expected.items():
+        if key == "order":
+            ok = type(value) is int
+        elif key in ("delta", "jacobson"):
+            ok = (key == "delta" and value == "full") or (
+                isinstance(value, list) and all(type(v) is int for v in value)
+            )
+        elif key == "properties":
+            ok = isinstance(value, dict) and all(type(v) is bool for v in value.values())
+            if ok:
+                for prop in value:
+                    _coerce(prop)
+        else:
+            raise ValueError(f"catalog entry {name!r} has unknown expected fact {key!r}")
+        if not ok:
+            raise ValueError(
+                f"catalog entry {name!r} has malformed expected {key}: {value!r}"
+            )
+
+
 def load_catalog_manifest(path: str | Path) -> list[CatalogEntry]:
     """Read a catalog description: ``{"entries": [{"name", "preset"|"file"}]}``.
 
     Each entry has a unique string ``name``, exactly one of the strings
     ``preset`` and ``file``, and optionally a string ``basis`` and an object
-    ``expected``; any other key is an error.  File paths are resolved
-    relative to the manifest location.
+    ``expected`` of the facts :class:`CatalogEntry` lists; any other key is
+    an error.  File paths are resolved relative to the manifest location.
     """
     path = Path(path)
     obj = json.loads(path.read_text())
@@ -427,6 +451,7 @@ def load_catalog_manifest(path: str | Path) -> list[CatalogEntry]:
         if name in names:
             raise ValueError(f"duplicate catalog entry name {name!r}")
         names.add(name)
+        _check_expected(name, raw.get("expected", {}))
         has_preset = "preset" in raw
         has_file = "file" in raw
         if has_preset == has_file:

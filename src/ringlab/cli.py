@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (property holds / no violation / hit found), 1 for a
 negative but well-formed outcome (property fails, delta routes disagree, no
-counterexample found, a registry claim is violated), 2 for usage or input
-errors.
+counterexample found, a registry claim is violated, a manifest's expected
+fact does not hold), 2 for usage or input errors.
 """
 from __future__ import annotations
 
@@ -13,7 +13,13 @@ import json
 import sys
 from pathlib import Path
 
-from ringlab.catalog import build_preset, default_catalog, load_catalog_manifest
+from ringlab.catalog import (
+    build_entry,
+    build_preset,
+    default_catalog,
+    load_catalog_manifest,
+    verify_expected,
+)
 from ringlab.core import (
     DorrohData,
     FiniteRing,
@@ -162,7 +168,14 @@ def _load_entries(catalog_path: str | None):
 
 def _cmd_verify_paper(args) -> int:
     entries = _load_entries(args.catalog)
-    results = theorem_suite(entries)
+    rings = {entry.name: build_entry(entry) for entry in entries}
+    # the default catalog's facts are fixed in its source and tested there
+    mismatches = [
+        f"{entry.name}: {mismatch}"
+        for entry in (entries if args.catalog is not None else ())
+        for mismatch in verify_expected(entry, rings[entry.name])
+    ]
+    results = theorem_suite(entries, rings)
     if args.format == "json":
         _emit(
             [
@@ -187,7 +200,9 @@ def _cmd_verify_paper(args) -> int:
                 )
                 line += f"  [{shown}]"
             print(line)
-    return 1 if has_violation(results) else 0
+    for mismatch in mismatches:
+        print(f"expected fact mismatch: {mismatch}", file=sys.stderr)
+    return 1 if has_violation(results) or mismatches else 0
 
 
 def _cmd_search(args) -> int:

@@ -144,6 +144,24 @@ def bit_members(bits: int) -> list[int]:
     return out
 
 
+_FLAG_TO_DIGIT = bytes.maketrans(b"\0\1", b"01")
+_DIGIT_TO_FLAG = bytes.maketrans(b"01", b"\0\1")
+
+
+def mask_from_flags(flags: bytes) -> int:
+    """The mask with bit i set where ``flags[i]`` is 1; each flag is 0 or 1.
+
+    The flags become binary digits and are read as one int, all in C.
+    """
+    return int(flags.translate(_FLAG_TO_DIGIT)[::-1], 2)
+
+
+def flags_from_mask(bits: int) -> bytes:
+    """``flags[i]`` is 1 where bit i of ``bits`` is set, up to the highest set
+    bit, so ``itertools.compress(row, flags)`` keeps the members of a row."""
+    return bin(bits)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
+
+
 # --------------------------------------------------------------------------
 # rings
 
@@ -215,18 +233,27 @@ def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
     """Check the ring axioms; return a list of violations, each at a real coordinate.
 
     Table shape and range, the additive identity and inverses, commutativity
-    of addition and the unit are checked cell by cell.  The three laws over
-    triples are checked on a generating set G of (R,+), in O(n^2 |G|):
+    of addition and the unit are checked cell by cell.  The laws over triples
+    are checked on the greedy generators g_1..g_k of (R,+):
 
     - Light's test: the s with (a+s)+b = a+(s+b) for all a, b are closed
-      under +, so passing for every s in G makes addition associative.
-    - A map x -> ax or x -> xa that is additive on G is additive on R, so
-      checking a(g+x) = ag+ax and (g+x)a = ga+xa for g in G gives both
-      distributive laws.
+      under +, so passing for every generator makes addition associative.
+      If addition fails, its violations are returned and nothing else is
+      checked.
+    - Distributivity along the normal-form tree.  Let H_i = <g_1..g_i> and
+      r_i = [H_i : H_(i-1)].  Every x is uniquely a sum of c_i g_i with
+      0 <= c_i < r_i, and every x != 0 has one tree edge p -> p + g_i into
+      it.  A map f is additive iff f(p + g) = f(p) + f(g) on these n - 1
+      edges and on the k wrap edges (r_i - 1) g_i -> r_i g_i: the wrap
+      edges give r_i f(g_i) = f(r_i g_i), the relations of a presentation
+      of (R,+) on the g_i, so the f(g_i) extend to a homomorphism, and the
+      tree edges show that it is f.  Every column map x -> xa is checked
+      this way, then the row maps x -> gx of the generators only: by right
+      distributivity each row map is a sum of these, so it is additive.
     - With both, the associator (ab)c - a(bc) is additive in each argument,
-      so it vanishes on R^3 once it vanishes on G^3.
+      so it vanishes on R^3 once it vanishes on the generator triples.
 
-    Greedy generators give |G| <= log2 n when (R,+) is a group.
+    The k <= log2 n generators make this O(n^2) in all.
     """
     n = ring.order
     out: list[str] = []
@@ -256,7 +283,7 @@ def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
 
     # itemgetter below returns tuples, so rows are compared as tuples
     add = [tuple(row) for row in ring.add]
-    mul = [tuple(row) for row in ring.mul]
+    mul = ring.mul
     zero, one = ring.zero, ring.one
     for a, column in enumerate(zip(*add)):
         if add[a][zero] != a and push(f"zero is not an additive identity at {a}"):
@@ -268,35 +295,50 @@ def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
         for b in range(n):
             if add[a][b] != add[b][a] and push(f"addition is not commutative at ({a},{b})"):
                 return out
+
+    gens = _subgroup_generators(ring, (1 << n) - 1)
+    # Each row comparison runs in C: itemgetter(*add[g])(row) is the tuple
+    # of row[g + x] over all x.
+    for g in gens:
+        plus_g = itemgetter(*add[g])
+        for a in range(n):
+            if add[add[a][g]] != plus_g(add[a]):
+                for b in range(n):
+                    if add[add[a][g]][b] != add[a][add[g][b]] and push(
+                        f"addition is not associative at ({a},{g},{b})"
+                    ):
+                        return out
+    if out:
+        return out
     for a in range(n):
         if (mul[a][one] != a or mul[one][a] != a) and push(
             f"one is not a multiplicative identity at {a}"
         ):
             return out
 
-    gens = _subgroup_generators(ring, (1 << n) - 1)
-    # Each row comparison runs in C: itemgetter(*add[g])(row) is the tuple
-    # of row[g + x] over all x.
-    plus = {g: itemgetter(*add[g]) for g in gens}
-    for g in gens:
-        for a in range(n):
-            if add[add[a][g]] != plus[g](add[a]):
-                for b in range(n):
-                    if add[add[a][g]][b] != add[a][add[g][b]] and push(
-                        f"addition is not associative at ({a},{g},{b})"
-                    ):
-                        return out
-    for side, rows in (("left", mul), ("right", zip(*mul))):
-        # row[x] is ax on the left and xa on the right
-        for a, row in enumerate(rows):
-            times_a = itemgetter(*row)
-            for g in gens:
-                if plus[g](row) != times_a(add[row[g]]):
-                    for x in range(n):
-                        if row[add[g][x]] != add[row[g]][row[x]]:
-                            where = f"{a},{g},{x}" if side == "left" else f"{g},{x},{a}"
-                            if push(f"{side} distributivity fails at ({where})"):
-                                return out
+    edges = _normal_form_edges(add, zero, gens)
+    groups = [(g, itemgetter(*ps), itemgetter(*xs)) for g, ps, xs in edges]
+
+    def additive(f: Sequence[int]) -> bool:
+        # f(p + g) = f(g) + f(p) on every edge of one generator, in C;
+        # + is commutative by now
+        return all(
+            children(f) == tuple(map(add[f[g]].__getitem__, parents(f)))
+            for g, parents, children in groups
+        )
+
+    # f[x] is xa on the right and ax on the left
+    generator_rows = ((g, mul[g]) for g in gens)
+    for side, maps in (("right", enumerate(zip(*mul))), ("left", generator_rows)):
+        for a, f in maps:
+            if additive(f):
+                continue
+            for g, parents, children in edges:
+                for p, x in zip(parents, children):
+                    if f[x] != add[f[p]][f[g]]:
+                        where = f"{p},{g},{a}" if side == "right" else f"{a},{p},{g}"
+                        if push(f"{side} distributivity fails at ({where})"):
+                            return out
     for a in gens:
         for b in gens:
             ab = mul[a][b]
@@ -306,6 +348,37 @@ def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
                 ):
                     return out
     return out
+
+
+def _normal_form_edges(
+    add: Sequence[Sequence[int]], zero: int, gens: Sequence[int]
+) -> list[tuple[int, list[int], list[int]]]:
+    """The tree and wrap edges of :func:`verify_axioms`, grouped by generator.
+
+    Each group is ``(g, parents, children)`` with ``children[j] =
+    parents[j] + g``: the cosets of H_(i-1) stepped by g until the next step
+    lands back in H_(i-1), then that wrap edge last.  (R,+) must be an
+    abelian group.  Since r_i >= 2, every group has at least two edges.
+    """
+    members = [zero]
+    reached = 1 << zero
+    edges = []
+    for g in gens:
+        row_g = add[g]
+        parents: list[int] = []
+        children: list[int] = []
+        coset = members
+        # coset[0] is c g; the coset is new until (c + 1) g is in H_(i-1)
+        while not (reached >> row_g[coset[0]]) & 1:
+            shifted = [row_g[y] for y in coset]
+            parents += coset
+            children += shifted
+            coset = shifted
+        edges.append((g, parents + [coset[0]], children + [row_g[coset[0]]]))
+        members = members + children
+        for x in children:
+            reached |= 1 << x
+    return edges
 
 
 def _subgroup_generators(ring: FiniteRing, bits: int) -> list[int]:
@@ -752,9 +825,15 @@ def ring_to_json(ring: FiniteRing) -> dict:
     return obj
 
 
+_RING_KEYS = ("name", "order", "zero", "one", "add", "mul", "labels")
+
+
 def ring_from_json(obj: dict) -> FiniteRing:
     if not isinstance(obj, dict):
         raise ValueError("ring data must be a JSON object")
+    for key in obj:
+        if key not in _RING_KEYS:
+            raise ValueError(f"ring data has unknown field {key!r}")
     for key in ("order", "zero", "one", "add", "mul"):
         if key not in obj:
             raise ValueError(f"ring data missing required field {key!r}")
@@ -832,10 +911,24 @@ def save_ring(ring: FiniteRing, path: str | Path) -> None:
         out.write("\n}\n")
 
 
+def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's fields as a dict; a repeated field is an error.
+
+    The tables are arrays, so this runs once per object in a ring file and
+    never per row.
+    """
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        repeated = next(key for key in keys if keys.count(key) > 1)
+        raise ValueError(f"ring data repeats field {repeated!r}")
+    return obj
+
+
 def load_ring(path: str | Path) -> FiniteRing:
     try:
         # no name for the text, so it is freed before the tables are built
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(), object_pairs_hook=_unique_fields)
     except json.JSONDecodeError as err:
         raise ValueError(f"{path} is not valid JSON: {err}") from None
     return ring_from_json(obj)

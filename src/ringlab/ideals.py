@@ -7,6 +7,8 @@ pathological input fails fast instead of filling memory.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ringlab.core import (
     ElementSet,
     FiniteRing,
@@ -16,6 +18,7 @@ from ringlab.core import (
     bit_members,
     cached_on,
     element_sets,
+    mask_from_flags,
 )
 
 DEFAULT_LATTICE_LIMIT = 100000
@@ -29,13 +32,11 @@ def _principal_bits(ring: FiniteRing) -> tuple[int, ...]:
     """``aR`` as a bitmask for every ``a``; cached."""
 
     def compute():
-        out = []
-        for a in range(ring.order):
-            bits = 0
-            for ab in ring.mul[a]:
-                bits |= 1 << ab
-            out.append(bits)
-        return tuple(out)
+        everything = range(ring.order)
+        return tuple(
+            mask_from_flags(bytes(map(set(row).__contains__, everything)))
+            for row in ring.mul
+        )
 
     return cached_on(ring, "principal_bits", compute)
 
@@ -368,9 +369,11 @@ def ideal_core(ring: FiniteRing, subset: ElementSet) -> ElementSet:
 
 def _ideal_core_bits(ring: FiniteRing, bits: int) -> int:
     """:func:`ideal_core` on a mask already known to be a right ideal."""
-    pb = _principal_bits(ring)
+    outside = ~bits
+    # inside[z] is 1 when zR lies in the ideal; column x of mul holds the rx
+    inside = bytes(map((0).__eq__, map(outside.__and__, _principal_bits(ring))))
     out = 0
     for x in bit_members(bits):
-        if all(pb[ring.mul[r][x]] & ~bits == 0 for r in range(ring.order)):
+        if all(map(inside.__getitem__, map(itemgetter(x), ring.mul))):
             out |= 1 << x
     return out

@@ -364,6 +364,17 @@ def _certificate_checks(
 # element-level decisions
 
 
+def _search(ring: FiniteRing, a: int, prop: PropertyName) -> dict | None:
+    """The named witnesses of ``prop`` at ``a``, or ``None`` when ``a`` fails it."""
+    if prop in _COMPANION_SPECS:
+        # a uniquely-* property needs exactly one companion, so look for two
+        found = tuple(islice(_companions(ring, a, prop), 1 + (prop in _UNIQUE)))
+        if len(found) != 1:
+            return None
+        return _companion_witnesses(ring, a, prop, found[0])
+    return _FINDERS[prop](ring, a)
+
+
 def element_property(ring: FiniteRing, a: int, prop) -> Certificate | None:
     prop = _coerce(prop)
     if prop in PropertyName.ring_only():
@@ -372,33 +383,16 @@ def element_property(ring: FiniteRing, a: int, prop) -> Certificate | None:
         raise ValueError(f"element {a} out of range for order {ring.order}")
     memo = cached_on(ring, "element_property", dict)
     key = (prop, a)
-    if key in memo:
-        return memo[key]
-
-    witness_count = None
-    if prop in _COMPANION_SPECS:
-        # a uniquely-* property needs exactly one companion, so look for two
-        unique = prop in _UNIQUE
-        found = tuple(islice(_companions(ring, a, prop), 1 + unique))
-        witnesses = None
-        if len(found) == 1:
-            witnesses = _companion_witnesses(ring, a, prop, found[0])
-            witness_count = 1 if unique else None
-    else:
-        witnesses = _FINDERS[prop](ring, a)
-
-    if witnesses is None:
-        memo[key] = None
-        return None
-    certificate = Certificate(
-        property=prop,
-        element=a,
-        witnesses=tuple(sorted(witnesses.items())),
-        checks=_certificate_checks(ring, prop, a, witnesses),
-        witness_count=witness_count,
-    )
-    memo[key] = certificate
-    return certificate
+    if key not in memo:
+        witnesses = _search(ring, a, prop)
+        memo[key] = None if witnesses is None else Certificate(
+            property=prop,
+            element=a,
+            witnesses=tuple(sorted(witnesses.items())),
+            checks=_certificate_checks(ring, prop, a, witnesses),
+            witness_count=1 if prop in _UNIQUE else None,
+        )
+    return memo[key]
 
 
 def recheck_certificate(ring: FiniteRing, certificate: Certificate) -> bool:
@@ -499,7 +493,8 @@ def ring_property(ring: FiniteRing, prop) -> tuple[bool, int | None]:
     """Decide a property for the whole ring.
 
     Element-level properties hold for the ring when they hold for every
-    element; the witness of a failure is the least failing element.
+    element; the witness of a failure is the least failing element.  They
+    are decided by the witness search alone, with no certificates.
     """
     prop = _coerce(prop)
     memo = cached_on(ring, "ring_property", dict)
@@ -510,7 +505,7 @@ def ring_property(ring: FiniteRing, prop) -> tuple[bool, int | None]:
     else:
         result = (True, None)
         for a in range(ring.order):
-            if element_property(ring, a, prop) is None:
+            if _search(ring, a, prop) is None:
                 result = (False, a)
                 break
     memo[prop] = result

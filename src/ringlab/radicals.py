@@ -3,14 +3,17 @@ delta ideal computed by five independent characterizations that must agree."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import eq, itemgetter
 
 from ringlab.core import (
     ComputationFault,
     ElementSet,
     FiniteRing,
-    bit_members,
     cached_on,
-    element_sets,
+    flags_from_mask,
+    mask_from_flags,
+    units_map,
 )
 from ringlab.ideals import (
     _essential_maximals,
@@ -78,13 +81,12 @@ def jacobson(ring: FiniteRing) -> ElementSet:
         route_a = full
         for m in maximal_right_ideals(ring):
             route_a &= m.bits
-        units, _, _ = element_sets(ring)
-        one = ring.one
-        route_b = 0
-        for x in range(ring.order):
-            row = ring.mul[x]
-            if all(ring.sub(one, row[y]) in units for y in range(ring.order)):
-                route_b |= 1 << x
+        # one_minus_unit[z] is 1 when 1 - z is a unit; row x of mul holds the xy
+        one_minus = map(ring.add[ring.one].__getitem__, ring._neg_table())
+        one_minus_unit = bytes(map(units_map(ring).__contains__, one_minus))
+        route_b = mask_from_flags(
+            bytes(all(map(one_minus_unit.__getitem__, row)) for row in ring.mul)
+        )
         if route_a != route_b:
             raise ComputationFault(f"Jacobson radical mismatch on {ring.name}")
         return ElementSet(route_a, ring.order)
@@ -96,12 +98,7 @@ def commutant_bits(ring: FiniteRing, a: int) -> int:
     memo = cached_on(ring, "commutant_bits", dict)
     if a not in memo:
         mul = ring.mul
-        row = mul[a]
-        bits = 0
-        for x in range(ring.order):
-            if row[x] == mul[x][a]:
-                bits |= 1 << x
-        memo[a] = bits
+        memo[a] = mask_from_flags(bytes(map(eq, mul[a], map(itemgetter(a), mul))))
     return memo[a]
 
 
@@ -110,17 +107,16 @@ def qnil_set(ring: FiniteRing) -> ElementSet:
     commuting with ``a``."""
 
     def compute():
-        units, _, _ = element_sets(ring)
-        one = ring.one
-        bits = 0
-        for a in range(ring.order):
-            row = ring.mul[a]
-            if all(
-                ring.add[one][row[x]] in units
-                for x in bit_members(commutant_bits(ring, a))
-            ):
-                bits |= 1 << a
-        return ElementSet(bits, ring.order)
+        # one_plus_unit[z] is 1 when 1 + z is a unit
+        one_plus_unit = bytes(map(units_map(ring).__contains__, ring.add[ring.one]))
+
+        def quasinilpotent(a: int) -> bool:
+            # the ax over the x commuting with a
+            products = compress(ring.mul[a], flags_from_mask(commutant_bits(ring, a)))
+            return all(map(one_plus_unit.__getitem__, products))
+
+        flags = bytes(map(quasinilpotent, range(ring.order)))
+        return ElementSet(mask_from_flags(flags), ring.order)
 
     return cached_on(ring, "qnil", compute)
 
@@ -196,26 +192,22 @@ def delta_r5(ring: FiniteRing) -> ElementSet:
     ]
     part_sizes = [(ideal.bits, len(ideal)) for ideal in semisimple_parts]
     zero_bit = 1 << ring.zero
-    one = ring.one
     order = ring.order
     decided: dict[int, bool] = {}
 
-    def complemented(z: int) -> bool:
-        if z not in decided:
-            zbits = pb[z]
+    def complemented(zbits: int) -> bool:
+        if zbits not in decided:
             zsize = zbits.bit_count()
-            decided[z] = any(
+            decided[zbits] = any(
                 zbits & ybits == zero_bit and zsize * ysize == order
                 for ybits, ysize in part_sizes
             )
-        return decided[z]
+        return decided[zbits]
 
-    bits = 0
-    for x in range(order):
-        row = ring.mul[x]
-        if all(complemented(ring.add[one][row[y]]) for y in range(order)):
-            bits |= 1 << x
-    return ElementSet(bits, ring.order)
+    # one_plus_ok[z] is 1 when (1 + z)R is complemented inside the socle
+    one_plus_ok = bytes(map(complemented, map(pb.__getitem__, ring.add[ring.one])))
+    flags = bytes(all(map(one_plus_ok.__getitem__, row)) for row in ring.mul)
+    return ElementSet(mask_from_flags(flags), order)
 
 
 def delta(ring: FiniteRing) -> DeltaComputation:

@@ -3,13 +3,15 @@
 Everything here is deliberately naive: straight subset scans and definition
 chasing.  Nothing is shared with the library's lattice or consensus
 machinery, so agreement between the two is meaningful evidence.  The
-reference finders at the end are the one exception: they read the library's
-target sets and idempotents and search them the way the library used to.
+reference finders and the per-cell checks at the end are the exceptions:
+they read the library's target sets, idempotents and lattice and compute
+the way the library used to.
 """
 from __future__ import annotations
 
 import json
 import math
+from operator import itemgetter
 from typing import Sequence
 
 from ringlab.core import (
@@ -17,10 +19,13 @@ from ringlab.core import (
     ElementSet,
     FiniteRing,
     _matrix_label,
+    _subgroup_generators,
+    bit_members,
     check_size,
     element_sets,
     ring_to_json,
 )
+from ringlab.ideals import all_right_ideals, socle
 from ringlab.properties import commutant
 from ringlab.radicals import commutant_bits, delta_mask, jacobson, qnil_set
 
@@ -860,3 +865,211 @@ def find_exchange(ring: FiniteRing, a: int) -> dict | None:
             continue
         return {"e": e, "r": r_found, "s": s_found}
     return None
+
+
+# --------------------------------------------------------------------------
+# per-cell reference checks
+#
+# The library's axiom check and n^2 cross-checks before they became row
+# operations, kept verbatim as the reference for the differential tests.
+# Memos on the ring are dropped, so none of them fills or reads a library
+# cache, and each calls the per-cell versions of the others.
+
+
+def generator_verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
+    """The O(n^2 |G|) checker: distributivity on every row and column against
+    every additive generator g in G."""
+    n = ring.order
+    out: list[str] = []
+
+    def push(message: str) -> bool:
+        out.append(message)
+        return len(out) >= max_violations
+
+    if n < 1:
+        return ["order must be at least 1"]
+    for table_name, table in (("addition", ring.add), ("multiplication", ring.mul)):
+        if len(table) != n or any(len(row) != n for row in table):
+            return [f"{table_name} table is not {n} x {n}"]
+        for i, row in enumerate(table):
+            if 0 <= min(row) and max(row) < n:
+                continue
+            for j, value in enumerate(row):
+                if not 0 <= value < n:
+                    if push(f"{table_name} entry at ({i},{j}) is out of range"):
+                        return out
+    if out:
+        return out
+    if not 0 <= ring.zero < n:
+        return ["zero index out of range"]
+    if not 0 <= ring.one < n:
+        return ["one index out of range"]
+
+    # itemgetter below returns tuples, so rows are compared as tuples
+    add = [tuple(row) for row in ring.add]
+    mul = [tuple(row) for row in ring.mul]
+    zero, one = ring.zero, ring.one
+    for a, column in enumerate(zip(*add)):
+        if add[a][zero] != a and push(f"zero is not an additive identity at {a}"):
+            return out
+        if zero not in add[a] and push(f"no additive inverse for {a}"):
+            return out
+        if add[a] == column:
+            continue
+        for b in range(n):
+            if add[a][b] != add[b][a] and push(f"addition is not commutative at ({a},{b})"):
+                return out
+    for a in range(n):
+        if (mul[a][one] != a or mul[one][a] != a) and push(
+            f"one is not a multiplicative identity at {a}"
+        ):
+            return out
+
+    gens = _subgroup_generators(ring, (1 << n) - 1)
+    # Each row comparison runs in C: itemgetter(*add[g])(row) is the tuple
+    # of row[g + x] over all x.
+    plus = {g: itemgetter(*add[g]) for g in gens}
+    for g in gens:
+        for a in range(n):
+            if add[add[a][g]] != plus[g](add[a]):
+                for b in range(n):
+                    if add[add[a][g]][b] != add[a][add[g][b]] and push(
+                        f"addition is not associative at ({a},{g},{b})"
+                    ):
+                        return out
+    for side, rows in (("left", mul), ("right", zip(*mul))):
+        # row[x] is ax on the left and xa on the right
+        for a, row in enumerate(rows):
+            times_a = itemgetter(*row)
+            for g in gens:
+                if plus[g](row) != times_a(add[row[g]]):
+                    for x in range(n):
+                        if row[add[g][x]] != add[row[g]][row[x]]:
+                            where = f"{a},{g},{x}" if side == "left" else f"{g},{x},{a}"
+                            if push(f"{side} distributivity fails at ({where})"):
+                                return out
+    for a in gens:
+        for b in gens:
+            ab = mul[a][b]
+            for c in gens:
+                if mul[ab][c] != mul[a][mul[b][c]] and push(
+                    f"multiplication is not associative at ({a},{b},{c})"
+                ):
+                    return out
+    return out
+
+
+def percell_principal_bits(ring: FiniteRing) -> tuple[int, ...]:
+    out = []
+    for a in range(ring.order):
+        bits = 0
+        for ab in ring.mul[a]:
+            bits |= 1 << ab
+        out.append(bits)
+    return tuple(out)
+
+
+def percell_commutant_bits(ring: FiniteRing, a: int) -> int:
+    mul = ring.mul
+    row = mul[a]
+    bits = 0
+    for x in range(ring.order):
+        if row[x] == mul[x][a]:
+            bits |= 1 << x
+    return bits
+
+
+def percell_jacobson_route_b(ring: FiniteRing) -> int:
+    """The ``x`` such that ``1 - x y`` is a unit for every ``y``."""
+    units, _, _ = element_sets(ring)
+    one = ring.one
+    route_b = 0
+    for x in range(ring.order):
+        row = ring.mul[x]
+        if all(ring.sub(one, row[y]) in units for y in range(ring.order)):
+            route_b |= 1 << x
+    return route_b
+
+
+def percell_qnil_bits(ring: FiniteRing) -> int:
+    units, _, _ = element_sets(ring)
+    one = ring.one
+    bits = 0
+    for a in range(ring.order):
+        row = ring.mul[a]
+        if all(
+            ring.add[one][row[x]] in units
+            for x in bit_members(percell_commutant_bits(ring, a))
+        ):
+            bits |= 1 << a
+    return bits
+
+
+def percell_delta_r5(ring: FiniteRing) -> int:
+    pb = percell_principal_bits(ring)
+    soc = socle(ring).bits
+    semisimple_parts = [
+        ideal for ideal in all_right_ideals(ring) if ideal.bits & ~soc == 0
+    ]
+    part_sizes = [(ideal.bits, len(ideal)) for ideal in semisimple_parts]
+    zero_bit = 1 << ring.zero
+    one = ring.one
+    order = ring.order
+    decided: dict[int, bool] = {}
+
+    def complemented(z: int) -> bool:
+        if z not in decided:
+            zbits = pb[z]
+            zsize = zbits.bit_count()
+            decided[z] = any(
+                zbits & ybits == zero_bit and zsize * ysize == order
+                for ybits, ysize in part_sizes
+            )
+        return decided[z]
+
+    bits = 0
+    for x in range(order):
+        row = ring.mul[x]
+        if all(complemented(ring.add[one][row[y]]) for y in range(order)):
+            bits |= 1 << x
+    return bits
+
+
+def percell_ideal_core_bits(ring: FiniteRing, bits: int) -> int:
+    pb = percell_principal_bits(ring)
+    out = 0
+    for x in bit_members(bits):
+        if all(pb[ring.mul[r][x]] & ~bits == 0 for r in range(ring.order)):
+            out |= 1 << x
+    return out
+
+
+def permuted_ring(ring: FiniteRing, perm: Sequence[int]) -> FiniteRing:
+    """The same ring with element ``a`` renamed ``perm[a]``."""
+    n = ring.order
+    inverse = [0] * n
+    for a, image in enumerate(perm):
+        inverse[image] = a
+    add = tuple(
+        tuple(perm[ring.add[inverse[x]][inverse[y]]] for y in range(n)) for x in range(n)
+    )
+    mul = tuple(
+        tuple(perm[ring.mul[inverse[x]][inverse[y]]] for y in range(n)) for x in range(n)
+    )
+    return FiniteRing(
+        order=n,
+        add=add,
+        mul=mul,
+        zero=perm[ring.zero],
+        one=perm[ring.one],
+        name=ring.name,
+        labels=tuple(ring.label(inverse[x]) for x in range(n)),
+    )
+
+
+def moving_permutation(ring: FiniteRing, rng) -> list[int]:
+    """A random relabelling, for :func:`permuted_ring`, that moves zero and one."""
+    perm = list(range(ring.order))
+    while perm[ring.zero] == ring.zero or perm[ring.one] == ring.one:
+        rng.shuffle(perm)
+    return perm

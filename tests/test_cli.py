@@ -232,6 +232,32 @@ def test_report_rejects_mistyped_ring_file(tmp_path, capsys, changes):
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
+_Z2_FIELDS = (
+    '"name": "Z2", "order": 2, "zero": 0, "one": 1, '
+    '"add": [[0, 1], [1, 0]], "mul": [[0, 0], [0, 1]]'
+)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{" + _Z2_FIELDS + ', "extra": 1}',
+        "{" + _Z2_FIELDS + ', "Order": 2}',
+        "{" + _Z2_FIELDS + ', "order": 2}',
+        "{" + _Z2_FIELDS + ', "mul": [[0, 0], [0, 0]]}',
+        '{"name": "a", ' + _Z2_FIELDS + "}",
+    ],
+    ids=["extra", "wrong-case", "repeated-order", "repeated-mul", "repeated-name"],
+)
+def test_report_rejects_unknown_and_repeated_ring_fields(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, stdout, stderr = run(capsys, "report", str(path))
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("error: ring data ") and stderr.count("\n") == 1
+
+
 # Every value below is malformed where it is put, so each drawn ring file must
 # be rejected: a wrong JSON type, a wrong shape, or an index out of range.
 _NON_INT = (
@@ -454,9 +480,19 @@ def test_verify_paper_bad_catalog_exits_2(tmp_path, capsys):
         [{"name": "a", "preset": "zmod:2", "expected": [2]}],
         [{"name": "a", "preset": "zmod:2", "file": "a.json"}],
         [["a", "zmod:2"]],
+        [{"name": "a", "preset": "zmod:2", "expected": {"ordr": 2}}],
+        [{"name": "a", "preset": "zmod:2", "expected": {"order": "2"}}],
+        [{"name": "a", "preset": "zmod:2", "expected": {"delta": 5}}],
+        [{"name": "a", "preset": "zmod:2", "expected": {"jacobson": "full"}}],
+        [{"name": "a", "preset": "zmod:2", "expected": {"properties": [1]}}],
+        [{"name": "a", "preset": "zmod:2", "expected": {"properties": {"shiny": True}}}],
+        [{"name": "a", "preset": "zmod:2", "expected": {"properties": {"boolean": 1}}}],
     ],
     ids=["duplicate-name", "file-int", "name-list", "unknown-key", "preset-int",
-         "basis-int", "expected-list", "preset-and-file", "entry-list"],
+         "basis-int", "expected-list", "preset-and-file", "entry-list",
+         "expected-unknown-fact", "expected-order-string", "expected-delta-int",
+         "expected-jacobson-full", "expected-properties-list",
+         "expected-unknown-property", "expected-property-int"],
 )
 def test_verify_paper_rejects_malformed_manifest(tmp_path, capsys, entries):
     path = tmp_path / "cat.json"
@@ -465,6 +501,34 @@ def test_verify_paper_rejects_malformed_manifest(tmp_path, capsys, entries):
     assert code == 2
     assert stdout == ""
     assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
+def test_verify_paper_reports_each_expected_fact_mismatch(tmp_path, capsys):
+    """Wrong expected facts exit 1 with one stderr line each; stdout is the
+    one the same catalog gives without them."""
+    manifests = {}
+    for label, expected in (
+        ("plain", None),
+        ("right", {"order": 2, "delta": "full", "properties": {"boolean": True}}),
+        ("wrong", {"order": 3, "jacobson": [1], "properties": {"boolean": False}}),
+    ):
+        entry = {"name": "a", "preset": "zmod:2"}
+        if expected is not None:
+            entry["expected"] = expected
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps({"entries": [entry]}))
+        manifests[label] = run(capsys, "verify-paper", "--catalog", str(path))
+    plain_code, plain_stdout, _ = manifests["plain"]
+    assert plain_code == 0
+    assert manifests["right"] == (0, plain_stdout, "")
+    code, stdout, stderr = manifests["wrong"]
+    assert code == 1
+    assert stdout == plain_stdout
+    assert stderr.splitlines() == [
+        "expected fact mismatch: a: order: expected 3, computed 2",
+        "expected fact mismatch: a: jacobson: expected [1], computed [0]",
+        "expected fact mismatch: a: property boolean: expected False, computed True",
+    ]
 
 
 # sha256 of `ringlab verify-paper` stdout on the default catalog
@@ -508,6 +572,9 @@ GOLDEN_REPORT_SHA256 = {
     "quot:gen:2:tri:2:zmod:4": (
         "f308480397eedd21ffecf6c44cd67e7e6bb913b841948cea251020b6916a2006"
     ),
+    # order 256: the slowest rings of the report path
+    "mat:2:zmod:4": "225e25c65c19f3a3c5ab7bfd2d37a3aba6a14246f36865ac54d65d62e2dfe75f",
+    "cdtri:3:zmod:4": "6d5952dc15b5240730f788a8795bea0b20f5c0c848f399aa9db52a53631efaaf",
 }
 
 

@@ -28,6 +28,7 @@ from ringlab.core import (
     FiniteRing,
     IdealError,
     SizeCapError,
+    _subgroup_generators,
     build_constant_diagonal_triangular,
     build_corner,
     build_dorroh,
@@ -630,6 +631,7 @@ def _assert_agrees_with_brute_force(bad, context):
     brute = oracles.brute_verify_axioms(bad, math.inf)
     assert bool(fast) == bool(brute), context
     assert set(fast) <= set(brute), context
+    assert bool(oracles.generator_verify_axioms(bad)) == bool(brute), context
 
 
 def test_verify_axioms_matches_brute_force(catalog_rings):
@@ -649,6 +651,68 @@ def test_verify_axioms_matches_brute_force(catalog_rings):
                 bad = _coset_shift(ring, which, rng)
                 if bad is not None:
                     _assert_agrees_with_brute_force(bad, (name, which, "coset"))
+
+
+# Greedy generator counts 1 to 6 and mixed radix: each tree of the axiom
+# check has every shape of coset walk and wrap edge.
+TREE_RINGS = (
+    ("zmod:8", 1),
+    ("product:zmod:4,zmod:2", 2),
+    ("product:zmod:8,zmod:2", 2),
+    ("tri:2:zmod:2", 3),
+    ("tri:2:zmod:4", 3),
+    ("mat:2:zmod:2", 4),
+    ("product:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2", 5),
+    ("product:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2", 6),
+)
+
+
+@pytest.mark.parametrize(
+    "recipe,gens,relabel",
+    [(recipe, gens, False) for recipe, gens in TREE_RINGS]
+    + [("product:tri:2:zmod:2,zmod:2", None, True), ("tri:2:zmod:4", None, True)],
+)
+def test_tree_axiom_check_matches_oracles_on_corruptions(recipe, gens, relabel):
+    """1-3 wrong cells of either table, or a shifted coset block: the verdict
+    is the brute oracle's and the per-generator checker's, and every message
+    is one the brute oracle also gives."""
+    rng = random.Random(f"tree:{recipe}:{relabel}")
+    ring = build_preset(recipe)
+    if relabel:
+        ring = oracles.permuted_ring(ring, oracles.moving_permutation(ring, rng))
+        assert ring.zero != 0 and ring.one != 1
+    if gens is not None:
+        assert len(_subgroup_generators(ring, (1 << ring.order) - 1)) == gens
+    _assert_agrees_with_brute_force(ring, recipe)
+    assert verify_axioms(ring) == []
+    trials = 8 if ring.order < 64 else 3
+    for which in ("add", "mul"):
+        for count in (1, 2, 3):
+            for _ in range(trials):
+                bad = _cell_corruption(ring, which, count, rng)
+                _assert_agrees_with_brute_force(bad, (recipe, which, count))
+        for _ in range(trials):
+            bad = _coset_shift(ring, which, rng)
+            if bad is not None:
+                _assert_agrees_with_brute_force(bad, (recipe, which, "coset"))
+
+
+def test_tree_axiom_check_needs_the_wrap_edges():
+    """(R,+) = Z4 x Z2 has the greedy generators g1 = (0,1) of order 2 and
+    g2 = (1,0) of order 4.  Writing x = c1 g1 + c2 g2 in normal form, the
+    product of c2 + c1 t and d2 + d1 t with t^2 = 1 is additive along every
+    tree edge and associative on the generators, with unit g2.  Yet 2 g1 = 0
+    while 2 (g1 g1) = 2 g2 is not, and only the wrap edge g1 -> 2 g1 sees it."""
+    base = build_preset("product:zmod:4,zmod:2")  # index 2 c2 + c1
+
+    def product(x, y):
+        (c2, c1), (d2, d1) = divmod(x, 2), divmod(y, 2)
+        return 2 * ((c2 * d2 + c1 * d1) % 4) + (c1 * d2 + c2 * d1) % 2
+
+    mul = tuple(tuple(product(x, y) for y in range(8)) for x in range(8))
+    bad = FiniteRing(order=8, add=base.add, mul=mul, zero=0, one=2, name="bad")
+    assert "right distributivity fails at (1,1,1)" in verify_axioms(bad)
+    _assert_agrees_with_brute_force(bad, "wrap")
 
 
 def _bilinear_algebra(p, k, rng):

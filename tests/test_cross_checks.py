@@ -1,0 +1,142 @@
+"""The n^2 cross-checks, run as row operations, against the per-cell loops
+they replaced, and the report against relabelling.
+
+Each library check below reads whole rows of ``mul`` in C; its reference in
+``oracles`` walks the same definition one cell at a time.  They are compared
+on the 28-ring differential set (the catalog and ``NON_CATALOG_PRESETS``)
+and on more rings beyond it.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import oracles
+from ringlab.catalog import build_preset
+from ringlab.ideals import _ideal_core_bits, _principal_bits, all_right_ideals
+from ringlab.properties import PropertyName, element_property, ring_property
+from ringlab.radicals import commutant_bits, delta_r5, jacobson, qnil_set
+from ringlab.report import build_report
+from test_properties import NON_CATALOG_PRESETS
+
+# more additive shapes, Dorroh extensions and quotients; none is in the
+# default catalog
+DIFFERENTIAL_PRESETS = NON_CATALOG_PRESETS + [
+    "zmod:1",
+    "zmod:5",
+    "zmod:12",
+    "zmod:25",
+    "zmod:27",
+    "product:zmod:2,zmod:4",
+    "product:zmod:2,zmod:2,zmod:2",
+    "product:zmod:4,zmod:4",
+    "product:zmod:8,zmod:2",
+    "product:zmod:2,zmod:9",
+    "tri:2:zmod:4",
+    "tri:3:zmod:2",
+    "cdtri:3:zmod:3",
+    "cdtri:4:zmod:2",
+    "product:tri:2:zmod:2,zmod:3",
+    "product:mat:2:zmod:2,zmod:2",
+    "product:cdtri:2:zmod:2,zmod:3",
+    "product:cdtri:3:zmod:2,zmod:2",
+    "dorroh:zmod:3",
+    "dorroh:tri:2:zmod:2",
+    "quot:gen:2:tri:2:zmod:4",
+    "quot:delta:zmod:8",
+]
+
+ELEMENT_PROPERTIES = [p for p in PropertyName if p not in PropertyName.ring_only()]
+
+
+def _assert_cross_checks_match_per_cell_loops(ring):
+    n = ring.order
+    assert _principal_bits(ring) == oracles.percell_principal_bits(ring), ring.name
+    for a in range(n):
+        assert commutant_bits(ring, a) == oracles.percell_commutant_bits(ring, a), (
+            ring.name,
+            a,
+        )
+    # jacobson raises unless its two routes agree, so this pins route b
+    assert jacobson(ring).bits == oracles.percell_jacobson_route_b(ring), ring.name
+    assert qnil_set(ring).bits == oracles.percell_qnil_bits(ring), ring.name
+    assert delta_r5(ring).bits == oracles.percell_delta_r5(ring), ring.name
+    for ideal in all_right_ideals(ring):
+        assert _ideal_core_bits(ring, ideal.bits) == (
+            oracles.percell_ideal_core_bits(ring, ideal.bits)
+        ), (ring.name, ideal.indices())
+
+
+def _assert_ring_property_is_the_element_sweep(ring):
+    for prop in ELEMENT_PROPERTIES:
+        least = next(
+            (a for a in range(ring.order) if element_property(ring, a, prop) is None),
+            None,
+        )
+        assert ring_property(ring, prop) == (least is None, least), (ring.name, prop)
+
+
+@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
+def test_cross_checks_match_per_cell_loops(preset):
+    _assert_cross_checks_match_per_cell_loops(build_preset(preset))
+
+
+def test_cross_checks_match_per_cell_loops_on_catalog(catalog_rings):
+    for ring in catalog_rings.values():
+        _assert_cross_checks_match_per_cell_loops(ring)
+
+
+@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
+def test_ring_property_is_the_element_sweep(preset):
+    _assert_ring_property_is_the_element_sweep(build_preset(preset))
+
+
+def test_ring_property_is_the_element_sweep_on_catalog(catalog_rings):
+    for ring in catalog_rings.values():
+        _assert_ring_property_is_the_element_sweep(ring)
+
+
+def _permuted_report(report: dict, perm) -> dict:
+    """``report`` with element ``a`` renamed ``perm[a]`` throughout."""
+
+    def members(indices):
+        return sorted(perm[x] for x in indices)
+
+    spectral = [None] * len(perm)
+    for a, candidates in enumerate(report["delta_spectral"]):
+        spectral[perm[a]] = members(candidates)
+    return {
+        **report,
+        "zero": perm[report["zero"]],
+        "one": perm[report["one"]],
+        "sets": {key: members(value) for key, value in report["sets"].items()},
+        "delta": {
+            key: members(value) if isinstance(value, list) else value
+            for key, value in report["delta"].items()
+        },
+        "delta_spectral": spectral,
+    }
+
+
+@pytest.mark.parametrize(
+    "preset",
+    [
+        "zmod:4",
+        "zmod:12",
+        "tri:2:zmod:3",
+        "mat:2:zmod:2",
+        "cdtri:3:zmod:2",
+        "dorroh:zmod:4",
+        "product:zmod:3,zmod:4",
+        "product:tri:2:zmod:2,zmod:2",
+        "quot:gen:2:tri:2:zmod:4",
+    ],
+)
+def test_report_commutes_with_relabelling(preset):
+    """A random renaming of the elements that moves zero and one renames the
+    report and changes nothing else."""
+    ring = build_preset(preset)
+    perm = oracles.moving_permutation(ring, random.Random(f"relabel:{preset}"))
+    relabelled = oracles.permuted_ring(ring, perm)
+    assert build_report(relabelled) == _permuted_report(build_report(ring), perm)
