@@ -364,6 +364,81 @@ def test_check_element_certificate(z4_file, capsys):
     assert all(ok for _, ok in cert["checks"])
 
 
+_QP = ["p is idempotent", "p double-commutes with the element"]
+_CLEAN = ["e is idempotent", "u is a unit", "e + u equals the element"]
+_J_CLEAN = ["e is idempotent", "w lies in the Jacobson radical", "e + w equals the element"]
+_DELTA_CLEAN = ["e is idempotent", "w lies in delta", "e + w equals the element"]
+_UNIQUE = "the decomposition is unique"
+
+# (preset, element, property) -> (witnesses, check names, witness_count); the
+# element is T2(Z2)'s [[1,1],[0,1]] except where it fails the property
+CHECK_ELEMENT_PINS = {
+    ("tri:2:zmod:2", 7, "quasipolar"): (
+        {"p": 0},
+        _QP + ["element plus p is a unit", "element times p is quasinilpotent"],
+        None,
+    ),
+    ("tri:2:zmod:2", 7, "nil-quasipolar"): (
+        {"p": 5}, _QP + ["element plus p is nilpotent"], None,
+    ),
+    ("tri:2:zmod:2", 7, "j-quasipolar"): (
+        {"p": 5}, _QP + ["element plus p lies in the Jacobson radical"], None,
+    ),
+    ("tri:2:zmod:2", 7, "delta-quasipolar"): (
+        {"p": 5}, _QP + ["element plus p lies in delta"], None,
+    ),
+    ("tri:2:zmod:2", 7, "weakly-delta-quasipolar"): (
+        {"p": 5},
+        ["p is idempotent", "p commutes with the element", "element plus p lies in delta"],
+        None,
+    ),
+    ("tri:2:zmod:2", 7, "clean"): ({"e": 0, "u": 7}, _CLEAN, None),
+    ("tri:2:zmod:2", 7, "strongly-clean"): (
+        {"e": 0, "u": 7}, _CLEAN + ["e and u commute"], None,
+    ),
+    ("tri:2:zmod:2", 7, "uniquely-clean"): ({"e": 0, "u": 7}, _CLEAN + [_UNIQUE], 1),
+    ("tri:2:zmod:2", 7, "j-clean"): ({"e": 5, "w": 2}, _J_CLEAN, None),
+    ("tri:2:zmod:2", 7, "strongly-j-clean"): (
+        {"e": 5, "w": 2}, _J_CLEAN + ["e and w commute"], None,
+    ),
+    ("tri:2:zmod:2", 7, "delta-r-clean"): ({"e": 4, "w": 3}, _DELTA_CLEAN, None),
+    ("tri:2:zmod:2", 7, "strongly-delta-r-clean"): (
+        {"e": 5, "w": 2}, _DELTA_CLEAN + ["e and w commute"], None,
+    ),
+    # no element of T2(Z2) is uniquely delta-r-clean
+    ("tri:2:zmod:2", 7, "uniquely-delta-r-clean"): None,
+    ("zmod:4", 3, "uniquely-delta-r-clean"): ({"e": 1, "w": 2}, _DELTA_CLEAN + [_UNIQUE], 1),
+    ("tri:2:zmod:2", 7, "von-neumann-regular"): ({"b": 7}, ["a b a equals a"], None),
+    ("tri:2:zmod:2", 7, "strongly-regular"): ({"b": 7}, ["a a b equals a"], None),
+    ("tri:2:zmod:2", 7, "strongly-pi-regular"): (
+        {"n": 1, "x": 7}, ["the exponent is at least 1", "a^n equals a^(n+1) x"], None,
+    ),
+    ("tri:2:zmod:2", 7, "exchange"): (
+        {"e": 5, "r": 7, "s": 0},
+        ["e is idempotent", "a r equals e", "(1 - a) s equals 1 - e"],
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("key", CHECK_ELEMENT_PINS, ids=lambda key: "{}:{}:{}".format(*key))
+def test_check_element_payload_is_pinned(tmp_path, capsys, key):
+    preset, element, prop = key
+    path = tmp_path / "ring.json"
+    assert main(["build", preset, "-o", str(path)]) == 0
+    capsys.readouterr()
+    code, stdout, _ = run(capsys, "check", str(path), prop, "--element", str(element))
+    expected = {"holds": False, "element": element, "property": prop}
+    if CHECK_ELEMENT_PINS[key] is not None:
+        witnesses, names, count = CHECK_ELEMENT_PINS[key]
+        expected.update(
+            holds=True, witnesses=witnesses, checks=[[name, True] for name in names]
+        )
+        if count is not None:
+            expected["witness_count"] = count
+    assert (code, json.loads(stdout)) == (0 if expected["holds"] else 1, expected)
+
+
 def test_check_element_refutation(z4_file, capsys):
     code, stdout, _ = run(
         capsys, "check", str(z4_file), "von-neumann-regular", "--element", "2"
