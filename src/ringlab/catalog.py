@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from ringlab.core import (
     DorrohData,
     FiniteRing,
     RinglabError,
+    _unique_fields,
     build_constant_diagonal_triangular,
     build_dorroh,
     build_matrix_ring,
@@ -433,7 +435,9 @@ def load_catalog_manifest(path: str | Path) -> list[CatalogEntry]:
     an error.  File paths are resolved relative to the manifest location.
     """
     path = Path(path)
-    obj = json.loads(path.read_text())
+    obj = json.loads(
+        path.read_text(), object_pairs_hook=partial(_unique_fields, what="catalog manifest")
+    )
     if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
         raise ValueError("catalog manifest must be an object with an 'entries' list")
     entries: list[CatalogEntry] = []

@@ -18,15 +18,17 @@ from ringlab.core import (
     build_product,
     build_quotient,
     element_sets,
+    flags_from_mask,
     is_zmod2,
+    mask_from_flags,
     units_map,
 )
 from ringlab.ideals import socle, two_sided_ideals
 from ringlab.radicals import DeltaDisagreement, delta, delta_mask, jacobson, qnil_set
 from ringlab.properties import (
     PropertyName,
+    _coerce,
     center,
-    element_property,
     idempotents_lift,
     property_mask,
     ring_property,
@@ -77,8 +79,28 @@ class TheoremResult:
 # helpers
 
 
-def _holds(ring: FiniteRing, prop: PropertyName) -> bool:
-    return ring_property(ring, prop)[0]
+def _holds(ring: FiniteRing, prop) -> bool:
+    """Whether the ring has ``prop``: a property name or a predicate on rings."""
+    return prop(ring) if callable(prop) else ring_property(ring, prop)[0]
+
+
+def _mask(ring: FiniteRing, prop: PropertyName) -> int:
+    """The elements with ``prop``: every element or none for a ring-only one."""
+    if prop in PropertyName.ring_only():
+        return (1 << ring.order) - 1 if _holds(ring, prop) else 0
+    return property_mask(ring, prop).bits
+
+
+def _first_disagreement(
+    hyp: int, concl: int, image: Sequence[int] | None = None, iff: bool = False
+) -> int | None:
+    """The least ``a`` in the mask ``hyp`` whose image ``image[a]`` is not in
+    the mask ``concl``; with ``iff``, the least ``a`` where the two differ."""
+    if image is not None:
+        flags = flags_from_mask(concl).ljust(len(image), b"\0")
+        concl = mask_from_flags(bytes(map(flags.__getitem__, image)))
+    bad = hyp ^ concl if iff else hyp & ~concl
+    return (bad & -bad).bit_length() - 1 if bad else None
 
 
 def _witness(ring_name: str, element: int | None = None, detail: str = "") -> dict:
@@ -102,63 +124,16 @@ def _check_five_characterizations(ctx: SuiteContext) -> list[dict]:
     return out
 
 
-def _check_semisimple_or_boolean(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if _holds(ring, PropertyName.SEMISIMPLE) or _holds(ring, PropertyName.BOOLEAN):
-            holds, witness = ring_property(ring, PropertyName.DELTA_QUASIPOLAR)
-            if not holds:
-                out.append(_witness(name, witness))
-    return out
-
-
-def _check_j_implies_delta(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        for a in range(ring.order):
-            if element_property(ring, a, PropertyName.J_QUASIPOLAR) is not None:
-                if element_property(ring, a, PropertyName.DELTA_QUASIPOLAR) is None:
-                    out.append(_witness(name, a))
-                    break
-    return out
-
-
-def _check_socle_in_radical_converse(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if socle(ring).is_subset(jacobson(ring)) and _holds(
-            ring, PropertyName.DELTA_QUASIPOLAR
-        ):
-            holds, witness = ring_property(ring, PropertyName.J_QUASIPOLAR)
-            if not holds:
-                out.append(_witness(name, witness))
-    return out
-
-
 def _check_conjugation_invariance(ctx: SuiteContext) -> list[dict]:
     out = []
     for name, ring in ctx.items():
-        mask = property_mask(ring, PropertyName.DELTA_QUASIPOLAR)
+        mask = _mask(ring, PropertyName.DELTA_QUASIPOLAR)
+        mul = ring.mul
         for u, u_inv in units_map(ring).items():
-            for a in range(ring.order):
-                conjugate = ring.mul[ring.mul[u_inv][a]][u]
-                if (a in mask) != (conjugate in mask):
-                    out.append(_witness(name, a, detail=f"conjugating unit {u}"))
-                    break
-            else:
-                continue
-            break
-    return out
-
-
-def _check_shift_invariance(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        mask = property_mask(ring, PropertyName.DELTA_QUASIPOLAR)
-        for a in range(ring.order):
-            mirrored = ring.neg(ring.add[ring.one][a])
-            if (a in mask) != (mirrored in mask):
-                out.append(_witness(name, a))
+            conjugates = [mul[x][u] for x in mul[u_inv]]
+            a = _first_disagreement(mask, mask, conjugates, iff=True)
+            if a is not None:
+                out.append(_witness(name, a, detail=f"conjugating unit {u}"))
                 break
     return out
 
@@ -187,9 +162,10 @@ def _check_two_in_delta(ctx: SuiteContext) -> list[dict]:
     return out
 
 
-def _implies(*hypotheses: PropertyName, conclusion: PropertyName) -> Checker:
-    """Every ring with all ``hypotheses`` has ``conclusion``; a failure is
-    witnessed by the least element failing the conclusion."""
+def _implies(*hypotheses, conclusion: PropertyName) -> Checker:
+    """Every ring with all ``hypotheses`` (property names or predicates on
+    rings) has ``conclusion``; a failure is witnessed by the least element
+    failing the conclusion."""
 
     def check(ctx: SuiteContext) -> list[dict]:
         out = []
@@ -198,6 +174,45 @@ def _implies(*hypotheses: PropertyName, conclusion: PropertyName) -> Checker:
                 holds, witness = ring_property(ring, conclusion)
                 if not holds:
                     out.append(_witness(name, witness))
+        return out
+
+    return check
+
+
+def _elementwise(hyp: PropertyName, concl: PropertyName, image=None, iff=False) -> Checker:
+    """Every element ``a`` with ``hyp`` has ``concl`` at ``image(ring)[a]``,
+    where ``image`` maps a ring to a table of its elements (at ``a`` itself
+    by default); with ``iff`` the two agree.  A failure is witnessed by the
+    least element where they do not."""
+
+    def check(ctx: SuiteContext) -> list[dict]:
+        out = []
+        for name, ring in ctx.items():
+            a = _first_disagreement(
+                _mask(ring, hyp), _mask(ring, concl), image and image(ring), iff
+            )
+            if a is not None:
+                out.append(_witness(name, a))
+        return out
+
+    return check
+
+
+def _transfer(prop: PropertyName, images: Callable) -> Checker:
+    """Every ring with ``prop`` passes it to each ``(image, what)`` that
+    ``images(ring)`` yields; a failure is witnessed by the least element
+    failing it in the first image that fails."""
+
+    def check(ctx: SuiteContext) -> list[dict]:
+        out = []
+        for name, ring in ctx.items():
+            if not _holds(ring, prop):
+                continue
+            for image, what in images(ring):
+                holds, witness = ring_property(image, prop)
+                if not holds:
+                    out.append(_witness(name, witness, detail=f"{what} fails"))
+                    break
         return out
 
     return check
@@ -334,56 +349,6 @@ def _check_dorroh_transfer(ctx: SuiteContext) -> list[dict]:
     return out
 
 
-def _check_delta_implies_weakly(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        strict = property_mask(ring, PropertyName.DELTA_QUASIPOLAR)
-        weak = property_mask(ring, PropertyName.WEAKLY_DELTA_QUASIPOLAR)
-        if strict.bits & ~weak.bits:
-            bad = next(a for a in strict.indices() if a not in weak)
-            out.append(_witness(name, bad))
-    return out
-
-
-def _check_weakly_surjective_images(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if not _holds(ring, PropertyName.WEAKLY_DELTA_QUASIPOLAR):
-            continue
-        for ideal in two_sided_ideals(ring):
-            quotient, _ = build_quotient(ring, ideal)
-            holds, witness = ring_property(
-                quotient, PropertyName.WEAKLY_DELTA_QUASIPOLAR
-            )
-            if not holds:
-                out.append(
-                    _witness(
-                        name,
-                        witness,
-                        detail=f"image modulo {list(ideal.indices())} fails",
-                    )
-                )
-                break
-    return out
-
-
-def _check_weakly_corners(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if not _holds(ring, PropertyName.WEAKLY_DELTA_QUASIPOLAR):
-            continue
-        central_idempotents = element_sets(ring)[1] & center(ring)
-        for e in central_idempotents.indices():
-            corner = build_corner(ring, e)
-            holds, witness = ring_property(corner, PropertyName.WEAKLY_DELTA_QUASIPOLAR)
-            if not holds:
-                out.append(
-                    _witness(name, witness, detail=f"corner at idempotent {e} fails")
-                )
-                break
-    return out
-
-
 def _check_weakly_finite_products(ctx: SuiteContext) -> list[dict]:
     out = []
     pairs = list(ctx.items())
@@ -405,20 +370,6 @@ def _check_weakly_finite_products(ctx: SuiteContext) -> list[dict]:
                         detail=f"product weakly {product_weak}, factors weakly {factors_weak}",
                     )
                 )
-    return out
-
-
-def _check_weakly_equals_strongly_delta_r(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        for a in range(ring.order):
-            weak = element_property(ring, a, PropertyName.WEAKLY_DELTA_QUASIPOLAR)
-            strong = element_property(
-                ring, ring.neg(a), PropertyName.STRONGLY_DELTA_R_CLEAN
-            )
-            if (weak is None) != (strong is None):
-                out.append(_witness(name, a))
-                break
     return out
 
 
@@ -461,12 +412,16 @@ def registry() -> list[Claim]:
         Claim(
             id="semisimple-or-boolean-is-delta-quasipolar",
             summary="Semisimple rings and boolean rings are delta-quasipolar.",
-            check=_check_semisimple_or_boolean,
+            check=_implies(
+                lambda ring: _holds(ring, PropertyName.SEMISIMPLE)
+                or _holds(ring, PropertyName.BOOLEAN),
+                conclusion=PropertyName.DELTA_QUASIPOLAR,
+            ),
         ),
         Claim(
             id="j-quasipolar-implies-delta-quasipolar",
             summary="Every j-quasipolar element is delta-quasipolar.",
-            check=_check_j_implies_delta,
+            check=_elementwise(PropertyName.J_QUASIPOLAR, PropertyName.DELTA_QUASIPOLAR),
         ),
         Claim(
             id="delta-quasipolar-with-socle-in-radical-is-j-quasipolar",
@@ -474,7 +429,11 @@ def registry() -> list[Claim]:
                 "When the socle lies in the radical, delta-quasipolar rings "
                 "are j-quasipolar."
             ),
-            check=_check_socle_in_radical_converse,
+            check=_implies(
+                lambda ring: socle(ring).is_subset(jacobson(ring)),
+                PropertyName.DELTA_QUASIPOLAR,
+                conclusion=PropertyName.J_QUASIPOLAR,
+            ),
         ),
         Claim(
             id="conjugation-preserves-delta-quasipolar",
@@ -484,7 +443,12 @@ def registry() -> list[Claim]:
         Claim(
             id="minus-one-shift-preserves-delta-quasipolar",
             summary="An element a is delta-quasipolar iff -1-a is.",
-            check=_check_shift_invariance,
+            check=_elementwise(
+                PropertyName.DELTA_QUASIPOLAR,
+                PropertyName.DELTA_QUASIPOLAR,
+                image=lambda ring: [ring.neg(x) for x in ring.add[ring.one]],  # -1 - a
+                iff=True,
+            ),
         ),
         Claim(
             id="unit-spectral-idempotent-is-identity",
@@ -632,7 +596,9 @@ def registry() -> list[Claim]:
         Claim(
             id="delta-quasipolar-implies-weakly",
             summary="Delta-quasipolar elements are weakly delta-quasipolar.",
-            check=_check_delta_implies_weakly,
+            check=_elementwise(
+                PropertyName.DELTA_QUASIPOLAR, PropertyName.WEAKLY_DELTA_QUASIPOLAR
+            ),
         ),
         Claim(
             id="strongly-j-clean-implies-weakly-delta-quasipolar",
@@ -647,7 +613,13 @@ def registry() -> list[Claim]:
                 "Every quotient of a weakly delta-quasipolar ring by a "
                 "two-sided ideal is weakly delta-quasipolar."
             ),
-            check=_check_weakly_surjective_images,
+            check=_transfer(
+                PropertyName.WEAKLY_DELTA_QUASIPOLAR,
+                lambda ring: (
+                    (build_quotient(ring, ideal)[0], f"image modulo {list(ideal.indices())}")
+                    for ideal in two_sided_ideals(ring)
+                ),
+            ),
         ),
         Claim(
             id="weakly-delta-quasipolar-corner-rings",
@@ -655,7 +627,13 @@ def registry() -> list[Claim]:
                 "Every corner of a weakly delta-quasipolar ring at a central "
                 "idempotent is weakly delta-quasipolar."
             ),
-            check=_check_weakly_corners,
+            check=_transfer(
+                PropertyName.WEAKLY_DELTA_QUASIPOLAR,
+                lambda ring: (
+                    (build_corner(ring, e), f"corner at idempotent {e}")
+                    for e in (element_sets(ring)[1] & center(ring)).indices()
+                ),
+            ),
         ),
         Claim(
             id="weakly-delta-quasipolar-finite-products",
@@ -672,7 +650,12 @@ def registry() -> list[Claim]:
                 "An element a is weakly delta-quasipolar iff -a is strongly "
                 "delta-r-clean."
             ),
-            check=_check_weakly_equals_strongly_delta_r,
+            check=_elementwise(
+                PropertyName.WEAKLY_DELTA_QUASIPOLAR,
+                PropertyName.STRONGLY_DELTA_R_CLEAN,
+                image=lambda ring: ring._neg_table(),
+                iff=True,
+            ),
         ),
         Claim(
             id="local-ring-five-equivalences",
@@ -792,29 +775,22 @@ def search_counterexample(
 ) -> dict | None:
     """First catalog element satisfying all hypotheses but not the conclusion.
 
-    Ring-only properties are evaluated once per ring; element-level
-    properties are evaluated per element.  Returns ``{"ring", "element"}`` or
-    ``None`` when the implication survives the whole catalog.
+    Each property is read as a mask of elements, and a ring-only property
+    holds at every element of a ring or at none.  Returns ``{"ring",
+    "element"}`` or ``None`` when the implication survives the whole catalog.
     """
-    from ringlab.properties import _coerce
-
     hyp_props = [_coerce(p) for p in hypotheses]
     concl_prop = _coerce(conclusion)
-    ring_only = PropertyName.ring_only()
     built = dict(rings) if rings else {}
-
-    def satisfied(ring: FiniteRing, prop: PropertyName, a: int) -> bool:
-        if prop in ring_only:
-            return ring_property(ring, prop)[0]
-        return element_property(ring, a, prop) is not None
-
     for entry in entries:
         if entry.name not in built:
             built[entry.name] = build_entry(entry)
         ring = built[entry.name]
-        for a in range(ring.order):
-            if all(satisfied(ring, p, a) for p in hyp_props) and not satisfied(
-                ring, concl_prop, a
-            ):
-                return {"ring": entry.name, "element": a}
+        # once no element is left, decide no further property on this ring
+        hyp = (1 << ring.order) - 1
+        for prop in hyp_props:
+            hyp &= _mask(ring, prop) if hyp else 0
+        a = _first_disagreement(hyp, _mask(ring, concl_prop)) if hyp else None
+        if a is not None:
+            return {"ring": entry.name, "element": a}
     return None

@@ -11,6 +11,7 @@ import argparse
 import ctypes
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from ringlab.catalog import (
@@ -24,6 +25,7 @@ from ringlab.core import (
     DorrohData,
     FiniteRing,
     RinglabError,
+    _unique_fields,
     build_dorroh,
     load_ring,
     renamed,
@@ -104,7 +106,9 @@ def _cmd_build(args) -> int:
     source = args.source
     path = Path(source)
     if path.exists():
-        obj = json.loads(path.read_text())
+        obj = json.loads(
+            path.read_text(), object_pairs_hook=partial(_unique_fields, what="ring spec")
+        )
         ring = _ring_from_spec_obj(obj)
     else:
         ring = build_preset(source)

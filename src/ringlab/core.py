@@ -13,7 +13,7 @@ import math
 import os
 from dataclasses import dataclass, field
 from itertools import chain, product
-from operator import itemgetter
+from operator import eq, getitem, itemgetter
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -756,17 +756,14 @@ def element_sets(ring: FiniteRing) -> tuple[ElementSet, ElementSet, ElementSet]:
         units = 0
         for a in units_map(ring):
             units |= 1 << a
-        idem = 0
-        nil = 0
-        for a in range(n):
-            if mul[a][a] == a:
-                idem |= 1 << a
-            x = a
-            for _ in range(n):
-                if x == ring.zero:
-                    nil |= 1 << a
-                    break
-                x = mul[x][a]
+        square = list(map(getitem, mul, range(n)))
+        idem = mask_from_flags(bytes(map(eq, square, range(n))))
+        # a nilpotent's nonzero powers are distinct, so a^n = 0; squaring
+        # t = bit_length(n - 1) times gives a^(2^t), and 2^t >= n
+        power = square
+        for _ in range((n - 1).bit_length() - 1):
+            power = list(map(square.__getitem__, power))
+        nil = mask_from_flags(bytes(map(ring.zero.__eq__, power)))
         return (
             ElementSet(units, n),
             ElementSet(idem, n),
@@ -780,13 +777,18 @@ def units_map(ring: FiniteRing) -> dict[int, int]:
     """Each unit mapped to its two-sided inverse."""
 
     def compute():
-        n, mul, one = ring.order, ring.mul, ring.one
+        mul, one = ring.mul, ring.one
         out = {}
-        for a in range(n):
-            for b in range(n):
-                if mul[a][b] == one and mul[b][a] == one:
-                    out[a] = b
-                    break
+        for a, row in enumerate(mul):
+            b = -1
+            try:
+                while True:
+                    b = row.index(one, b + 1)
+                    if mul[b][a] == one:
+                        out[a] = b
+                        break
+            except ValueError:  # no b left with a b = 1
+                pass
         return out
 
     return cached_on(ring, "units_map", compute)
@@ -911,8 +913,9 @@ def save_ring(ring: FiniteRing, path: str | Path) -> None:
         out.write("\n}\n")
 
 
-def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
-    """A JSON object's fields as a dict; a repeated field is an error.
+def _unique_fields(pairs: list[tuple[str, object]], what: str = "ring data") -> dict:
+    """A JSON object's fields as a dict; a repeated field is an error that
+    names ``what`` the file holds.
 
     The tables are arrays, so this runs once per object in a ring file and
     never per row.
@@ -921,7 +924,7 @@ def _unique_fields(pairs: list[tuple[str, object]]) -> dict:
     if len(obj) < len(pairs):
         keys = [key for key, _ in pairs]
         repeated = next(key for key in keys if keys.count(key) > 1)
-        raise ValueError(f"ring data repeats field {repeated!r}")
+        raise ValueError(f"{what} repeats field {repeated!r}")
     return obj
 
 

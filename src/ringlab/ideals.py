@@ -66,19 +66,28 @@ def _span_bits(ring: FiniteRing, b1: int, b2: int) -> int:
     return out
 
 
+def _maps_into(bits: int, rows) -> bool:
+    """Whether each table row maps every member of the mask into the mask."""
+    members = bit_members(bits)
+    inside = set(members)
+    return all(inside.issuperset(map(row.__getitem__, members)) for row in rows)
+
+
 def _is_right_ideal_bits(ring: FiniteRing, bits: int) -> bool:
+    """Whether the mask is a right ideal, tested on its greedy generators.
+
+    The generators lie in the mask and generate a subgroup that contains it.
+    A mask holding zero that each generator translates into itself contains
+    that subgroup too, so it is the subgroup.  Then ``x r`` is a sum of the
+    ``g r``, and right closure needs testing on the generators only.
+    """
     if not (bits >> ring.zero) & 1:
         return False
     pb = _principal_bits(ring)
-    members = bit_members(bits)
-    for a in members:
-        row_add = ring.add[a]
-        for b in members:
-            if not (bits >> row_add[b]) & 1:
-                return False
-        if pb[a] & ~bits:
-            return False
-    return True
+    gens = _subgroup_generators(ring, bits)
+    return not any(pb[g] & ~bits for g in gens) and _maps_into(
+        bits, (ring.add[g] for g in gens)
+    )
 
 
 def _require_right_ideal(ring: FiniteRing, subset: ElementSet) -> int:
@@ -112,13 +121,7 @@ def _is_left_closed_bits(ring: FiniteRing, bits: int) -> bool:
     enough to multiply by the additive generators of the ring.
     """
     gens = _subgroup_generators(ring, (1 << ring.order) - 1)
-    members = bit_members(bits)
-    for g in gens:
-        row = ring.mul[g]
-        for x in members:
-            if not (bits >> row[x]) & 1:
-                return False
-    return True
+    return _maps_into(bits, (ring.mul[g] for g in gens))
 
 
 # --------------------------------------------------------------------------

@@ -22,8 +22,7 @@ from ringlab.core import (
     build_quotient,
     cached_on,
     element_sets,
-    is_zmod2,
-    units_map,
+    mask_from_flags,
 )
 from ringlab.ideals import (
     _principal_bits,
@@ -148,11 +147,24 @@ _CENTRALISERS = {
 }
 
 _TARGETS = {
-    "units": lambda ring: element_sets(ring)[0].bits,
-    "nil": lambda ring: element_sets(ring)[2].bits,
-    "j": lambda ring: jacobson(ring).bits,
-    "delta": lambda ring: delta_mask(ring).bits,
+    "units": lambda ring: element_sets(ring)[0],
+    "nil": lambda ring: element_sets(ring)[2],
+    "j": jacobson,
+    "delta": delta_mask,
 }
+
+# how a certificate check names each centraliser and target of a spec
+_PHRASES = {
+    "comm": "commutes with the element",
+    "dcomm": "double-commutes with the element",
+    "units": "is a unit",
+    "nil": "is nilpotent",
+    "j": "lies in the Jacobson radical",
+    "delta": "lies in delta",
+}
+
+# the witness name of a - e in a clean decomposition a = e + (a - e)
+_DIFFERENCE = {"units": "u", "j": "w", "delta": "w"}
 
 _COMPANION_SPECS = {
     PropertyName.QUASIPOLAR: ("dcomm", +1, "units"),
@@ -177,7 +189,7 @@ def _companions(ring: FiniteRing, a: int, prop: PropertyName):
     """Yield each idempotent companion of ``a`` for ``prop`` in ascending order."""
     centraliser, sign, target = _COMPANION_SPECS[prop]
     candidates = element_sets(ring)[1].bits & _CENTRALISERS[centraliser](ring, a)
-    goal = _TARGETS[target](ring)
+    goal = _TARGETS[target](ring).bits
     # quasipolar also needs ap quasinilpotent; -1 has every bit set
     qnil = qnil_set(ring).bits if prop is PropertyName.QUASIPOLAR else -1
     add_a, mul_a = ring.add[a], ring.mul[a]
@@ -190,13 +202,6 @@ def _companions(ring: FiniteRing, a: int, prop: PropertyName):
         shifted = add_a[p] if sign > 0 else add_a[neg[p]]
         if (goal >> shifted) & 1 and (qnil >> mul_a[p]) & 1:
             yield p
-
-
-def _companion_witnesses(ring: FiniteRing, a: int, prop: PropertyName, p: int) -> dict:
-    _, sign, target = _COMPANION_SPECS[prop]
-    if sign > 0:
-        return {"p": p}
-    return {"e": p, "u" if target == "units" else "w": ring.sub(a, p)}
 
 
 # --------------------------------------------------------------------------
@@ -258,106 +263,61 @@ _FINDERS = {
 def _certificate_checks(
     ring: FiniteRing, prop: PropertyName, a: int, witnesses: dict
 ) -> tuple[tuple[str, bool], ...]:
-    units, idempotents, nilpotents = element_sets(ring)
-    checks: list[tuple[str, bool]] = []
-
-    def idempotent_check(name: str, value: int):
-        checks.append((f"{name} is idempotent", value in idempotents))
-
-    def unique_check(target: ElementSet):
-        count = sum(ring.sub(a, f) in target for f in idempotents.indices())
-        checks.append(("the decomposition is unique", count == 1))
-
-    if prop in (
-        PropertyName.QUASIPOLAR,
-        PropertyName.NIL_QUASIPOLAR,
-        PropertyName.J_QUASIPOLAR,
-        PropertyName.DELTA_QUASIPOLAR,
-        PropertyName.WEAKLY_DELTA_QUASIPOLAR,
-    ):
-        p = witnesses["p"]
-        idempotent_check("p", p)
-        if prop is PropertyName.WEAKLY_DELTA_QUASIPOLAR:
-            checks.append(("p commutes with the element", p in commutant(ring, a)))
-        else:
-            checks.append(
-                ("p double-commutes with the element", p in double_commutant(ring, a))
-            )
-        shifted = ring.add[a][p]
-        if prop is PropertyName.QUASIPOLAR:
-            checks.append(("element plus p is a unit", shifted in units))
-            checks.append(
-                ("element times p is quasinilpotent", ring.mul[a][p] in qnil_set(ring))
-            )
-        elif prop is PropertyName.NIL_QUASIPOLAR:
-            checks.append(("element plus p is nilpotent", shifted in nilpotents))
-        elif prop is PropertyName.J_QUASIPOLAR:
-            checks.append(
-                ("element plus p lies in the Jacobson radical", shifted in jacobson(ring))
-            )
-        else:
-            checks.append(("element plus p lies in delta", shifted in delta_mask(ring)))
-    elif prop in (
-        PropertyName.CLEAN,
-        PropertyName.STRONGLY_CLEAN,
-        PropertyName.UNIQUELY_CLEAN,
-    ):
-        e, u = witnesses["e"], witnesses["u"]
-        idempotent_check("e", e)
-        checks.append(("u is a unit", u in units))
-        checks.append(("e + u equals the element", ring.add[e][u] == a))
-        if prop is PropertyName.STRONGLY_CLEAN:
-            checks.append(("e and u commute", ring.mul[e][u] == ring.mul[u][e]))
-        if prop is PropertyName.UNIQUELY_CLEAN:
-            unique_check(units)
-    elif prop in (
-        PropertyName.J_CLEAN,
-        PropertyName.STRONGLY_J_CLEAN,
-        PropertyName.DELTA_R_CLEAN,
-        PropertyName.STRONGLY_DELTA_R_CLEAN,
-        PropertyName.UNIQUELY_DELTA_R_CLEAN,
-    ):
-        e, w = witnesses["e"], witnesses["w"]
-        idempotent_check("e", e)
-        if prop in (PropertyName.J_CLEAN, PropertyName.STRONGLY_J_CLEAN):
-            checks.append(("w lies in the Jacobson radical", w in jacobson(ring)))
-        else:
-            checks.append(("w lies in delta", w in delta_mask(ring)))
-        checks.append(("e + w equals the element", ring.add[e][w] == a))
-        if prop in (PropertyName.STRONGLY_J_CLEAN, PropertyName.STRONGLY_DELTA_R_CLEAN):
-            checks.append(("e and w commute", ring.mul[e][w] == ring.mul[w][e]))
-        if prop is PropertyName.UNIQUELY_DELTA_R_CLEAN:
-            unique_check(delta_mask(ring))
-    elif prop is PropertyName.VON_NEUMANN_REGULAR:
-        b = witnesses["b"]
-        checks.append(("a b a equals a", ring.mul[ring.mul[a][b]][a] == a))
-    elif prop is PropertyName.STRONGLY_REGULAR:
-        b = witnesses["b"]
-        checks.append(("a a b equals a", ring.mul[ring.mul[a][a]][b] == a))
-    elif prop is PropertyName.STRONGLY_PI_REGULAR:
+    """Re-check named witnesses from scratch; a companion property's checks
+    are read off its (centraliser, sign, target) spec."""
+    mul = ring.mul
+    if prop in _COMPANION_SPECS:
+        centraliser, sign, target = _COMPANION_SPECS[prop]
+        goal, phrase = _TARGETS[target](ring), _PHRASES[target]
+        idempotents = element_sets(ring)[1]
+        if sign > 0:
+            p = witnesses["p"]
+            centre = ElementSet(_CENTRALISERS[centraliser](ring, a), ring.order)
+            checks = [
+                ("p is idempotent", p in idempotents),
+                (f"p {_PHRASES[centraliser]}", p in centre),
+                (f"element plus p {phrase}", ring.add[a][p] in goal),
+            ]
+            if prop is PropertyName.QUASIPOLAR:
+                checks.append(
+                    ("element times p is quasinilpotent", mul[a][p] in qnil_set(ring))
+                )
+            return tuple(checks)
+        x = _DIFFERENCE[target]
+        e, w = witnesses["e"], witnesses[x]
+        checks = [
+            ("e is idempotent", e in idempotents),
+            (f"{x} {phrase}", w in goal),
+            (f"e + {x} equals the element", ring.add[e][w] == a),
+        ]
+        if centraliser == "comm":
+            checks.append((f"e and {x} commute", mul[e][w] == mul[w][e]))
+        if prop in _UNIQUE:
+            count = sum(ring.sub(a, f) in goal for f in idempotents.indices())
+            checks.append(("the decomposition is unique", count == 1))
+        return tuple(checks)
+    if prop is PropertyName.VON_NEUMANN_REGULAR:
+        return (("a b a equals a", mul[mul[a][witnesses["b"]]][a] == a),)
+    if prop is PropertyName.STRONGLY_REGULAR:
+        return (("a a b equals a", mul[mul[a][a]][witnesses["b"]] == a),)
+    if prop is PropertyName.STRONGLY_PI_REGULAR:
         n, x = witnesses["n"], witnesses["x"]
-        mul = ring.mul
-        checks.append(("the exponent is at least 1", n >= 1))
+        checks = [("the exponent is at least 1", n >= 1)]
         if n >= 1:
             power = a
             for _ in range(n - 1):
                 power = mul[power][a]
-            checks.append(
-                ("a^n equals a^(n+1) x", mul[mul[power][a]][x] == power)
-            )
-    elif prop is PropertyName.EXCHANGE:
+            checks.append(("a^n equals a^(n+1) x", mul[mul[power][a]][x] == power))
+        return tuple(checks)
+    if prop is PropertyName.EXCHANGE:
         e, r, s = witnesses["e"], witnesses["r"], witnesses["s"]
-        idempotent_check("e", e)
-        checks.append(("a r equals e", ring.mul[a][r] == e))
-        checks.append(
-            (
-                "(1 - a) s equals 1 - e",
-                ring.mul[ring.sub(ring.one, a)][s] == ring.sub(ring.one, e),
-            )
+        one = ring.one
+        return (
+            ("e is idempotent", e in element_sets(ring)[1]),
+            ("a r equals e", mul[a][r] == e),
+            ("(1 - a) s equals 1 - e", mul[ring.sub(one, a)][s] == ring.sub(one, e)),
         )
-    else:
-        raise ValueError(f"property {prop.value} has no element certificates")
-    return tuple(checks)
+    raise ValueError(f"property {prop.value} has no element certificates")
 
 
 # --------------------------------------------------------------------------
@@ -371,7 +331,9 @@ def _search(ring: FiniteRing, a: int, prop: PropertyName) -> dict | None:
         found = tuple(islice(_companions(ring, a, prop), 1 + (prop in _UNIQUE)))
         if len(found) != 1:
             return None
-        return _companion_witnesses(ring, a, prop, found[0])
+        _, sign, target = _COMPANION_SPECS[prop]
+        p = found[0]
+        return {"p": p} if sign > 0 else {"e": p, _DIFFERENCE[target]: ring.sub(a, p)}
     return _FINDERS[prop](ring, a)
 
 
@@ -422,11 +384,8 @@ def property_mask(ring: FiniteRing, prop) -> ElementSet:
         raise ValueError(f"property {prop.value} has no element mask")
     memo = cached_on(ring, "property_mask", dict)
     if prop not in memo:
-        bits = 0
-        for a in range(ring.order):
-            if element_property(ring, a, prop) is not None:
-                bits |= 1 << a
-        memo[prop] = ElementSet(bits, ring.order)
+        found = (_search(ring, a, prop) is not None for a in range(ring.order))
+        memo[prop] = ElementSet(mask_from_flags(bytes(found)), ring.order)
     return memo[prop]
 
 

@@ -3,9 +3,9 @@
 Everything here is deliberately naive: straight subset scans and definition
 chasing.  Nothing is shared with the library's lattice or consensus
 machinery, so agreement between the two is meaningful evidence.  The
-reference finders and the per-cell checks at the end are the exceptions:
-they read the library's target sets, idempotents and lattice and compute
-the way the library used to.
+reference finders, the per-cell checks and the claim checkers at the end
+are the exceptions: they read the library's target sets, idempotents and
+lattice and compute the way the library used to.
 """
 from __future__ import annotations
 
@@ -14,6 +14,8 @@ import math
 from operator import itemgetter
 from typing import Sequence
 
+from ringlab.catalog import CatalogEntry, build_entry
+from ringlab.claims import SuiteContext, _holds, _witness
 from ringlab.core import (
     BimoduleError,
     ElementSet,
@@ -21,12 +23,22 @@ from ringlab.core import (
     _matrix_label,
     _subgroup_generators,
     bit_members,
+    build_corner,
+    build_quotient,
     check_size,
     element_sets,
     ring_to_json,
+    units_map,
 )
-from ringlab.ideals import all_right_ideals, socle
-from ringlab.properties import commutant
+from ringlab.ideals import all_right_ideals, socle, two_sided_ideals
+from ringlab.properties import (
+    PropertyName,
+    center,
+    commutant,
+    double_commutant,
+    element_property,
+    ring_property,
+)
 from ringlab.radicals import commutant_bits, delta_mask, jacobson, qnil_set
 
 
@@ -299,6 +311,19 @@ def brute_units(ring):
 
 def brute_idempotents(ring):
     return {a for a in range(ring.order) if ring.mul[a][a] == a}
+
+
+def brute_nilpotents(ring):
+    """The a with a^k = 0 for some k <= n, by multiplying out the powers."""
+    out = set()
+    for a in range(ring.order):
+        power = a
+        for _ in range(ring.order):
+            if power == ring.zero:
+                out.add(a)
+                break
+            power = ring.mul[power][a]
+    return out
 
 
 def brute_commutant(ring, a):
@@ -969,6 +994,17 @@ def percell_principal_bits(ring: FiniteRing) -> tuple[int, ...]:
     return tuple(out)
 
 
+def percell_units_map(ring: FiniteRing) -> dict[int, int]:
+    n, mul, one = ring.order, ring.mul, ring.one
+    out = {}
+    for a in range(n):
+        for b in range(n):
+            if mul[a][b] == one and mul[b][a] == one:
+                out[a] = b
+                break
+    return out
+
+
 def percell_commutant_bits(ring: FiniteRing, a: int) -> int:
     mul = ring.mul
     row = mul[a]
@@ -1073,3 +1109,288 @@ def moving_permutation(ring: FiniteRing, rng) -> list[int]:
     while perm[ring.zero] == ring.zero or perm[ring.one] == ring.one:
         rng.shuffle(perm)
     return perm
+
+
+# --------------------------------------------------------------------------
+# reference claim checkers and certificate checks
+#
+# The claim checkers that became rows of `ringlab.claims._implies`,
+# `_elementwise` and `_transfer`, the counterexample search before it read
+# property masks, and the certificate checks before they were read off the
+# companion spec table, kept verbatim (leading underscores dropped).  The
+# mask below is the old one, one certificate decision per element, with its
+# memo dropped, so the two checkers that read it share nothing with the
+# library's witness-search masks.
+
+
+def property_mask(ring: FiniteRing, prop) -> ElementSet:
+    bits = 0
+    for a in range(ring.order):
+        if element_property(ring, a, prop) is not None:
+            bits |= 1 << a
+    return ElementSet(bits, ring.order)
+
+
+def check_semisimple_or_boolean(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        if _holds(ring, PropertyName.SEMISIMPLE) or _holds(ring, PropertyName.BOOLEAN):
+            holds, witness = ring_property(ring, PropertyName.DELTA_QUASIPOLAR)
+            if not holds:
+                out.append(_witness(name, witness))
+    return out
+
+
+def check_j_implies_delta(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        for a in range(ring.order):
+            if element_property(ring, a, PropertyName.J_QUASIPOLAR) is not None:
+                if element_property(ring, a, PropertyName.DELTA_QUASIPOLAR) is None:
+                    out.append(_witness(name, a))
+                    break
+    return out
+
+
+def check_socle_in_radical_converse(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        if socle(ring).is_subset(jacobson(ring)) and _holds(
+            ring, PropertyName.DELTA_QUASIPOLAR
+        ):
+            holds, witness = ring_property(ring, PropertyName.J_QUASIPOLAR)
+            if not holds:
+                out.append(_witness(name, witness))
+    return out
+
+
+def check_conjugation_invariance(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        mask = property_mask(ring, PropertyName.DELTA_QUASIPOLAR)
+        for u, u_inv in units_map(ring).items():
+            for a in range(ring.order):
+                conjugate = ring.mul[ring.mul[u_inv][a]][u]
+                if (a in mask) != (conjugate in mask):
+                    out.append(_witness(name, a, detail=f"conjugating unit {u}"))
+                    break
+            else:
+                continue
+            break
+    return out
+
+
+def check_shift_invariance(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        mask = property_mask(ring, PropertyName.DELTA_QUASIPOLAR)
+        for a in range(ring.order):
+            mirrored = ring.neg(ring.add[ring.one][a])
+            if (a in mask) != (mirrored in mask):
+                out.append(_witness(name, a))
+                break
+    return out
+
+
+def check_delta_implies_weakly(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        strict = property_mask(ring, PropertyName.DELTA_QUASIPOLAR)
+        weak = property_mask(ring, PropertyName.WEAKLY_DELTA_QUASIPOLAR)
+        if strict.bits & ~weak.bits:
+            bad = next(a for a in strict.indices() if a not in weak)
+            out.append(_witness(name, bad))
+    return out
+
+
+def check_weakly_surjective_images(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        if not _holds(ring, PropertyName.WEAKLY_DELTA_QUASIPOLAR):
+            continue
+        for ideal in two_sided_ideals(ring):
+            quotient, _ = build_quotient(ring, ideal)
+            holds, witness = ring_property(
+                quotient, PropertyName.WEAKLY_DELTA_QUASIPOLAR
+            )
+            if not holds:
+                out.append(
+                    _witness(
+                        name,
+                        witness,
+                        detail=f"image modulo {list(ideal.indices())} fails",
+                    )
+                )
+                break
+    return out
+
+
+def check_weakly_corners(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        if not _holds(ring, PropertyName.WEAKLY_DELTA_QUASIPOLAR):
+            continue
+        central_idempotents = element_sets(ring)[1] & center(ring)
+        for e in central_idempotents.indices():
+            corner = build_corner(ring, e)
+            holds, witness = ring_property(corner, PropertyName.WEAKLY_DELTA_QUASIPOLAR)
+            if not holds:
+                out.append(
+                    _witness(name, witness, detail=f"corner at idempotent {e} fails")
+                )
+                break
+    return out
+
+
+def check_weakly_equals_strongly_delta_r(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        for a in range(ring.order):
+            weak = element_property(ring, a, PropertyName.WEAKLY_DELTA_QUASIPOLAR)
+            strong = element_property(
+                ring, ring.neg(a), PropertyName.STRONGLY_DELTA_R_CLEAN
+            )
+            if (weak is None) != (strong is None):
+                out.append(_witness(name, a))
+                break
+    return out
+
+
+def search_counterexample(
+    hypotheses: Sequence, conclusion, entries: Sequence[CatalogEntry],
+    rings: dict | None = None,
+) -> dict | None:
+    """First catalog element satisfying all hypotheses but not the conclusion.
+
+    Ring-only properties are evaluated once per ring; element-level
+    properties are evaluated per element.  Returns ``{"ring", "element"}`` or
+    ``None`` when the implication survives the whole catalog.
+    """
+    from ringlab.properties import _coerce
+
+    hyp_props = [_coerce(p) for p in hypotheses]
+    concl_prop = _coerce(conclusion)
+    ring_only = PropertyName.ring_only()
+    built = dict(rings) if rings else {}
+
+    def satisfied(ring: FiniteRing, prop: PropertyName, a: int) -> bool:
+        if prop in ring_only:
+            return ring_property(ring, prop)[0]
+        return element_property(ring, a, prop) is not None
+
+    for entry in entries:
+        if entry.name not in built:
+            built[entry.name] = build_entry(entry)
+        ring = built[entry.name]
+        for a in range(ring.order):
+            if all(satisfied(ring, p, a) for p in hyp_props) and not satisfied(
+                ring, concl_prop, a
+            ):
+                return {"ring": entry.name, "element": a}
+    return None
+
+
+
+def certificate_checks(
+    ring: FiniteRing, prop: PropertyName, a: int, witnesses: dict
+) -> tuple[tuple[str, bool], ...]:
+    units, idempotents, nilpotents = element_sets(ring)
+    checks: list[tuple[str, bool]] = []
+
+    def idempotent_check(name: str, value: int):
+        checks.append((f"{name} is idempotent", value in idempotents))
+
+    def unique_check(target: ElementSet):
+        count = sum(ring.sub(a, f) in target for f in idempotents.indices())
+        checks.append(("the decomposition is unique", count == 1))
+
+    if prop in (
+        PropertyName.QUASIPOLAR,
+        PropertyName.NIL_QUASIPOLAR,
+        PropertyName.J_QUASIPOLAR,
+        PropertyName.DELTA_QUASIPOLAR,
+        PropertyName.WEAKLY_DELTA_QUASIPOLAR,
+    ):
+        p = witnesses["p"]
+        idempotent_check("p", p)
+        if prop is PropertyName.WEAKLY_DELTA_QUASIPOLAR:
+            checks.append(("p commutes with the element", p in commutant(ring, a)))
+        else:
+            checks.append(
+                ("p double-commutes with the element", p in double_commutant(ring, a))
+            )
+        shifted = ring.add[a][p]
+        if prop is PropertyName.QUASIPOLAR:
+            checks.append(("element plus p is a unit", shifted in units))
+            checks.append(
+                ("element times p is quasinilpotent", ring.mul[a][p] in qnil_set(ring))
+            )
+        elif prop is PropertyName.NIL_QUASIPOLAR:
+            checks.append(("element plus p is nilpotent", shifted in nilpotents))
+        elif prop is PropertyName.J_QUASIPOLAR:
+            checks.append(
+                ("element plus p lies in the Jacobson radical", shifted in jacobson(ring))
+            )
+        else:
+            checks.append(("element plus p lies in delta", shifted in delta_mask(ring)))
+    elif prop in (
+        PropertyName.CLEAN,
+        PropertyName.STRONGLY_CLEAN,
+        PropertyName.UNIQUELY_CLEAN,
+    ):
+        e, u = witnesses["e"], witnesses["u"]
+        idempotent_check("e", e)
+        checks.append(("u is a unit", u in units))
+        checks.append(("e + u equals the element", ring.add[e][u] == a))
+        if prop is PropertyName.STRONGLY_CLEAN:
+            checks.append(("e and u commute", ring.mul[e][u] == ring.mul[u][e]))
+        if prop is PropertyName.UNIQUELY_CLEAN:
+            unique_check(units)
+    elif prop in (
+        PropertyName.J_CLEAN,
+        PropertyName.STRONGLY_J_CLEAN,
+        PropertyName.DELTA_R_CLEAN,
+        PropertyName.STRONGLY_DELTA_R_CLEAN,
+        PropertyName.UNIQUELY_DELTA_R_CLEAN,
+    ):
+        e, w = witnesses["e"], witnesses["w"]
+        idempotent_check("e", e)
+        if prop in (PropertyName.J_CLEAN, PropertyName.STRONGLY_J_CLEAN):
+            checks.append(("w lies in the Jacobson radical", w in jacobson(ring)))
+        else:
+            checks.append(("w lies in delta", w in delta_mask(ring)))
+        checks.append(("e + w equals the element", ring.add[e][w] == a))
+        if prop in (PropertyName.STRONGLY_J_CLEAN, PropertyName.STRONGLY_DELTA_R_CLEAN):
+            checks.append(("e and w commute", ring.mul[e][w] == ring.mul[w][e]))
+        if prop is PropertyName.UNIQUELY_DELTA_R_CLEAN:
+            unique_check(delta_mask(ring))
+    elif prop is PropertyName.VON_NEUMANN_REGULAR:
+        b = witnesses["b"]
+        checks.append(("a b a equals a", ring.mul[ring.mul[a][b]][a] == a))
+    elif prop is PropertyName.STRONGLY_REGULAR:
+        b = witnesses["b"]
+        checks.append(("a a b equals a", ring.mul[ring.mul[a][a]][b] == a))
+    elif prop is PropertyName.STRONGLY_PI_REGULAR:
+        n, x = witnesses["n"], witnesses["x"]
+        mul = ring.mul
+        checks.append(("the exponent is at least 1", n >= 1))
+        if n >= 1:
+            power = a
+            for _ in range(n - 1):
+                power = mul[power][a]
+            checks.append(
+                ("a^n equals a^(n+1) x", mul[mul[power][a]][x] == power)
+            )
+    elif prop is PropertyName.EXCHANGE:
+        e, r, s = witnesses["e"], witnesses["r"], witnesses["s"]
+        idempotent_check("e", e)
+        checks.append(("a r equals e", ring.mul[a][r] == e))
+        checks.append(
+            (
+                "(1 - a) s equals 1 - e",
+                ring.mul[ring.sub(ring.one, a)][s] == ring.sub(ring.one, e),
+            )
+        )
+    else:
+        raise ValueError(f"property {prop.value} has no element certificates")
+    return tuple(checks)

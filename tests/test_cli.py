@@ -145,13 +145,17 @@ def _dorroh_spec(left_action):
         _dorroh_spec({"0": [0, 0]}),
         {"kind": "dorrow", "preset": "zmod:2", "nmae": "x"},
         {"preset": "zmod:2", "nmae": "x"},
+        '{"preset": "zmod:2", "preset": "zmod:4"}',
     ],
     ids=["preset-int", "name-int", "nested-preset-list", "action-flat", "action-str",
-         "action-str-first", "action-bool", "action-object", "unknown-kind", "unknown-key"],
+         "action-str-first", "action-bool", "action-object", "unknown-kind", "unknown-key",
+         "repeated-key"],
 )
 def test_build_rejects_malformed_spec(tmp_path, capsys, spec):
+    """Each spec is a JSON value, or the file's text where JSON values cannot
+    say it."""
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     out = tmp_path / "r.json"
     code, stdout, stderr = run(capsys, "build", str(spec_path), "-o", str(out))
     assert code == 2
@@ -562,16 +566,19 @@ def test_verify_paper_bad_catalog_exits_2(tmp_path, capsys):
         [{"name": "a", "preset": "zmod:2", "expected": {"properties": [1]}}],
         [{"name": "a", "preset": "zmod:2", "expected": {"properties": {"shiny": True}}}],
         [{"name": "a", "preset": "zmod:2", "expected": {"properties": {"boolean": 1}}}],
+        '{"entries": [{"name": "A", "preset": "zmod:2", "preset": "zmod:4"}]}',
     ],
     ids=["duplicate-name", "file-int", "name-list", "unknown-key", "preset-int",
          "basis-int", "expected-list", "preset-and-file", "entry-list",
          "expected-unknown-fact", "expected-order-string", "expected-delta-int",
          "expected-jacobson-full", "expected-properties-list",
-         "expected-unknown-property", "expected-property-int"],
+         "expected-unknown-property", "expected-property-int", "repeated-key"],
 )
 def test_verify_paper_rejects_malformed_manifest(tmp_path, capsys, entries):
+    """Each case is an entries list, or the file's text where JSON values
+    cannot say it."""
     path = tmp_path / "cat.json"
-    path.write_text(json.dumps({"entries": entries}))
+    path.write_text(entries if isinstance(entries, str) else json.dumps({"entries": entries}))
     code, stdout, stderr = run(capsys, "verify-paper", "--catalog", str(path))
     assert code == 2
     assert stdout == ""

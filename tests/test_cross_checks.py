@@ -14,8 +14,9 @@ import pytest
 
 import oracles
 from ringlab.catalog import build_preset
+from ringlab.core import element_sets, units_map
 from ringlab.ideals import _ideal_core_bits, _principal_bits, all_right_ideals
-from ringlab.properties import PropertyName, element_property, ring_property
+from ringlab.properties import PropertyName, element_property, property_mask, ring_property
 from ringlab.radicals import commutant_bits, delta_r5, jacobson, qnil_set
 from ringlab.report import build_report
 from test_properties import NON_CATALOG_PRESETS
@@ -52,6 +53,12 @@ ELEMENT_PROPERTIES = [p for p in PropertyName if p not in PropertyName.ring_only
 
 def _assert_cross_checks_match_per_cell_loops(ring):
     n = ring.order
+    assert units_map(ring) == oracles.percell_units_map(ring), ring.name
+    assert tuple(set(s.indices()) for s in element_sets(ring)) == (
+        oracles.brute_units(ring),
+        oracles.brute_idempotents(ring),
+        oracles.brute_nilpotents(ring),
+    ), ring.name
     assert _principal_bits(ring) == oracles.percell_principal_bits(ring), ring.name
     for a in range(n):
         assert commutant_bits(ring, a) == oracles.percell_commutant_bits(ring, a), (
@@ -75,6 +82,10 @@ def _assert_ring_property_is_the_element_sweep(ring):
             None,
         )
         assert ring_property(ring, prop) == (least is None, least), (ring.name, prop)
+        assert property_mask(ring, prop) == oracles.property_mask(ring, prop), (
+            ring.name,
+            prop,
+        )
 
 
 @pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)

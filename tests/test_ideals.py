@@ -198,6 +198,19 @@ def test_right_ideal_lattice_matches_subset_scan(name, make):
 
 
 @pytest.mark.parametrize("name,make", SMALL_RINGS)
+def test_right_ideal_test_matches_subset_scan(name, make):
+    """Random masks, and each right ideal with one element toggled."""
+    ring = make()
+    n = ring.order
+    ideals = {sum(1 << i for i in ideal) for ideal in oracles.brute_right_ideals(ring)}
+    rng = random.Random(f"is-right-ideal:{name}")
+    masks = {rng.getrandbits(n) | 1 << ring.zero for _ in range(200)}
+    masks |= {bits ^ 1 << i for bits in ideals for i in range(n)} | ideals
+    for bits in masks:
+        assert is_right_ideal(ring, ElementSet(bits, n)) == (bits in ideals), bits
+
+
+@pytest.mark.parametrize("name,make", SMALL_RINGS)
 def test_two_sided_ideals_match_subset_scan(name, make):
     ring = make()
     expected = oracles.brute_two_sided_ideals(ring)
