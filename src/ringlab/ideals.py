@@ -7,8 +7,6 @@ pathological input fails fast instead of filling memory.
 """
 from __future__ import annotations
 
-from operator import itemgetter
-
 from ringlab.core import (
     ElementSet,
     FiniteRing,
@@ -18,6 +16,7 @@ from ringlab.core import (
     bit_members,
     cached_on,
     element_sets,
+    flags_from_mask,
     mask_from_flags,
 )
 
@@ -249,33 +248,36 @@ def two_sided_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
 
 
 def maximal_right_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
+    """The proper right ideals lying in no larger proper one.
+
+    Walking the lattice from the largest size down, an ideal inside a larger
+    proper one lies inside a maximal one, which was met and kept before it.
+    """
+
     def compute():
         full = (1 << ring.order) - 1
-        proper = [i for i in all_right_ideals(ring) if i.bits != full]
-        out = [
-            i
-            for i in proper
-            if not any(
-                other.bits != i.bits and i.bits & ~other.bits == 0 for other in proper
-            )
-        ]
-        return tuple(sorted(out, key=ElementSet.sort_key))
+        kept: list[ElementSet] = []
+        for ideal in reversed(all_right_ideals(ring)):
+            bits = ideal.bits
+            if bits != full and not any(bits & ~m.bits == 0 for m in kept):
+                kept.append(ideal)
+        return tuple(reversed(kept))
 
     return cached_on(ring, "maximal_right_ideals", compute)
 
 
 def minimal_right_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
+    """The nonzero right ideals containing no smaller nonzero one, found as
+    in :func:`maximal_right_ideals` from the smallest size up."""
+
     def compute():
         zero_bit = 1 << ring.zero
-        nonzero = [i for i in all_right_ideals(ring) if i.bits != zero_bit]
-        out = [
-            i
-            for i in nonzero
-            if not any(
-                other.bits != i.bits and other.bits & ~i.bits == 0 for other in nonzero
-            )
-        ]
-        return tuple(sorted(out, key=ElementSet.sort_key))
+        kept: list[ElementSet] = []
+        for ideal in all_right_ideals(ring):
+            bits = ideal.bits
+            if bits != zero_bit and not any(m.bits & ~bits == 0 for m in kept):
+                kept.append(ideal)
+        return tuple(kept)
 
     return cached_on(ring, "minimal_right_ideals", compute)
 
@@ -322,15 +324,24 @@ def _essential_maximals(ring: FiniteRing) -> tuple[ElementSet, ...]:
     return cached_on(ring, "essential_maximals", compute)
 
 
-def _sum_is_full(ring: FiniteRing, ideal_bits: int, other_bits: int) -> bool:
-    """Whether ``I + K = R``, via: 1 = u + k for some u in I, k in K."""
-    one = ring.one
-    sub_row = ring.add[one]
-    neg = ring._neg_table()
-    for u in bit_members(ideal_bits):
-        if (other_bits >> sub_row[neg[u]]) & 1:
-            return True
-    return False
+def _preimage_bits(ring: FiniteRing, bits: int, rows) -> int:
+    """The ``x`` with ``row[x]`` in the mask for every given row, read in C."""
+    inside = flags_from_mask(bits).ljust(ring.order, b"\0")
+    out = (1 << ring.order) - 1
+    for row in rows:
+        out &= mask_from_flags(bytes(map(inside.__getitem__, row)))
+    return out
+
+
+def _one_plus_bits(ring: FiniteRing, bits: int) -> int:
+    """The coset ``1 + K`` of an additive subgroup ``K``: the ``y`` with
+    ``y - 1`` in ``K``.
+
+    It decides sums: ``I + K = R`` exactly when 1 = u + k for some u in I
+    and k in K, that is when I meets ``1 - K``, which is ``1 + K`` since
+    ``K = -K``.  So ``I + K = R`` is ``I & _one_plus_bits(ring, K) != 0``.
+    """
+    return _preimage_bits(ring, bits, (ring.add[ring._neg_table()[ring.one]],))
 
 
 def is_delta_small(ring: FiniteRing, subset: ElementSet) -> bool:
@@ -346,7 +357,12 @@ def is_delta_small(ring: FiniteRing, subset: ElementSet) -> bool:
 
 def _is_delta_small_bits(ring: FiniteRing, bits: int) -> bool:
     """:func:`is_delta_small` on a mask already known to be a right ideal."""
-    return not any(_sum_is_full(ring, bits, m.bits) for m in _essential_maximals(ring))
+    cosets = cached_on(
+        ring,
+        "essential_maximal_cosets",
+        lambda: [_one_plus_bits(ring, m.bits) for m in _essential_maximals(ring)],
+    )
+    return not any(bits & coset for coset in cosets)
 
 
 def is_direct_summand(ring: FiniteRing, subset: ElementSet) -> int | None:
@@ -356,12 +372,13 @@ def is_direct_summand(ring: FiniteRing, subset: ElementSet) -> int | None:
 
 def _summand_witness(ring: FiniteRing, bits: int) -> int | None:
     """:func:`is_direct_summand` on a mask already known to be a right ideal."""
-    memo = cached_on(ring, "summand_witness", dict)
-    if bits not in memo:
+
+    def compute():
         pb = _principal_bits(ring)
-        _, idempotents, _ = element_sets(ring)
-        memo[bits] = next((e for e in idempotents.indices() if pb[e] == bits), None)
-    return memo[bits]
+        # idempotents descending, so the least e with eR = I is written last
+        return {pb[e]: e for e in reversed(element_sets(ring)[1].indices())}
+
+    return cached_on(ring, "summand_witnesses", compute).get(bits)
 
 
 def ideal_core(ring: FiniteRing, subset: ElementSet) -> ElementSet:
@@ -371,12 +388,12 @@ def ideal_core(ring: FiniteRing, subset: ElementSet) -> ElementSet:
 
 
 def _ideal_core_bits(ring: FiniteRing, bits: int) -> int:
-    """:func:`ideal_core` on a mask already known to be a right ideal."""
-    outside = ~bits
-    # inside[z] is 1 when zR lies in the ideal; column x of mul holds the rx
-    inside = bytes(map((0).__eq__, map(outside.__and__, _principal_bits(ring))))
-    out = 0
-    for x in bit_members(bits):
-        if all(map(inside.__getitem__, map(itemgetter(x), ring.mul))):
-            out |= 1 << x
-    return out
+    """:func:`ideal_core` on a mask already known to be a right ideal.
+
+    The core is the set of ``x`` in the ideal with ``r x`` in it for every
+    ``r``.  Each ``r`` is a sum of the additive generators ``g`` of R, so
+    ``r x`` is a sum of the ``g x``, and the ideal is additively closed:
+    it is enough that every ``g x`` lies in the ideal.
+    """
+    gens = _subgroup_generators(ring, (1 << ring.order) - 1)
+    return bits & _preimage_bits(ring, bits, (ring.mul[g] for g in gens))

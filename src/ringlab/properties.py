@@ -32,6 +32,7 @@ from ringlab.ideals import (
     socle,
 )
 from ringlab.radicals import (
+    center_bits,
     commutant_bits,
     delta_mask,
     jacobson,
@@ -112,11 +113,7 @@ def double_commutant(ring: FiniteRing, a: int) -> ElementSet:
 
 
 def center(ring: FiniteRing) -> ElementSet:
-    return cached_on(
-        ring,
-        "center",
-        lambda: ElementSet(_centraliser_bits(ring, (1 << ring.order) - 1), ring.order),
-    )
+    return ElementSet(center_bits(ring), ring.order)
 
 
 def _centraliser_bits(ring: FiniteRing, subgroup: int) -> int:

@@ -10,6 +10,7 @@ from ringlab.core import (
     ComputationFault,
     ElementSet,
     FiniteRing,
+    _subgroup_generators,
     cached_on,
     flags_from_mask,
     mask_from_flags,
@@ -19,9 +20,9 @@ from ringlab.ideals import (
     _essential_maximals,
     _ideal_core_bits,
     _is_delta_small_bits,
+    _one_plus_bits,
     _principal_bits,
     _span_bits,
-    _sum_is_full,
     _summand_witness,
     all_right_ideals,
     is_delta_small,
@@ -94,11 +95,36 @@ def jacobson(ring: FiniteRing) -> ElementSet:
     return cached_on(ring, "jacobson", compute)
 
 
+def _row_commutant(ring: FiniteRing, a: int) -> int:
+    """The ``x`` with ``a x = x a``: row ``a`` of ``mul`` against column ``a``."""
+    mul = ring.mul
+    return mask_from_flags(bytes(map(eq, mul[a], map(itemgetter(a), mul))))
+
+
+def center_bits(ring: FiniteRing) -> int:
+    """The centre as a mask; cached.
+
+    An element commuting with g and h commutes with g + h, so the centre is
+    the intersection of the commutants of the ring's additive generators.
+    """
+
+    def compute():
+        memo = cached_on(ring, "commutant_bits", dict)
+        bits = (1 << ring.order) - 1
+        for g in _subgroup_generators(ring, bits):
+            memo[g] = _row_commutant(ring, g)
+            bits &= memo[g]
+        return bits
+
+    return cached_on(ring, "center_bits", compute)
+
+
 def commutant_bits(ring: FiniteRing, a: int) -> int:
+    """The commutant of ``a``; all of the ring when ``a`` is central."""
+    centre = center_bits(ring)
     memo = cached_on(ring, "commutant_bits", dict)
     if a not in memo:
-        mul = ring.mul
-        memo[a] = mask_from_flags(bytes(map(eq, mul[a], map(itemgetter(a), mul))))
+        memo[a] = (1 << ring.order) - 1 if (centre >> a) & 1 else _row_commutant(ring, a)
     return memo[a]
 
 
@@ -156,8 +182,9 @@ def delta_r3(ring: FiniteRing) -> ElementSet:
     already a direct summand.  The condition depends on ``x`` only through
     ``x R``, so it is decided once per distinct principal ideal."""
     pb = _principal_bits(ring)
-    non_summands = [
-        ideal.bits
+    # x R + K = R exactly when x R meets the coset 1 + K
+    cosets = [
+        _one_plus_bits(ring, ideal.bits)
         for ideal in all_right_ideals(ring)
         if _summand_witness(ring, ideal.bits) is None
     ]
@@ -166,7 +193,7 @@ def delta_r3(ring: FiniteRing) -> ElementSet:
     for x in range(ring.order):
         xr = pb[x]
         if xr not in decided:
-            decided[xr] = not any(_sum_is_full(ring, xr, k) for k in non_summands)
+            decided[xr] = not any(xr & coset for coset in cosets)
         if decided[xr]:
             bits |= 1 << x
     return ElementSet(bits, ring.order)

@@ -30,7 +30,7 @@ from ringlab.core import (
     ring_to_json,
     units_map,
 )
-from ringlab.ideals import all_right_ideals, socle, two_sided_ideals
+from ringlab.ideals import _principal_bits, all_right_ideals, socle, two_sided_ideals
 from ringlab.properties import (
     PropertyName,
     center,
@@ -1078,6 +1078,72 @@ def percell_ideal_core_bits(ring: FiniteRing, bits: int) -> int:
         if all(pb[ring.mul[r][x]] & ~bits == 0 for r in range(ring.order)):
             out |= 1 << x
     return out
+
+
+def column_scan_ideal_core_bits(ring: FiniteRing, bits: int) -> int:
+    """The ideal core as the library computed it before it read the core off
+    the additive generators' rows: one column scan per member."""
+    outside = ~bits
+    # inside[z] is 1 when zR lies in the ideal; column x of mul holds the rx
+    inside = bytes(map((0).__eq__, map(outside.__and__, _principal_bits(ring))))
+    out = 0
+    for x in bit_members(bits):
+        if all(map(inside.__getitem__, map(itemgetter(x), ring.mul))):
+            out |= 1 << x
+    return out
+
+
+# --------------------------------------------------------------------------
+# lattice predicates before whole-mask operations
+#
+# The member loop that decided I + K = R, the pairwise maximal and minimal
+# filters and the idempotent scan for summand witnesses, kept verbatim
+# (leading underscores and the memos dropped) as references for the mask
+# code in `ringlab.ideals`.
+
+
+def member_sum_is_full(ring: FiniteRing, ideal_bits: int, other_bits: int) -> bool:
+    """Whether ``I + K = R``, via: 1 = u + k for some u in I, k in K."""
+    one = ring.one
+    sub_row = ring.add[one]
+    neg = ring._neg_table()
+    for u in bit_members(ideal_bits):
+        if (other_bits >> sub_row[neg[u]]) & 1:
+            return True
+    return False
+
+
+def pairwise_maximal_right_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
+    full = (1 << ring.order) - 1
+    proper = [i for i in all_right_ideals(ring) if i.bits != full]
+    out = [
+        i
+        for i in proper
+        if not any(
+            other.bits != i.bits and i.bits & ~other.bits == 0 for other in proper
+        )
+    ]
+    return tuple(sorted(out, key=ElementSet.sort_key))
+
+
+def pairwise_minimal_right_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
+    zero_bit = 1 << ring.zero
+    nonzero = [i for i in all_right_ideals(ring) if i.bits != zero_bit]
+    out = [
+        i
+        for i in nonzero
+        if not any(
+            other.bits != i.bits and other.bits & ~i.bits == 0 for other in nonzero
+        )
+    ]
+    return tuple(sorted(out, key=ElementSet.sort_key))
+
+
+def scan_summand_witness(ring: FiniteRing, bits: int) -> int | None:
+    """Least idempotent ``e`` with ``e R`` equal to the ideal, else ``None``."""
+    pb = _principal_bits(ring)
+    _, idempotents, _ = element_sets(ring)
+    return next((e for e in idempotents.indices() if pb[e] == bits), None)
 
 
 def permuted_ring(ring: FiniteRing, perm: Sequence[int]) -> FiniteRing:

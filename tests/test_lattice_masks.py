@@ -1,0 +1,106 @@
+"""The lattice predicates behind the delta routes, as whole-mask operations,
+against the member loops and pairwise filters they replaced.
+
+``I + K = R`` is one AND with the coset ``1 + K``, the ideal core is read off
+the additive generators' rows, the maximal and minimal right ideals come from
+one sorted pass, and summand witnesses from one dict per ring.  Each is
+compared with its reference in ``oracles`` on the catalog, on the
+differential presets and on relabelled rings whose zero and one move.
+"""
+from __future__ import annotations
+
+import random
+
+import pytest
+
+import oracles
+from ringlab import ideals, radicals
+from ringlab.catalog import build_entry, build_preset, default_catalog
+from ringlab.core import ComputationFault
+from ringlab.ideals import (
+    _ideal_core_bits,
+    _one_plus_bits,
+    _summand_witness,
+    all_right_ideals,
+    maximal_right_ideals,
+    minimal_right_ideals,
+)
+from ringlab.radicals import DeltaDisagreement, delta
+from test_cross_checks import DIFFERENTIAL_PRESETS
+
+RELABELLED_PRESETS = [
+    "zmod:12",
+    "tri:2:zmod:3",
+    "mat:2:zmod:2",
+    "cdtri:3:zmod:2",
+    "product:zmod:2,zmod:4",
+    "product:tri:2:zmod:2,zmod:3",
+    "dorroh:zmod:3",
+    "quot:gen:2:tri:2:zmod:4",
+]
+
+
+def _assert_lattice_predicates_match_oracles(ring):
+    lattice = all_right_ideals(ring)
+    for ideal in lattice:
+        coset = _one_plus_bits(ring, ideal.bits)
+        assert coset == sum({1 << ring.add[ring.one][k] for k in ideal.indices()})
+        for other in lattice:
+            assert (other.bits & coset != 0) == oracles.member_sum_is_full(
+                ring, other.bits, ideal.bits
+            ), (ring.name, other.indices(), ideal.indices())
+        assert _summand_witness(ring, ideal.bits) == oracles.scan_summand_witness(
+            ring, ideal.bits
+        ), (ring.name, ideal.indices())
+        assert _ideal_core_bits(ring, ideal.bits) == (
+            oracles.column_scan_ideal_core_bits(ring, ideal.bits)
+        ), (ring.name, ideal.indices())
+    assert maximal_right_ideals(ring) == oracles.pairwise_maximal_right_ideals(ring)
+    assert minimal_right_ideals(ring) == oracles.pairwise_minimal_right_ideals(ring)
+
+
+@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
+def test_lattice_predicates_match_oracles(preset):
+    _assert_lattice_predicates_match_oracles(build_preset(preset))
+
+
+def test_lattice_predicates_match_oracles_on_catalog(catalog_rings):
+    for ring in catalog_rings.values():
+        _assert_lattice_predicates_match_oracles(ring)
+
+
+@pytest.mark.parametrize("preset", RELABELLED_PRESETS)
+def test_lattice_predicates_match_oracles_relabelled(preset):
+    ring = build_preset(preset)
+    perm = oracles.moving_permutation(ring, random.Random(f"lattice:{preset}"))
+    relabelled = oracles.permuted_ring(ring, perm)
+    assert (relabelled.zero, relabelled.one) != (0, 1)
+    _assert_lattice_predicates_match_oracles(relabelled)
+
+
+def _delta_faults(monkeypatch, modules) -> list[ComputationFault]:
+    """The faults ``delta`` raises on fresh catalog rings when the coset
+    helper, as read by the given modules, returns K instead of 1 + K."""
+
+    def wrong(ring, bits):
+        return bits
+
+    for module in modules:
+        monkeypatch.setattr(module, "_one_plus_bits", wrong)
+    faults = []
+    for entry in default_catalog():
+        try:
+            delta(build_entry(entry))
+        except ComputationFault as err:
+            faults.append(err)
+    return faults
+
+
+def test_wrong_coset_is_caught(monkeypatch):
+    """Routes 2 and 3 share the coset helper.  Wrong for both, route 2's own
+    check that the sum of the small ideals is small fails first; wrong for
+    route 3 alone, the five routes disagree."""
+    assert _delta_faults(monkeypatch, [ideals, radicals])
+    monkeypatch.undo()
+    faults = _delta_faults(monkeypatch, [radicals])
+    assert any(isinstance(err, DeltaDisagreement) for err in faults)

@@ -237,3 +237,26 @@ def test_delta_r3_matches_brute_delta_r3(catalog_rings):
     ]
     for ring in rings:
         assert set(delta_r3(ring).indices()) == oracles.brute_delta_r3(ring), ring.name
+
+
+@pytest.mark.parametrize("preset", ["zmod:64", "product:zmod:4,zmod:8"])
+def test_report_on_commutative_ring_compares_one_row_per_generator(preset, monkeypatch):
+    """Commutants of central elements are read off the centre, so a report on
+    a commutative ring compares rows with columns only for the additive
+    generators that build the centre."""
+    from ringlab.catalog import build_preset
+    from ringlab.core import _subgroup_generators
+    from ringlab.report import build_report
+
+    calls = []
+    row_commutant = radicals._row_commutant
+
+    def counted(ring, a):
+        calls.append(a)
+        return row_commutant(ring, a)
+
+    monkeypatch.setattr(radicals, "_row_commutant", counted)
+    ring = build_preset(preset)
+    build_report(ring)
+    generators = _subgroup_generators(ring, (1 << ring.order) - 1)
+    assert 0 < len(calls) <= len(generators)
