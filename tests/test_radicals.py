@@ -35,7 +35,9 @@ from ringlab.radicals import (
     jacobson,
     qnil_set,
 )
-from ringlab.core import build_quotient, element_sets
+from ringlab.core import _subgroup_generators, build_quotient, element_sets
+from ringlab.catalog import build_preset
+from ringlab.report import build_report
 
 
 def _primes(n):
@@ -244,10 +246,6 @@ def test_report_on_commutative_ring_compares_one_row_per_generator(preset, monke
     """Commutants of central elements are read off the centre, so a report on
     a commutative ring compares rows with columns only for the additive
     generators that build the centre."""
-    from ringlab.catalog import build_preset
-    from ringlab.core import _subgroup_generators
-    from ringlab.report import build_report
-
     calls = []
     row_commutant = radicals._row_commutant
 
