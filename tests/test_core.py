@@ -878,6 +878,17 @@ def test_save_ring_matches_oracle_bytes_on_catalog(catalog_rings, tmp_path):
         _check_save_bytes(ring, tmp_path / f"{i}.json")
 
 
+@pytest.mark.parametrize("entry", [-1, 4, 8, "x"], ids=["-1", "order", "2*order", "x"])
+@pytest.mark.parametrize("key", ["add", "mul"])
+def test_save_ring_refuses_non_index_entries(key, entry, tmp_path):
+    ring = build_zmod(4)
+    table = [list(row) for row in getattr(ring, key)]
+    table[2][3] = entry
+    bad = dataclasses.replace(ring, **{key: tuple(map(tuple, table))})
+    with pytest.raises((LookupError, TypeError)):
+        save_ring(bad, tmp_path / "bad.json")
+
+
 def test_load_rejects_axiom_violations(tmp_path):
     obj = ring_to_json(build_zmod(4))
     obj["mul"][2][2] = 1
