@@ -422,16 +422,25 @@ def build_zmod(n: int) -> FiniteRing:
         raise ValueError(f"modulus must be positive, got {n}")
     check_size(n)
     # every cell points at one of the n ints of base: row a of + is a
-    # rotation, row a of * walks base in steps of a
+    # rotation, row a of * walks base in steps of a for a prime or 1, and for
+    # a composite a = p m, p its least prime factor (least[a]), a x = m (p x)
+    # makes it row m read at the cells of row p
     base = tuple(range(n))
     add = tuple(base[a:] + base[:a] for a in range(n))
-    mul = ((0,) * n,) + tuple(
-        tuple([base[x % n] for x in range(0, a * n, a)]) for a in range(1, n)
-    )
+    least = list(range(n))
+    for p in range(math.isqrt(n - 1), 1, -1):  # the least p written last
+        least[p * p :: p] = [p] * len(range(p * p, n, p))
+    mul = [(0,) * n]
+    for a in range(1, n):
+        p = least[a]
+        if p < a:
+            mul.append(itemgetter(*mul[p])(mul[a // p]))
+        else:
+            mul.append(tuple([base[x % n] for x in range(0, a * n, a)]))
     return FiniteRing(
         order=n,
         add=add,
-        mul=mul,
+        mul=tuple(mul),
         zero=0,
         one=1 % n,
         name=f"Z{n}",
@@ -892,9 +901,12 @@ def save_ring(ring: FiniteRing, path: str | Path) -> None:
     json's C encoder does not indent, so the rows of ``ring.add`` and
     ``ring.mul`` go out one by one in the same layout instead of as one
     string, without list copies.  Table entries must be element indices; any
-    other entry raises KeyError.
+    other entry raises TypeError or IndexError.
     """
-    names = {i: str(i) for i in range(ring.order)}
+    n = ring.order
+    # n Nones after the n texts: an entry in [-n, 0) or [n, 2n) reads a None,
+    # which join refuses, and any other non-index fails in itemgetter
+    texts = tuple(map(str, range(n))) + (None,) * n
     with Path(path).open("w") as out:
         out.write("{")
         sep = "\n  "
@@ -906,8 +918,10 @@ def save_ring(ring: FiniteRing, path: str | Path) -> None:
                 continue
             row_sep = "[\n"
             for row in value:
-                cells = ",\n      ".join(map(names.__getitem__, row))
-                out.write(row_sep + "    [\n      " + cells + "\n    ]")
+                # itemgetter of one index returns the text, not a 1-tuple
+                cells = itemgetter(*row)(texts) if n > 1 else (texts[row[0]],)
+                text = ",\n      ".join(cells)
+                out.write(row_sep + "    [\n      " + text + "\n    ]")
                 row_sep = ",\n"
             out.write("\n  ]")
         out.write("\n}\n")

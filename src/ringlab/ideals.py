@@ -7,6 +7,8 @@ pathological input fails fast instead of filling memory.
 """
 from __future__ import annotations
 
+from operator import itemgetter
+
 from ringlab.core import (
     ElementSet,
     FiniteRing,
@@ -18,6 +20,7 @@ from ringlab.core import (
     element_sets,
     flags_from_mask,
     mask_from_flags,
+    units_map,
 )
 
 DEFAULT_LATTICE_LIMIT = 100000
@@ -28,14 +31,23 @@ DEFAULT_LATTICE_LIMIT = 100000
 
 
 def _principal_bits(ring: FiniteRing) -> tuple[int, ...]:
-    """``aR`` as a bitmask for every ``a``; cached."""
+    """``aR`` as a bitmask for every ``a``; cached.
+
+    ``(au)R = aR`` for a unit ``u``, so one mask serves the orbit ``aU``,
+    which is row ``a`` of ``mul`` read at the units.
+    """
 
     def compute():
         everything = range(ring.order)
-        return tuple(
-            mask_from_flags(bytes(map(set(row).__contains__, everything)))
-            for row in ring.mul
-        )
+        # one is listed twice so that itemgetter always returns a tuple
+        orbit = itemgetter(ring.one, *units_map(ring))
+        out = [None] * ring.order
+        for a, row in enumerate(ring.mul):
+            if out[a] is None:
+                bits = mask_from_flags(bytes(map(set(row).__contains__, everything)))
+                for b in orbit(row):
+                    out[b] = bits
+        return tuple(out)
 
     return cached_on(ring, "principal_bits", compute)
 

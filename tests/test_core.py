@@ -116,7 +116,7 @@ def test_zmod_tables():
     assert verify_axioms(r) == []
 
 
-@pytest.mark.parametrize("n", [*range(1, 65), 1024])
+@pytest.mark.parametrize("n", [*range(1, 65), 961, 1021, 1024])
 def test_zmod_matches_oracle(n):
     ring = build_zmod(n)
     assert ring == oracles.brute_zmod(n)
@@ -845,6 +845,11 @@ def _unlabelled_z5():
     return ring_from_json(obj)
 
 
+def _unlabelled_z300():
+    """Cells above 256, past CPython's cache of small ints."""
+    return dataclasses.replace(build_zmod(300), labels=None)
+
+
 def _quoted_t2():
     t2 = build_upper_triangular(build_zmod(2), 2)
     labels = ('q"0', "b\\1", "é2", "€3", "n\n4", "t\t5", "\U0001d4b56", "7")
@@ -863,10 +868,22 @@ def _check_save_bytes(ring, path):
         lambda: build_preset("tri:2:zmod:8"),
         lambda: build_preset("zmod:1024"),
         lambda: build_zmod(1),
+        lambda: build_preset("zmod:2"),
         _unlabelled_z5,
+        _unlabelled_z300,
+        lambda: build_preset("product:mat:2:zmod:2,zmod:64"),
         _quoted_t2,
     ],
-    ids=["tri:2:zmod:8", "zmod:1024", "Z1", "no-labels", "quoted"],
+    ids=[
+        "tri:2:zmod:8",
+        "zmod:1024",
+        "Z1",
+        "zmod:2",
+        "no-labels",
+        "no-labels-z300",
+        "product:mat:2:zmod:2,zmod:64",
+        "quoted",
+    ],
 )
 def test_save_ring_matches_oracle_bytes(make, tmp_path):
     _check_save_bytes(make(), tmp_path / "ring.json")

@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from ringlab.catalog import build_preset
+from ringlab import ideals
 from ringlab.core import element_sets, units_map
 from ringlab.ideals import _ideal_core_bits, _principal_bits, all_right_ideals
 from ringlab.properties import PropertyName, element_property, property_mask, ring_property
@@ -96,6 +97,32 @@ def test_cross_checks_match_per_cell_loops(preset):
 def test_cross_checks_match_per_cell_loops_on_catalog(catalog_rings):
     for ring in catalog_rings.values():
         _assert_cross_checks_match_per_cell_loops(ring)
+
+
+@pytest.mark.parametrize(
+    "preset", ["zmod:27", "zmod:64", "mat:2:zmod:3", "mat:2:zmod:4", "product:zmod:9,zmod:8"]
+)
+def test_principal_bits_per_unit_orbit_match_per_cell_loop(preset):
+    """One mask per orbit aU, on rings with many units and relabelled so that
+    neither zero nor one keeps its index."""
+    ring = build_preset(preset)
+    perm = oracles.moving_permutation(ring, random.Random(f"orbits:{preset}"))
+    for each in (ring, oracles.permuted_ring(ring, perm)):
+        assert _principal_bits(each) == oracles.percell_principal_bits(each), preset
+
+
+def test_principal_bits_builds_one_mask_per_unit_orbit(monkeypatch):
+    """On Z64 the orbits aU are the classes of gcd(a, 64): seven masks."""
+    calls = []
+    mask_from_flags = ideals.mask_from_flags
+
+    def counted(flags):
+        calls.append(flags)
+        return mask_from_flags(flags)
+
+    monkeypatch.setattr(ideals, "mask_from_flags", counted)
+    _principal_bits(build_preset("zmod:64"))
+    assert len(calls) == 7
 
 
 @pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
