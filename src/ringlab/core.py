@@ -422,9 +422,9 @@ def build_zmod(n: int) -> FiniteRing:
         raise ValueError(f"modulus must be positive, got {n}")
     check_size(n)
     # every cell points at one of the n ints of base: row a of + is a
-    # rotation, row a of * walks base in steps of a for a prime or 1, and for
-    # a composite a = p m, p its least prime factor (least[a]), a x = m (p x)
-    # makes it row m read at the cells of row p
+    # rotation; row a of * walks base in steps of a when a is 1 or a prime,
+    # and is row m read at the cells of row p when a = p m with p = least[a]
+    # its least prime factor, since a x = m (p x)
     base = tuple(range(n))
     add = tuple(base[a:] + base[:a] for a in range(n))
     least = list(range(n))

@@ -13,8 +13,8 @@ import random
 import pytest
 
 import oracles
-from ringlab.catalog import build_preset
 from ringlab import ideals
+from ringlab.catalog import build_preset
 from ringlab.core import element_sets, units_map
 from ringlab.ideals import _ideal_core_bits, _principal_bits, all_right_ideals
 from ringlab.properties import PropertyName, element_property, property_mask, ring_property
