@@ -1,10 +1,12 @@
 """The claim registry and its mechanical re-verification over the catalog.
 
 Each registered claim carries a checker that scans the catalog rings for
-counterexamples.  A claim with witnesses is ``violated`` unless it is listed
-as disputed, in which case the witnesses are the documented counterexamples
-and the status token is ``disputed-paper-claim``.  Statements about infinite
-rings carry no checker and are reported ``out-of-scope``.
+counterexamples.  Most claims look at one ring at a time: their checkers
+decide one ring, and :func:`_per_ring` runs them over the catalog.  A claim
+with witnesses is ``violated`` unless it is listed as disputed, in which
+case the witnesses are the documented counterexamples and the status token
+is ``disputed-paper-claim``.  Statements about infinite rings carry no
+checker and are reported ``out-of-scope``.
 """
 from __future__ import annotations
 
@@ -18,12 +20,10 @@ from ringlab.core import (
     build_product,
     build_quotient,
     element_sets,
-    flags_from_mask,
     is_zmod2,
-    mask_from_flags,
     units_map,
 )
-from ringlab.ideals import socle, two_sided_ideals
+from ringlab.ideals import _preimage_bits, socle, two_sided_ideals
 from ringlab.radicals import DeltaDisagreement, delta, delta_mask, jacobson, qnil_set
 from ringlab.properties import (
     PropertyName,
@@ -92,13 +92,13 @@ def _mask(ring: FiniteRing, prop: PropertyName) -> int:
 
 
 def _first_disagreement(
-    hyp: int, concl: int, image: Sequence[int] | None = None, iff: bool = False
+    ring: FiniteRing, hyp: int, concl: int, image: Sequence[int] | None = None,
+    iff: bool = False,
 ) -> int | None:
     """The least ``a`` in the mask ``hyp`` whose image ``image[a]`` is not in
     the mask ``concl``; with ``iff``, the least ``a`` where the two differ."""
     if image is not None:
-        flags = flags_from_mask(concl).ljust(len(image), b"\0")
-        concl = mask_from_flags(bytes(map(flags.__getitem__, image)))
+        concl = _preimage_bits(ring, concl, (image,))
     bad = hyp ^ concl if iff else hyp & ~concl
     return (bad & -bad).bit_length() - 1 if bad else None
 
@@ -110,56 +110,68 @@ def _witness(ring_name: str, element: int | None = None, detail: str = "") -> di
     return out
 
 
+def _per_ring(decide: Callable[[FiniteRing], tuple | None]) -> Checker:
+    """The checker of a claim that looks at one ring at a time.
+
+    ``decide(ring)`` is ``None`` when the ring agrees with the claim, and
+    otherwise the ring's witness as ``(element, detail)``, with the defaults
+    of :func:`_witness` for what it leaves out.
+    """
+
+    def check(ctx: SuiteContext) -> list[dict]:
+        return [
+            _witness(name, *found)
+            for name, ring in ctx.items()
+            if (found := decide(ring)) is not None
+        ]
+
+    return check
+
+
 # --------------------------------------------------------------------------
 # checkers
 
 
-def _check_five_characterizations(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        try:
-            delta(ring)
-        except DeltaDisagreement as err:
-            out.append(_witness(name, detail=str(err)))
-    return out
+@_per_ring
+def _check_five_characterizations(ring: FiniteRing) -> tuple | None:
+    try:
+        delta(ring)
+    except DeltaDisagreement as err:
+        return None, str(err)
+    return None
 
 
-def _check_conjugation_invariance(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        mask = _mask(ring, PropertyName.DELTA_QUASIPOLAR)
-        mul = ring.mul
-        for u, u_inv in units_map(ring).items():
-            conjugates = [mul[x][u] for x in mul[u_inv]]
-            a = _first_disagreement(mask, mask, conjugates, iff=True)
-            if a is not None:
-                out.append(_witness(name, a, detail=f"conjugating unit {u}"))
-                break
-    return out
+@_per_ring
+def _check_conjugation_invariance(ring: FiniteRing) -> tuple | None:
+    mask = _mask(ring, PropertyName.DELTA_QUASIPOLAR)
+    mul = ring.mul
+    for u, u_inv in units_map(ring).items():
+        conjugates = [mul[x][u] for x in mul[u_inv]]
+        a = _first_disagreement(ring, mask, mask, conjugates, iff=True)
+        if a is not None:
+            return a, f"conjugating unit {u}"
+    return None
 
 
-def _check_unit_spectral_identity(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if delta_mask(ring).bits != jacobson(ring).bits:
-            continue
-        if not _holds(ring, PropertyName.DELTA_QUASIPOLAR):
-            continue
-        for u in units_map(ring):
-            if spectral_candidates(ring, u, "delta") != (ring.one,):
-                out.append(_witness(name, u))
-                break
-    return out
+@_per_ring
+def _check_unit_spectral_identity(ring: FiniteRing) -> tuple | None:
+    if delta_mask(ring).bits != jacobson(ring).bits or not _holds(
+        ring, PropertyName.DELTA_QUASIPOLAR
+    ):
+        return None
+    for u in units_map(ring):
+        if spectral_candidates(ring, u, "delta") != (ring.one,):
+            return (u,)
+    return None
 
 
-def _check_two_in_delta(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if _holds(ring, PropertyName.DELTA_QUASIPOLAR):
-            two = ring.add[ring.one][ring.one]
-            if two not in delta_mask(ring):
-                out.append(_witness(name, two))
-    return out
+@_per_ring
+def _check_two_in_delta(ring: FiniteRing) -> tuple | None:
+    if _holds(ring, PropertyName.DELTA_QUASIPOLAR):
+        two = ring.add[ring.one][ring.one]
+        if two not in delta_mask(ring):
+            return (two,)
+    return None
 
 
 def _implies(*hypotheses, conclusion: PropertyName) -> Checker:
@@ -167,16 +179,14 @@ def _implies(*hypotheses, conclusion: PropertyName) -> Checker:
     rings) has ``conclusion``; a failure is witnessed by the least element
     failing the conclusion."""
 
-    def check(ctx: SuiteContext) -> list[dict]:
-        out = []
-        for name, ring in ctx.items():
-            if all(_holds(ring, h) for h in hypotheses):
-                holds, witness = ring_property(ring, conclusion)
-                if not holds:
-                    out.append(_witness(name, witness))
-        return out
+    def decide(ring: FiniteRing) -> tuple | None:
+        if all(_holds(ring, h) for h in hypotheses):
+            holds, witness = ring_property(ring, conclusion)
+            if not holds:
+                return (witness,)
+        return None
 
-    return check
+    return _per_ring(decide)
 
 
 def _elementwise(hyp: PropertyName, concl: PropertyName, image=None, iff=False) -> Checker:
@@ -185,17 +195,13 @@ def _elementwise(hyp: PropertyName, concl: PropertyName, image=None, iff=False) 
     by default); with ``iff`` the two agree.  A failure is witnessed by the
     least element where they do not."""
 
-    def check(ctx: SuiteContext) -> list[dict]:
-        out = []
-        for name, ring in ctx.items():
-            a = _first_disagreement(
-                _mask(ring, hyp), _mask(ring, concl), image and image(ring), iff
-            )
-            if a is not None:
-                out.append(_witness(name, a))
-        return out
+    def decide(ring: FiniteRing) -> tuple | None:
+        a = _first_disagreement(
+            ring, _mask(ring, hyp), _mask(ring, concl), image and image(ring), iff
+        )
+        return None if a is None else (a,)
 
-    return check
+    return _per_ring(decide)
 
 
 def _transfer(prop: PropertyName, images: Callable) -> Checker:
@@ -203,124 +209,110 @@ def _transfer(prop: PropertyName, images: Callable) -> Checker:
     ``images(ring)`` yields; a failure is witnessed by the least element
     failing it in the first image that fails."""
 
-    def check(ctx: SuiteContext) -> list[dict]:
-        out = []
-        for name, ring in ctx.items():
-            if not _holds(ring, prop):
-                continue
+    def decide(ring: FiniteRing) -> tuple | None:
+        if _holds(ring, prop):
             for image, what in images(ring):
                 holds, witness = ring_property(image, prop)
                 if not holds:
-                    out.append(_witness(name, witness, detail=f"{what} fails"))
-                    break
-        return out
+                    return witness, f"{what} fails"
+        return None
 
-    return check
+    return _per_ring(decide)
 
 
 _ABELIAN_DELTA_QP = (PropertyName.ABELIAN, PropertyName.DELTA_QUASIPOLAR)
 
 
-def _check_quotient_boolean_lifting(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if not _holds(ring, PropertyName.DELTA_QUASIPOLAR):
-            continue
-        ideal = delta_mask(ring)
-        quotient, _ = build_quotient(ring, ideal)
-        if not ring_property(quotient, PropertyName.BOOLEAN)[0]:
-            out.append(_witness(name, detail="quotient by delta is not boolean"))
-            continue
-        lifts, bad = idempotents_lift(ring, ideal)
-        if not lifts:
-            out.append(
-                _witness(name, bad, detail="idempotent does not lift along delta")
-            )
-    return out
+@_per_ring
+def _check_quotient_boolean_lifting(ring: FiniteRing) -> tuple | None:
+    if not _holds(ring, PropertyName.DELTA_QUASIPOLAR):
+        return None
+    ideal = delta_mask(ring)
+    quotient, _ = build_quotient(ring, ideal)
+    if not ring_property(quotient, PropertyName.BOOLEAN)[0]:
+        return None, "quotient by delta is not boolean"
+    lifts, bad = idempotents_lift(ring, ideal)
+    return None if lifts else (bad, "idempotent does not lift along delta")
 
 
-def _check_delta_r_clean_equivalence(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if _holds(ring, PropertyName.DELTA_QUASIPOLAR):
-            holds, witness = ring_property(ring, PropertyName.DELTA_R_CLEAN)
+@_per_ring
+def _check_delta_r_clean_equivalence(ring: FiniteRing) -> tuple | None:
+    if _holds(ring, PropertyName.DELTA_QUASIPOLAR):
+        holds, witness = ring_property(ring, PropertyName.DELTA_R_CLEAN)
+        if not holds:
+            return witness, "not delta-r-clean"
+    if _holds(ring, PropertyName.ABELIAN) and _holds(ring, PropertyName.DELTA_R_CLEAN):
+        holds, witness = ring_property(ring, PropertyName.DELTA_QUASIPOLAR)
+        if not holds:
+            return witness, "converse fails"
+    return None
+
+
+@_per_ring
+def _check_boolean_regular_chain(ring: FiniteRing) -> tuple | None:
+    zero_only = delta_mask(ring).bits == 1 << ring.zero
+    if zero_only and _holds(ring, PropertyName.DELTA_QUASIPOLAR):
+        holds, witness = ring_property(ring, PropertyName.BOOLEAN)
+        if not holds:
+            return witness, "trivial delta, not boolean"
+    if _holds(ring, PropertyName.BOOLEAN):
+        for conclusion in (PropertyName.VON_NEUMANN_REGULAR, PropertyName.DELTA_QUASIPOLAR):
+            holds, witness = ring_property(ring, conclusion)
             if not holds:
-                out.append(_witness(name, witness, detail="not delta-r-clean"))
-                continue
-        if _holds(ring, PropertyName.ABELIAN) and _holds(
-            ring, PropertyName.DELTA_R_CLEAN
-        ):
-            holds, witness = ring_property(ring, PropertyName.DELTA_QUASIPOLAR)
-            if not holds:
-                out.append(_witness(name, witness, detail="converse fails"))
-    return out
+                return witness, conclusion.value
+    return None
 
 
-def _check_boolean_regular_chain(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        zero_only = delta_mask(ring).bits == 1 << ring.zero
-        if zero_only and _holds(ring, PropertyName.DELTA_QUASIPOLAR):
-            holds, witness = ring_property(ring, PropertyName.BOOLEAN)
-            if not holds:
-                out.append(_witness(name, witness, detail="trivial delta, not boolean"))
-                continue
-        if _holds(ring, PropertyName.BOOLEAN):
-            for conclusion in (
-                PropertyName.VON_NEUMANN_REGULAR,
-                PropertyName.DELTA_QUASIPOLAR,
-            ):
-                holds, witness = ring_property(ring, conclusion)
-                if not holds:
-                    out.append(_witness(name, witness, detail=conclusion.value))
-                    break
-    return out
+@_per_ring
+def _check_trivial_idempotents_dichotomy(ring: FiniteRing) -> tuple | None:
+    idempotents = element_sets(ring)[1]
+    if not all(e in (ring.zero, ring.one) for e in idempotents.indices()):
+        return None
+    left = _holds(ring, PropertyName.DELTA_QUASIPOLAR)
+    quotient, _ = build_quotient(ring, delta_mask(ring))
+    right = is_zmod2(ring) or is_zmod2(quotient)
+    if left == right:
+        return None
+    return None, f"delta-quasipolar is {left} but the two-element test gives {right}"
 
 
-def _check_trivial_idempotents_dichotomy(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        idempotents = element_sets(ring)[1]
-        trivial_only = all(e in (ring.zero, ring.one) for e in idempotents.indices())
-        if not trivial_only:
-            continue
-        left = _holds(ring, PropertyName.DELTA_QUASIPOLAR)
-        quotient, _ = build_quotient(ring, delta_mask(ring))
-        right = is_zmod2(ring) or is_zmod2(quotient)
-        if left != right:
-            out.append(
-                _witness(
-                    name,
-                    detail=f"delta-quasipolar is {left} but the two-element test gives {right}",
-                )
-            )
-    return out
+@_per_ring
+def _check_radical_chain(ring: FiniteRing) -> tuple | None:
+    if not _holds(ring, PropertyName.DELTA_QUASIPOLAR):
+        return None
+    dm, jm = delta_mask(ring), jacobson(ring)
+    if dm.bits != jm.bits:
+        return None
+    nil = element_sets(ring)[2]
+    qnil = qnil_set(ring)
+    if jm.bits == qnil.bits == nil.bits == dm.bits:
+        return None
+    return None, (
+        f"J={list(jm.indices())}, qnil={list(qnil.indices())}, "
+        f"nil={list(nil.indices())}, delta={list(dm.indices())}"
+    )
 
 
-def _check_radical_chain(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if not _holds(ring, PropertyName.DELTA_QUASIPOLAR):
-            continue
-        dm, jm = delta_mask(ring), jacobson(ring)
-        if dm.bits != jm.bits:
-            continue
-        nil = element_sets(ring)[2]
-        qnil = qnil_set(ring)
-        if not (jm.bits == qnil.bits == nil.bits == dm.bits):
-            out.append(
-                _witness(
-                    name,
-                    detail=(
-                        f"J={list(jm.indices())}, qnil={list(qnil.indices())}, "
-                        f"nil={list(nil.indices())}, delta={list(dm.indices())}"
-                    ),
-                )
-            )
-    return out
+@_per_ring
+def _check_local_five_equivalences(ring: FiniteRing) -> tuple | None:
+    if not _holds(ring, PropertyName.LOCAL) or jacobson(ring).bits == 1 << ring.zero:
+        return None
+    quotient_j, _ = build_quotient(ring, jacobson(ring))
+    quotient_d, _ = build_quotient(ring, delta_mask(ring))
+    values = [
+        _holds(ring, PropertyName.WEAKLY_DELTA_QUASIPOLAR),
+        _holds(ring, PropertyName.STRONGLY_J_CLEAN),
+        _holds(ring, PropertyName.UNIQUELY_CLEAN),
+        is_zmod2(quotient_j),
+        is_zmod2(quotient_d),
+    ]
+    if len(set(values)) == 1:
+        return None
+    return None, f"equivalence chain breaks: {values}"
 
 
 def _check_dorroh_transfer(ctx: SuiteContext) -> list[dict]:
+    """Suite-level rather than per ring: it reads each entry's recipe."""
     out = []
     for entry in ctx.entries:
         if not entry.recipe or not entry.recipe.startswith("dorroh:"):
@@ -350,6 +342,7 @@ def _check_dorroh_transfer(ctx: SuiteContext) -> list[dict]:
 
 
 def _check_weakly_finite_products(ctx: SuiteContext) -> list[dict]:
+    """Suite-level rather than per ring: it reads pairs of catalog rings."""
     out = []
     pairs = list(ctx.items())
     for i, (name_a, ring_a) in enumerate(pairs):
@@ -370,27 +363,6 @@ def _check_weakly_finite_products(ctx: SuiteContext) -> list[dict]:
                         detail=f"product weakly {product_weak}, factors weakly {factors_weak}",
                     )
                 )
-    return out
-
-
-def _check_local_five_equivalences(ctx: SuiteContext) -> list[dict]:
-    out = []
-    for name, ring in ctx.items():
-        if not _holds(ring, PropertyName.LOCAL):
-            continue
-        if jacobson(ring).bits == 1 << ring.zero:
-            continue
-        quotient_j, _ = build_quotient(ring, jacobson(ring))
-        quotient_d, _ = build_quotient(ring, delta_mask(ring))
-        values = [
-            _holds(ring, PropertyName.WEAKLY_DELTA_QUASIPOLAR),
-            _holds(ring, PropertyName.STRONGLY_J_CLEAN),
-            _holds(ring, PropertyName.UNIQUELY_CLEAN),
-            is_zmod2(quotient_j),
-            is_zmod2(quotient_d),
-        ]
-        if len(set(values)) > 1:
-            out.append(_witness(name, detail=f"equivalence chain breaks: {values}"))
     return out
 
 
@@ -733,22 +705,13 @@ def theorem_suite(
     ctx = SuiteContext(entries=tuple(entries), rings=built)
     results = []
     for claim in registry():
+        witnesses = tuple(claim.check(ctx)) if claim.check else ()
         if claim.check is None:
-            results.append(
-                TheoremResult(
-                    claim_id=claim.id,
-                    summary=claim.summary,
-                    status=STATUS_OUT_OF_SCOPE,
-                    witnesses=(),
-                    note=claim.note,
-                )
-            )
-            continue
-        witnesses = tuple(claim.check(ctx))
-        if witnesses:
-            status = STATUS_DISPUTED if claim.disputed else STATUS_VIOLATED
-        else:
+            status = STATUS_OUT_OF_SCOPE
+        elif not witnesses:
             status = STATUS_HOLDS
+        else:
+            status = STATUS_DISPUTED if claim.disputed else STATUS_VIOLATED
         results.append(
             TheoremResult(
                 claim_id=claim.id,
@@ -790,7 +753,7 @@ def search_counterexample(
         hyp = (1 << ring.order) - 1
         for prop in hyp_props:
             hyp &= _mask(ring, prop) if hyp else 0
-        a = _first_disagreement(hyp, _mask(ring, concl_prop)) if hyp else None
+        a = _first_disagreement(ring, hyp, _mask(ring, concl_prop)) if hyp else None
         if a is not None:
             return {"ring": entry.name, "element": a}
     return None

@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 DEFAULT_SIZE_CAP = 4096
 SIZE_CAP_ENV = "RINGLAB_SIZE_CAP"
+MAX_VIOLATIONS = 25
 
 
 class RinglabError(Exception):
@@ -229,8 +230,9 @@ def renamed(ring: FiniteRing, name: str) -> FiniteRing:
 # axiom verification
 
 
-def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
-    """Check the ring axioms; return a list of violations, each at a real coordinate.
+def verify_axioms(ring: FiniteRing) -> list[str]:
+    """Check the ring axioms; return up to ``MAX_VIOLATIONS`` violations, each
+    at a real coordinate.
 
     Table shape and range, the additive identity and inverses, commutativity
     of addition and the unit are checked cell by cell.  The laws over triples
@@ -260,7 +262,7 @@ def verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
 
     def push(message: str) -> bool:
         out.append(message)
-        return len(out) >= max_violations
+        return len(out) >= MAX_VIOLATIONS
 
     if n < 1:
         return ["order must be at least 1"]
@@ -783,20 +785,21 @@ def element_sets(ring: FiniteRing) -> tuple[ElementSet, ElementSet, ElementSet]:
 
 
 def units_map(ring: FiniteRing) -> dict[int, int]:
-    """Each unit mapped to its two-sided inverse."""
+    """Each unit mapped to its two-sided inverse.
+
+    In a finite ring a b = 1 already makes b the two-sided inverse of a:
+    x -> b x is injective, since b x = b y gives x = a b x = a b y = y, so
+    it is onto and b c = 1 for some c; then a = a b c = c, so b a = 1.  The
+    first b with a b = 1 in the row of a is therefore the inverse.
+    """
 
     def compute():
-        mul, one = ring.mul, ring.one
+        one = ring.one
         out = {}
-        for a, row in enumerate(mul):
-            b = -1
+        for a, row in enumerate(ring.mul):
             try:
-                while True:
-                    b = row.index(one, b + 1)
-                    if mul[b][a] == one:
-                        out[a] = b
-                        break
-            except ValueError:  # no b left with a b = 1
+                out[a] = row.index(one)
+            except ValueError:  # no b with a b = 1
                 pass
         return out
 

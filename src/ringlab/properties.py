@@ -16,7 +16,6 @@ from ringlab.core import (
     ComputationFault,
     ElementSet,
     FiniteRing,
-    IdealError,
     _subgroup_generators,
     bit_members,
     build_quotient,
@@ -27,7 +26,6 @@ from ringlab.core import (
 from ringlab.ideals import (
     _principal_bits,
     _summand_witness,
-    is_two_sided_ideal,
     maximal_right_ideals,
     socle,
 )
@@ -493,10 +491,6 @@ def spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tuple[int, ...
 def idempotents_lift(ring: FiniteRing, ideal: ElementSet) -> tuple[bool, int | None]:
     """Whether every idempotent of the quotient by ``ideal`` lifts to one of
     the ring; the witness is a non-lifting idempotent of the quotient."""
-    if not is_two_sided_ideal(ring, ideal):
-        raise IdealError(
-            f"subset {list(ideal.indices())} is not a two-sided ideal of {ring.name}"
-        )
     quotient, proj = build_quotient(ring, ideal)
     ring_idempotents = element_sets(ring)[1].indices()
     lifted = {proj[e] for e in ring_idempotents}

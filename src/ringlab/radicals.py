@@ -243,31 +243,30 @@ def delta(ring: FiniteRing) -> DeltaComputation:
     On disagreement a :class:`DeltaDisagreement` is raised carrying the
     partial computation; nothing is cached in that case.
     """
-    cached = ring._cache.get("delta")
-    if cached is not None:
-        return cached
-    r1 = delta_r1(ring)
-    r2 = delta_r2(ring)
-    r3 = delta_r3(ring)
-    r4 = delta_r4(ring)
-    r5 = delta_r5(ring)
-    agree = r1.bits == r2.bits == r3.bits == r4.bits == r5.bits
-    if not agree:
-        raise DeltaDisagreement(
-            ring, DeltaComputation(r1, r2, r3, r4, r5, False, None)
-        )
-    consensus = r1
-    if not is_two_sided_ideal(ring, consensus):
-        raise ComputationFault(
-            f"delta consensus on {ring.name} is not a two-sided ideal"
-        )
-    if jacobson(ring).bits & ~consensus.bits:
-        raise ComputationFault(
-            f"delta consensus on {ring.name} does not contain the Jacobson radical"
-        )
-    computation = DeltaComputation(r1, r2, r3, r4, r5, True, consensus)
-    ring._cache["delta"] = computation
-    return computation
+
+    def compute():
+        r1 = delta_r1(ring)
+        r2 = delta_r2(ring)
+        r3 = delta_r3(ring)
+        r4 = delta_r4(ring)
+        r5 = delta_r5(ring)
+        agree = r1.bits == r2.bits == r3.bits == r4.bits == r5.bits
+        if not agree:
+            raise DeltaDisagreement(
+                ring, DeltaComputation(r1, r2, r3, r4, r5, False, None)
+            )
+        consensus = r1
+        if not is_two_sided_ideal(ring, consensus):
+            raise ComputationFault(
+                f"delta consensus on {ring.name} is not a two-sided ideal"
+            )
+        if jacobson(ring).bits & ~consensus.bits:
+            raise ComputationFault(
+                f"delta consensus on {ring.name} does not contain the Jacobson radical"
+            )
+        return DeltaComputation(r1, r2, r3, r4, r5, True, consensus)
+
+    return cached_on(ring, "delta", compute)
 
 
 def delta_mask(ring: FiniteRing) -> ElementSet:

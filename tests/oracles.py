@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Sequence
 
 from ringlab.catalog import CatalogEntry, build_entry
-from ringlab.claims import SuiteContext, _holds, _witness
+from ringlab.claims import Checker, SuiteContext, _holds, _mask, _witness
 from ringlab.core import (
     BimoduleError,
     ElementSet,
@@ -27,6 +27,9 @@ from ringlab.core import (
     build_quotient,
     check_size,
     element_sets,
+    flags_from_mask,
+    is_zmod2,
+    mask_from_flags,
     ring_to_json,
     units_map,
 )
@@ -37,9 +40,18 @@ from ringlab.properties import (
     commutant,
     double_commutant,
     element_property,
+    idempotents_lift,
     ring_property,
+    spectral_candidates,
 )
-from ringlab.radicals import commutant_bits, delta_mask, jacobson, qnil_set
+from ringlab.radicals import (
+    DeltaDisagreement,
+    commutant_bits,
+    delta,
+    delta_mask,
+    jacobson,
+    qnil_set,
+)
 
 
 def mixed_radix_encode(digits: Sequence[int], radices: Sequence[int]) -> int:
@@ -1319,6 +1331,213 @@ def check_weakly_equals_strongly_delta_r(ctx: SuiteContext) -> list[dict]:
             if (weak is None) != (strong is None):
                 out.append(_witness(name, a))
                 break
+    return out
+
+
+# --------------------------------------------------------------------------
+# the per-ring claim checkers before they decided one ring at a time
+#
+# The bespoke checkers and the `_implies` factory of `ringlab.claims`, each
+# with its own loop over the catalog, kept verbatim (leading underscores
+# dropped; the mask-based conjugation checker is `check_conjugation_masks`,
+# since the per-element one above keeps its name).  `first_disagreement` is
+# the old helper that pulls a mask back through an image on its own.
+
+
+def first_disagreement(
+    hyp: int, concl: int, image: Sequence[int] | None = None, iff: bool = False
+) -> int | None:
+    """The least ``a`` in the mask ``hyp`` whose image ``image[a]`` is not in
+    the mask ``concl``; with ``iff``, the least ``a`` where the two differ."""
+    if image is not None:
+        flags = flags_from_mask(concl).ljust(len(image), b"\0")
+        concl = mask_from_flags(bytes(map(flags.__getitem__, image)))
+    bad = hyp ^ concl if iff else hyp & ~concl
+    return (bad & -bad).bit_length() - 1 if bad else None
+
+
+def check_five_characterizations(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        try:
+            delta(ring)
+        except DeltaDisagreement as err:
+            out.append(_witness(name, detail=str(err)))
+    return out
+
+
+def check_conjugation_masks(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        mask = _mask(ring, PropertyName.DELTA_QUASIPOLAR)
+        mul = ring.mul
+        for u, u_inv in units_map(ring).items():
+            conjugates = [mul[x][u] for x in mul[u_inv]]
+            a = first_disagreement(mask, mask, conjugates, iff=True)
+            if a is not None:
+                out.append(_witness(name, a, detail=f"conjugating unit {u}"))
+                break
+    return out
+
+
+def check_unit_spectral_identity(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        if delta_mask(ring).bits != jacobson(ring).bits:
+            continue
+        if not _holds(ring, PropertyName.DELTA_QUASIPOLAR):
+            continue
+        for u in units_map(ring):
+            if spectral_candidates(ring, u, "delta") != (ring.one,):
+                out.append(_witness(name, u))
+                break
+    return out
+
+
+def check_two_in_delta(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        if _holds(ring, PropertyName.DELTA_QUASIPOLAR):
+            two = ring.add[ring.one][ring.one]
+            if two not in delta_mask(ring):
+                out.append(_witness(name, two))
+    return out
+
+
+def implies(*hypotheses, conclusion: PropertyName) -> Checker:
+    """Every ring with all ``hypotheses`` (property names or predicates on
+    rings) has ``conclusion``; a failure is witnessed by the least element
+    failing the conclusion."""
+
+    def check(ctx: SuiteContext) -> list[dict]:
+        out = []
+        for name, ring in ctx.items():
+            if all(_holds(ring, h) for h in hypotheses):
+                holds, witness = ring_property(ring, conclusion)
+                if not holds:
+                    out.append(_witness(name, witness))
+        return out
+
+    return check
+
+
+def check_quotient_boolean_lifting(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        if not _holds(ring, PropertyName.DELTA_QUASIPOLAR):
+            continue
+        ideal = delta_mask(ring)
+        quotient, _ = build_quotient(ring, ideal)
+        if not ring_property(quotient, PropertyName.BOOLEAN)[0]:
+            out.append(_witness(name, detail="quotient by delta is not boolean"))
+            continue
+        lifts, bad = idempotents_lift(ring, ideal)
+        if not lifts:
+            out.append(
+                _witness(name, bad, detail="idempotent does not lift along delta")
+            )
+    return out
+
+
+def check_delta_r_clean_equivalence(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        if _holds(ring, PropertyName.DELTA_QUASIPOLAR):
+            holds, witness = ring_property(ring, PropertyName.DELTA_R_CLEAN)
+            if not holds:
+                out.append(_witness(name, witness, detail="not delta-r-clean"))
+                continue
+        if _holds(ring, PropertyName.ABELIAN) and _holds(
+            ring, PropertyName.DELTA_R_CLEAN
+        ):
+            holds, witness = ring_property(ring, PropertyName.DELTA_QUASIPOLAR)
+            if not holds:
+                out.append(_witness(name, witness, detail="converse fails"))
+    return out
+
+
+def check_boolean_regular_chain(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        zero_only = delta_mask(ring).bits == 1 << ring.zero
+        if zero_only and _holds(ring, PropertyName.DELTA_QUASIPOLAR):
+            holds, witness = ring_property(ring, PropertyName.BOOLEAN)
+            if not holds:
+                out.append(_witness(name, witness, detail="trivial delta, not boolean"))
+                continue
+        if _holds(ring, PropertyName.BOOLEAN):
+            for conclusion in (
+                PropertyName.VON_NEUMANN_REGULAR,
+                PropertyName.DELTA_QUASIPOLAR,
+            ):
+                holds, witness = ring_property(ring, conclusion)
+                if not holds:
+                    out.append(_witness(name, witness, detail=conclusion.value))
+                    break
+    return out
+
+
+def check_trivial_idempotents_dichotomy(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        idempotents = element_sets(ring)[1]
+        trivial_only = all(e in (ring.zero, ring.one) for e in idempotents.indices())
+        if not trivial_only:
+            continue
+        left = _holds(ring, PropertyName.DELTA_QUASIPOLAR)
+        quotient, _ = build_quotient(ring, delta_mask(ring))
+        right = is_zmod2(ring) or is_zmod2(quotient)
+        if left != right:
+            out.append(
+                _witness(
+                    name,
+                    detail=f"delta-quasipolar is {left} but the two-element test gives {right}",
+                )
+            )
+    return out
+
+
+def check_radical_chain(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        if not _holds(ring, PropertyName.DELTA_QUASIPOLAR):
+            continue
+        dm, jm = delta_mask(ring), jacobson(ring)
+        if dm.bits != jm.bits:
+            continue
+        nil = element_sets(ring)[2]
+        qnil = qnil_set(ring)
+        if not (jm.bits == qnil.bits == nil.bits == dm.bits):
+            out.append(
+                _witness(
+                    name,
+                    detail=(
+                        f"J={list(jm.indices())}, qnil={list(qnil.indices())}, "
+                        f"nil={list(nil.indices())}, delta={list(dm.indices())}"
+                    ),
+                )
+            )
+    return out
+
+
+def check_local_five_equivalences(ctx: SuiteContext) -> list[dict]:
+    out = []
+    for name, ring in ctx.items():
+        if not _holds(ring, PropertyName.LOCAL):
+            continue
+        if jacobson(ring).bits == 1 << ring.zero:
+            continue
+        quotient_j, _ = build_quotient(ring, jacobson(ring))
+        quotient_d, _ = build_quotient(ring, delta_mask(ring))
+        values = [
+            _holds(ring, PropertyName.WEAKLY_DELTA_QUASIPOLAR),
+            _holds(ring, PropertyName.STRONGLY_J_CLEAN),
+            _holds(ring, PropertyName.UNIQUELY_CLEAN),
+            is_zmod2(quotient_j),
+            is_zmod2(quotient_d),
+        ]
+        if len(set(values)) > 1:
+            out.append(_witness(name, detail=f"equivalence chain breaks: {values}"))
     return out
 
 

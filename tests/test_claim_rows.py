@@ -1,9 +1,10 @@
-"""Claim rows, the counterexample search and the spec-derived certificate
-checks against the code they replaced.
+"""Claim rows, the per-ring checkers, the counterexample search and the
+spec-derived certificate checks against the code they replaced.
 
-The references in ``oracles`` are the old per-claim checkers, the old
-per-element search and the old per-property certificate checks.  They are
-compared on the catalog and on ``DIFFERENTIAL_PRESETS``.
+The references in ``oracles`` are the old per-claim checkers, each with its
+own loop over the catalog, the old per-element search and the old
+per-property certificate checks.  They are compared on the catalog and on
+``DIFFERENTIAL_PRESETS``.
 """
 from __future__ import annotations
 
@@ -45,6 +46,52 @@ REPLACED_CHECKERS = {
     "weakly-equals-strongly-delta-r-clean": oracles.check_weakly_equals_strongly_delta_r,
 }
 
+DQP = PropertyName.DELTA_QUASIPOLAR
+ABELIAN_DQP = (PropertyName.ABELIAN, DQP)
+PRE_CHANGE_CHECKERS = {
+    "delta-five-characterizations": oracles.check_five_characterizations,
+    "conjugation-preserves-delta-quasipolar": oracles.check_conjugation_masks,
+    "unit-spectral-idempotent-is-identity": oracles.check_unit_spectral_identity,
+    "delta-quasipolar-ring-has-two-in-delta": oracles.check_two_in_delta,
+    "local-quasipolar-implies-delta-quasipolar": oracles.implies(
+        PropertyName.LOCAL, PropertyName.QUASIPOLAR, conclusion=DQP
+    ),
+    "delta-quasipolar-implies-right-pp": oracles.implies(
+        DQP, conclusion=PropertyName.RIGHT_PP
+    ),
+    "abelian-delta-quasipolar-implies-strongly-regular": oracles.implies(
+        *ABELIAN_DQP, conclusion=PropertyName.STRONGLY_REGULAR
+    ),
+    "abelian-delta-quasipolar-implies-quasipolar": oracles.implies(
+        *ABELIAN_DQP, conclusion=PropertyName.QUASIPOLAR
+    ),
+    "abelian-delta-quasipolar-implies-strongly-clean": oracles.implies(
+        *ABELIAN_DQP, conclusion=PropertyName.STRONGLY_CLEAN
+    ),
+    "delta-quasipolar-quotient-is-boolean-with-lifting": (
+        oracles.check_quotient_boolean_lifting
+    ),
+    "delta-quasipolar-iff-delta-r-clean-for-abelian": (
+        oracles.check_delta_r_clean_equivalence
+    ),
+    "delta-quasipolar-implies-exchange": oracles.implies(
+        DQP, conclusion=PropertyName.EXCHANGE
+    ),
+    "boolean-regular-chain": oracles.check_boolean_regular_chain,
+    "abelian-j-clean-implies-delta-quasipolar": oracles.implies(
+        PropertyName.ABELIAN, PropertyName.J_CLEAN, conclusion=DQP
+    ),
+    "trivial-idempotents-dichotomy": oracles.check_trivial_idempotents_dichotomy,
+    "radical-chain-when-delta-equals-radical": oracles.check_radical_chain,
+    "strongly-j-clean-implies-weakly-delta-quasipolar": oracles.implies(
+        PropertyName.STRONGLY_J_CLEAN, conclusion=PropertyName.WEAKLY_DELTA_QUASIPOLAR
+    ),
+    "local-ring-five-equivalences": oracles.check_local_five_equivalences,
+}
+
+# read the Dorroh recipes and pairs of catalog rings; not per-ring checkers
+SUITE_LEVEL = {"dorroh-delta-quasipolar-transfer", "weakly-delta-quasipolar-finite-products"}
+
 
 @pytest.fixture(scope="module")
 def suites(catalog_entries, catalog_rings):
@@ -62,6 +109,22 @@ def test_claim_rows_match_the_checkers_they_replaced(suites, claim_id):
     claim = next(c for c in registry() if c.id == claim_id)
     for ctx in suites:
         assert claim.check(ctx) == REPLACED_CHECKERS[claim_id](ctx), claim_id
+
+
+def test_every_per_ring_claim_has_a_pre_change_checker():
+    checked = {claim.id for claim in registry() if claim.check is not None}
+    assert SUITE_LEVEL <= checked
+    assert set(REPLACED_CHECKERS) | set(PRE_CHANGE_CHECKERS) == checked - SUITE_LEVEL
+
+
+@pytest.mark.parametrize("claim_id", PRE_CHANGE_CHECKERS)
+def test_per_ring_claims_match_their_pre_change_checkers(suites, claim_id):
+    claim = next(c for c in registry() if c.id == claim_id)
+    witnesses = [claim.check(ctx) for ctx in suites]
+    assert witnesses == [PRE_CHANGE_CHECKERS[claim_id](ctx) for ctx in suites], claim_id
+    # the disputed claims, and only they, are refuted on the catalog, so the
+    # comparison is not between empty lists throughout
+    assert bool(witnesses[0]) == bool(claim.disputed), claim_id
 
 
 def _neg(ring):

@@ -1,4 +1,5 @@
-"""The library under src/ringlab imports only the standard library and itself."""
+"""The library under src/ringlab imports only the standard library and itself,
+and reads every name it imports at module level."""
 from __future__ import annotations
 
 import ast
@@ -22,6 +23,41 @@ def _absolute_imports(source: str) -> list[str]:
 def test_import_scan_sees_nested_and_lazy_imports():
     source = "import json, numpy.linalg\ndef f():\n    from scipy import sparse\n"
     assert _absolute_imports(source) == ["json", "numpy.linalg", "scipy"]
+
+
+def _unused_imports(source: str) -> list[str]:
+    """Names bound by a module's top-level imports that no ``ast.Name`` reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound.extend(a.asname or a.name.partition(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound.extend(a.asname or a.name for a in node.names)
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unused_import_scan_reads_names_anywhere_but_imports_only_at_top():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path, json as j, re\n"
+        "from typing import Any, Callable as C, Sequence\n"
+        "def f(x: Any) -> Sequence:\n"
+        "    from math import pi\n"
+        "    return os.path.join(re.escape(x))\n"
+    )
+    assert _unused_imports(source) == ["j", "C"]
+
+
+def test_library_reads_every_name_it_imports():
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+        for name in _unused_imports(path.read_text())
+    ]
+    assert unused == []
 
 
 def test_library_imports_only_stdlib():
