@@ -8,6 +8,7 @@ computations reduce to bit arithmetic.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from itertools import chain, product
 from operator import eq, getitem, itemgetter
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 DEFAULT_SIZE_CAP = 4096
 SIZE_CAP_ENV = "RINGLAB_SIZE_CAP"
@@ -167,6 +168,27 @@ def flags_from_mask(bits: int) -> bytes:
 # rings
 
 
+_MISSING = object()
+
+
+def memo(fn):
+    """Cache ``fn(ring, *args)`` in ``ring._cache`` under ``(fn, *args)``.
+
+    Every derived fact of a ring is cached this way and by nothing else.
+    Nothing is stored when ``fn`` raises, so a failed computation is redone.
+    """
+
+    @functools.wraps(fn)
+    def cached(ring, *args):
+        key = (fn, *args)
+        value = ring._cache.get(key, _MISSING)
+        if value is _MISSING:
+            value = ring._cache[key] = fn(ring, *args)
+        return value
+
+    return cached
+
+
 @dataclass(frozen=True)
 class FiniteRing:
     """A finite unital ring given by full addition and multiplication tables."""
@@ -189,26 +211,16 @@ class FiniteRing:
             return self.labels[i]
         return str(i)
 
+    @memo
     def _neg_table(self) -> tuple[int, ...]:
-        def compute() -> tuple[int, ...]:
-            zero = self.zero
-            return tuple(row.index(zero) for row in self.add)
-
-        return cached_on(self, "neg", compute)
+        zero = self.zero
+        return tuple(row.index(zero) for row in self.add)
 
     def neg(self, i: int) -> int:
         return self._neg_table()[i]
 
     def sub(self, i: int, j: int) -> int:
         return self.add[i][self._neg_table()[j]]
-
-
-def cached_on(ring: FiniteRing, key, compute: Callable):
-    """Memoize ``compute()`` on the ring's private cache under ``key``."""
-    cache = ring._cache
-    if key not in cache:
-        cache[key] = compute()
-    return cache[key]
 
 
 def renamed(ring: FiniteRing, name: str) -> FiniteRing:
@@ -383,6 +395,7 @@ def _normal_form_edges(
     return edges
 
 
+@memo
 def _subgroup_generators(ring: FiniteRing, bits: int) -> list[int]:
     """Greedy generators of the additive subgroup ``bits``; cached per mask.
 
@@ -392,26 +405,23 @@ def _subgroup_generators(ring: FiniteRing, bits: int) -> list[int]:
     any square table, so ``verify_axioms`` can call it on tables it has not
     validated yet (with ``bits`` the full mask).
     """
-    memo = cached_on(ring, "subgroup_generators", dict)
-    if bits not in memo:
-        add = ring.add
-        reached = 1 << ring.zero
-        gens: list[int] = []
-        candidates = bits & ~reached
-        while candidates:
-            g = (candidates & -candidates).bit_length() - 1
-            gens.append(g)
-            todo = bit_members(reached)
-            while todo:
-                x = todo.pop()
-                for h in gens:
-                    y = add[x][h]
-                    if not (reached >> y) & 1:
-                        reached |= 1 << y
-                        todo.append(y)
-            candidates = bits & ~reached & (-1 << (g + 1))
-        memo[bits] = gens
-    return memo[bits]
+    add = ring.add
+    reached = 1 << ring.zero
+    gens: list[int] = []
+    candidates = bits & ~reached
+    while candidates:
+        g = (candidates & -candidates).bit_length() - 1
+        gens.append(g)
+        todo = bit_members(reached)
+        while todo:
+            x = todo.pop()
+            for h in gens:
+                y = add[x][h]
+                if not (reached >> y) & 1:
+                    reached |= 1 << y
+                    todo.append(y)
+        candidates = bits & ~reached & (-1 << (g + 1))
+    return gens
 
 
 # --------------------------------------------------------------------------
@@ -683,10 +693,12 @@ def build_dorroh(data: DorrohData) -> FiniteRing:
     return ring
 
 
+@memo
 def build_quotient(
     ring: FiniteRing, ideal: ElementSet
 ) -> tuple[FiniteRing, tuple[int, ...]]:
-    """Quotient by a two-sided ideal; returns the quotient and the projection."""
+    """Quotient by a two-sided ideal; returns the quotient and the projection,
+    built once per (ring, ideal)."""
     from ringlab.ideals import is_two_sided_ideal
 
     members = ideal.indices()
@@ -759,51 +771,45 @@ def build_corner(ring: FiniteRing, e: int) -> FiniteRing:
 # basic element sets
 
 
+@memo
 def element_sets(ring: FiniteRing) -> tuple[ElementSet, ElementSet, ElementSet]:
-    """The (units, idempotents, nilpotents) of the ring, each cached."""
-
-    def compute():
-        n, mul = ring.order, ring.mul
-        units = 0
-        for a in units_map(ring):
-            units |= 1 << a
-        square = list(map(getitem, mul, range(n)))
-        idem = mask_from_flags(bytes(map(eq, square, range(n))))
-        # a nilpotent's nonzero powers are distinct, so a^n = 0; squaring
-        # t = bit_length(n - 1) times gives a^(2^t), and 2^t >= n
-        power = square
-        for _ in range((n - 1).bit_length() - 1):
-            power = list(map(square.__getitem__, power))
-        nil = mask_from_flags(bytes(map(ring.zero.__eq__, power)))
-        return (
-            ElementSet(units, n),
-            ElementSet(idem, n),
-            ElementSet(nil, n),
-        )
-
-    return cached_on(ring, "element_sets", compute)
+    """The (units, idempotents, nilpotents) of the ring; cached."""
+    n, mul = ring.order, ring.mul
+    units = 0
+    for a in units_map(ring):
+        units |= 1 << a
+    square = list(map(getitem, mul, range(n)))
+    idem = mask_from_flags(bytes(map(eq, square, range(n))))
+    # a nilpotent's nonzero powers are distinct, so a^n = 0; squaring
+    # t = bit_length(n - 1) times gives a^(2^t), and 2^t >= n
+    power = square
+    for _ in range((n - 1).bit_length() - 1):
+        power = list(map(square.__getitem__, power))
+    nil = mask_from_flags(bytes(map(ring.zero.__eq__, power)))
+    return (
+        ElementSet(units, n),
+        ElementSet(idem, n),
+        ElementSet(nil, n),
+    )
 
 
+@memo
 def units_map(ring: FiniteRing) -> dict[int, int]:
-    """Each unit mapped to its two-sided inverse.
+    """Each unit mapped to its two-sided inverse; cached.
 
     In a finite ring a b = 1 already makes b the two-sided inverse of a:
     x -> b x is injective, since b x = b y gives x = a b x = a b y = y, so
     it is onto and b c = 1 for some c; then a = a b c = c, so b a = 1.  The
     first b with a b = 1 in the row of a is therefore the inverse.
     """
-
-    def compute():
-        one = ring.one
-        out = {}
-        for a, row in enumerate(ring.mul):
-            try:
-                out[a] = row.index(one)
-            except ValueError:  # no b with a b = 1
-                pass
-        return out
-
-    return cached_on(ring, "units_map", compute)
+    one = ring.one
+    out = {}
+    for a, row in enumerate(ring.mul):
+        try:
+            out[a] = row.index(one)
+        except ValueError:  # no b with a b = 1
+            pass
+    return out
 
 
 def is_zmod2(ring: FiniteRing) -> bool:

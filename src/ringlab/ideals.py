@@ -16,10 +16,10 @@ from ringlab.core import (
     LatticeLimitError,
     _subgroup_generators,
     bit_members,
-    cached_on,
     element_sets,
     flags_from_mask,
     mask_from_flags,
+    memo,
     units_map,
 )
 
@@ -30,26 +30,23 @@ DEFAULT_LATTICE_LIMIT = 100000
 # bitmask plumbing
 
 
+@memo
 def _principal_bits(ring: FiniteRing) -> tuple[int, ...]:
     """``aR`` as a bitmask for every ``a``; cached.
 
     ``(au)R = aR`` for a unit ``u``, so one mask serves the orbit ``aU``,
     which is row ``a`` of ``mul`` read at the units.
     """
-
-    def compute():
-        everything = range(ring.order)
-        # one is listed twice so that itemgetter always returns a tuple
-        orbit = itemgetter(ring.one, *units_map(ring))
-        out = [None] * ring.order
-        for a, row in enumerate(ring.mul):
-            if out[a] is None:
-                bits = mask_from_flags(bytes(map(set(row).__contains__, everything)))
-                for b in orbit(row):
-                    out[b] = bits
-        return tuple(out)
-
-    return cached_on(ring, "principal_bits", compute)
+    everything = range(ring.order)
+    # one is listed twice so that itemgetter always returns a tuple
+    orbit = itemgetter(ring.one, *units_map(ring))
+    out = [None] * ring.order
+    for a, row in enumerate(ring.mul):
+        if out[a] is None:
+            bits = mask_from_flags(bytes(map(set(row).__contains__, everything)))
+            for b in orbit(row):
+                out[b] = bits
+    return tuple(out)
 
 
 def _span_bits(ring: FiniteRing, b1: int, b2: int) -> int:
@@ -206,104 +203,77 @@ def _join_irreducible_principals(ring: FiniteRing) -> list[int]:
     return seeds
 
 
-def _enumerate_right_ideals(ring: FiniteRing, limit: int) -> tuple[ElementSet, ...]:
-    """Close ``{0}`` and the join-irreducible principal right ideals under
-    joins with the latter."""
+@memo
+def all_right_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
+    """Every right ideal, sorted by size then membership; cached.
+
+    The lattice is the closure of ``{0}`` and the join-irreducible principal
+    right ideals under joins with the latter.  More than
+    :data:`DEFAULT_LATTICE_LIMIT` members raise :class:`LatticeLimitError`.
+    """
+    limit = DEFAULT_LATTICE_LIMIT
     seeds = _join_irreducible_principals(ring)
     found = {1 << ring.zero, *seeds}
-    if len(found) > limit:
-        raise LatticeLimitError(
-            f"{ring.name} has more than {limit} right ideals"
-        )
     queue = list(seeds)
-    while queue:
+    while len(found) <= limit and queue:
         current = queue.pop()
         for seed in seeds:
-            if seed & ~current == 0:
-                continue
-            span = _span_bits(ring, current, seed)
-            if span not in found:
-                found.add(span)
-                if len(found) > limit:
-                    raise LatticeLimitError(
-                        f"{ring.name} has more than {limit} right ideals"
-                    )
-                queue.append(span)
+            if seed & ~current:
+                span = _span_bits(ring, current, seed)
+                if span not in found:
+                    found.add(span)
+                    queue.append(span)
+    if len(found) > limit:
+        raise LatticeLimitError(f"{ring.name} has more than {limit} right ideals")
     ideals = [ElementSet(bits, ring.order) for bits in found]
     return tuple(sorted(ideals, key=ElementSet.sort_key))
 
 
-def all_right_ideals(ring: FiniteRing, limit: int | None = None) -> tuple[ElementSet, ...]:
-    """Every right ideal, sorted by size then membership.
-
-    With ``limit=None`` the default cap applies and the result is cached on
-    the ring; an explicit limit always recomputes.
-    """
-    if limit is None:
-        return cached_on(
-            ring,
-            "right_ideal_lattice",
-            lambda: _enumerate_right_ideals(ring, DEFAULT_LATTICE_LIMIT),
-        )
-    return _enumerate_right_ideals(ring, limit)
-
-
+@memo
 def two_sided_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
-    def compute():
-        return tuple(
-            ideal
-            for ideal in all_right_ideals(ring)
-            if _is_left_closed_bits(ring, ideal.bits)
-        )
-
-    return cached_on(ring, "two_sided_ideals", compute)
+    return tuple(
+        ideal
+        for ideal in all_right_ideals(ring)
+        if _is_left_closed_bits(ring, ideal.bits)
+    )
 
 
+@memo
 def maximal_right_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
     """The proper right ideals lying in no larger proper one.
 
     Walking the lattice from the largest size down, an ideal inside a larger
     proper one lies inside a maximal one, which was met and kept before it.
     """
-
-    def compute():
-        full = (1 << ring.order) - 1
-        kept: list[ElementSet] = []
-        for ideal in reversed(all_right_ideals(ring)):
-            bits = ideal.bits
-            if bits != full and not any(bits & ~m.bits == 0 for m in kept):
-                kept.append(ideal)
-        return tuple(reversed(kept))
-
-    return cached_on(ring, "maximal_right_ideals", compute)
+    full = (1 << ring.order) - 1
+    kept: list[ElementSet] = []
+    for ideal in reversed(all_right_ideals(ring)):
+        bits = ideal.bits
+        if bits != full and not any(bits & ~m.bits == 0 for m in kept):
+            kept.append(ideal)
+    return tuple(reversed(kept))
 
 
+@memo
 def minimal_right_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
     """The nonzero right ideals containing no smaller nonzero one, found as
     in :func:`maximal_right_ideals` from the smallest size up."""
-
-    def compute():
-        zero_bit = 1 << ring.zero
-        kept: list[ElementSet] = []
-        for ideal in all_right_ideals(ring):
-            bits = ideal.bits
-            if bits != zero_bit and not any(m.bits & ~bits == 0 for m in kept):
-                kept.append(ideal)
-        return tuple(kept)
-
-    return cached_on(ring, "minimal_right_ideals", compute)
+    zero_bit = 1 << ring.zero
+    kept: list[ElementSet] = []
+    for ideal in all_right_ideals(ring):
+        bits = ideal.bits
+        if bits != zero_bit and not any(m.bits & ~bits == 0 for m in kept):
+            kept.append(ideal)
+    return tuple(kept)
 
 
+@memo
 def socle(ring: FiniteRing) -> ElementSet:
     """Sum of the minimal right ideals (zero when there are none)."""
-
-    def compute():
-        bits = 1 << ring.zero
-        for ideal in minimal_right_ideals(ring):
-            bits = _span_bits(ring, bits, ideal.bits)
-        return ElementSet(bits, ring.order)
-
-    return cached_on(ring, "socle", compute)
+    bits = 1 << ring.zero
+    for ideal in minimal_right_ideals(ring):
+        bits = _span_bits(ring, bits, ideal.bits)
+    return ElementSet(bits, ring.order)
 
 
 # --------------------------------------------------------------------------
@@ -327,13 +297,11 @@ def _is_essential_bits(ring: FiniteRing, bits: int) -> bool:
     return True
 
 
+@memo
 def _essential_maximals(ring: FiniteRing) -> tuple[ElementSet, ...]:
-    def compute():
-        return tuple(
-            m for m in maximal_right_ideals(ring) if _is_essential_bits(ring, m.bits)
-        )
-
-    return cached_on(ring, "essential_maximals", compute)
+    return tuple(
+        m for m in maximal_right_ideals(ring) if _is_essential_bits(ring, m.bits)
+    )
 
 
 def _preimage_bits(ring: FiniteRing, bits: int, rows) -> int:
@@ -367,14 +335,14 @@ def is_delta_small(ring: FiniteRing, subset: ElementSet) -> bool:
     return _is_delta_small_bits(ring, _require_right_ideal(ring, subset))
 
 
+@memo
+def _essential_maximal_cosets(ring: FiniteRing) -> tuple[int, ...]:
+    return tuple(_one_plus_bits(ring, m.bits) for m in _essential_maximals(ring))
+
+
 def _is_delta_small_bits(ring: FiniteRing, bits: int) -> bool:
     """:func:`is_delta_small` on a mask already known to be a right ideal."""
-    cosets = cached_on(
-        ring,
-        "essential_maximal_cosets",
-        lambda: [_one_plus_bits(ring, m.bits) for m in _essential_maximals(ring)],
-    )
-    return not any(bits & coset for coset in cosets)
+    return not any(bits & coset for coset in _essential_maximal_cosets(ring))
 
 
 def is_direct_summand(ring: FiniteRing, subset: ElementSet) -> int | None:
@@ -382,15 +350,17 @@ def is_direct_summand(ring: FiniteRing, subset: ElementSet) -> int | None:
     return _summand_witness(ring, _require_right_ideal(ring, subset))
 
 
+@memo
+def _summand_witnesses(ring: FiniteRing) -> dict[int, int]:
+    """Each direct summand ``eR`` mapped to the least idempotent ``e``."""
+    pb = _principal_bits(ring)
+    # idempotents descending, so the least e with eR = I is written last
+    return {pb[e]: e for e in reversed(element_sets(ring)[1].indices())}
+
+
 def _summand_witness(ring: FiniteRing, bits: int) -> int | None:
     """:func:`is_direct_summand` on a mask already known to be a right ideal."""
-
-    def compute():
-        pb = _principal_bits(ring)
-        # idempotents descending, so the least e with eR = I is written last
-        return {pb[e]: e for e in reversed(element_sets(ring)[1].indices())}
-
-    return cached_on(ring, "summand_witnesses", compute).get(bits)
+    return _summand_witnesses(ring).get(bits)
 
 
 def ideal_core(ring: FiniteRing, subset: ElementSet) -> ElementSet:

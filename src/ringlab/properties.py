@@ -16,21 +16,20 @@ from ringlab.core import (
     ComputationFault,
     ElementSet,
     FiniteRing,
-    _subgroup_generators,
     bit_members,
     build_quotient,
-    cached_on,
     element_sets,
     mask_from_flags,
+    memo,
 )
 from ringlab.ideals import (
     _principal_bits,
-    _summand_witness,
     maximal_right_ideals,
     socle,
 )
 from ringlab.radicals import (
     center_bits,
+    centraliser_bits,
     commutant_bits,
     delta_mask,
     jacobson,
@@ -101,29 +100,19 @@ def commutant(ring: FiniteRing, a: int) -> ElementSet:
     return ElementSet(commutant_bits(ring, a), ring.order)
 
 
+def _double_commutant_bits(ring: FiniteRing, a: int) -> int:
+    """comm2(a): the centraliser of comm(a), which is an additive subgroup."""
+    return centraliser_bits(ring, commutant_bits(ring, a))
+
+
 def double_commutant(ring: FiniteRing, a: int) -> ElementSet:
     if not 0 <= a < ring.order:
         raise ValueError(f"element {a} out of range")
-    memo = cached_on(ring, "double_commutant_bits", dict)
-    if a not in memo:
-        memo[a] = _centraliser_bits(ring, commutant_bits(ring, a))
-    return ElementSet(memo[a], ring.order)
+    return ElementSet(_double_commutant_bits(ring, a), ring.order)
 
 
 def center(ring: FiniteRing) -> ElementSet:
     return ElementSet(center_bits(ring), ring.order)
-
-
-def _centraliser_bits(ring: FiniteRing, subgroup: int) -> int:
-    """The elements commuting with every member of an additive subgroup.
-
-    x commutes with g and h, hence with g + h, so x centralises the subgroup
-    exactly when it commutes with the subgroup's additive generators.
-    """
-    bits = (1 << ring.order) - 1
-    for g in _subgroup_generators(ring, subgroup):
-        bits &= commutant_bits(ring, g)
-    return bits
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +127,7 @@ def _centraliser_bits(ring: FiniteRing, subgroup: int) -> int:
 _CENTRALISERS = {
     "all": lambda ring, a: -1,
     "comm": commutant_bits,
-    "dcomm": lambda ring, a: double_commutant(ring, a).bits,
+    "dcomm": _double_commutant_bits,
 }
 
 _TARGETS = {
@@ -338,18 +327,19 @@ def element_property(ring: FiniteRing, a: int, prop) -> Certificate | None:
         raise ValueError(f"property {prop.value} is decided for rings, not elements")
     if not 0 <= a < ring.order:
         raise ValueError(f"element {a} out of range for order {ring.order}")
-    memo = cached_on(ring, "element_property", dict)
-    key = (prop, a)
-    if key not in memo:
-        witnesses = _search(ring, a, prop)
-        memo[key] = None if witnesses is None else Certificate(
-            property=prop,
-            element=a,
-            witnesses=tuple(sorted(witnesses.items())),
-            checks=_certificate_checks(ring, prop, a, witnesses),
-            witness_count=1 if prop in _UNIQUE else None,
-        )
-    return memo[key]
+    return _certificate(ring, a, prop)
+
+
+@memo
+def _certificate(ring: FiniteRing, a: int, prop: PropertyName) -> Certificate | None:
+    witnesses = _search(ring, a, prop)
+    return None if witnesses is None else Certificate(
+        property=prop,
+        element=a,
+        witnesses=tuple(sorted(witnesses.items())),
+        checks=_certificate_checks(ring, prop, a, witnesses),
+        witness_count=1 if prop in _UNIQUE else None,
+    )
 
 
 def recheck_certificate(ring: FiniteRing, certificate: Certificate) -> bool:
@@ -377,29 +367,32 @@ def property_mask(ring: FiniteRing, prop) -> ElementSet:
     prop = _coerce(prop)
     if prop in PropertyName.ring_only():
         raise ValueError(f"property {prop.value} has no element mask")
-    memo = cached_on(ring, "property_mask", dict)
-    if prop not in memo:
-        found = (_search(ring, a, prop) is not None for a in range(ring.order))
-        memo[prop] = ElementSet(mask_from_flags(bytes(found)), ring.order)
-    return memo[prop]
+    return _property_mask(ring, prop)
+
+
+@memo
+def _property_mask(ring: FiniteRing, prop: PropertyName) -> ElementSet:
+    found = (_search(ring, a, prop) is not None for a in range(ring.order))
+    return ElementSet(mask_from_flags(bytes(found)), ring.order)
 
 
 # --------------------------------------------------------------------------
 # ring-level decisions
 
 
-def _ring_boolean(ring: FiniteRing) -> tuple[bool, int | None]:
-    for a in range(ring.order):
-        if ring.mul[a][a] != a:
-            return False, a
-    return True, None
-
-
-def _ring_abelian(ring: FiniteRing) -> tuple[bool, int | None]:
-    outside = element_sets(ring)[1].bits & ~center(ring).bits
+def _holds_unless(outside: int) -> tuple[bool, int | None]:
+    """``(True, None)`` for an empty mask of failures, else ``(False, least)``."""
     if outside:
         return False, (outside & -outside).bit_length() - 1
     return True, None
+
+
+def _ring_boolean(ring: FiniteRing) -> tuple[bool, int | None]:
+    return _holds_unless(element_sets(ring)[1].complement().bits)
+
+
+def _ring_abelian(ring: FiniteRing) -> tuple[bool, int | None]:
+    return _holds_unless(element_sets(ring)[1].bits & ~center_bits(ring))
 
 
 def _ring_local(ring: FiniteRing) -> tuple[bool, int | None]:
@@ -426,12 +419,11 @@ def _ring_right_pp(ring: FiniteRing) -> tuple[bool, int | None]:
     idempotent e".  T2(Z2) separates them: r(a) = eR holds for every a, yet
     the witness a = 2 has aR not a direct summand.  Which reading the paper
     intends needs its full text, so the stronger one is kept as registered.
+
+    a is von Neumann regular exactly when aR is a direct summand, so this is
+    regularity of the ring, with the same least witness.
     """
-    pb = _principal_bits(ring)
-    for a in range(ring.order):
-        if _summand_witness(ring, pb[a]) is None:
-            return False, a
-    return True, None
+    return ring_property(ring, PropertyName.VON_NEUMANN_REGULAR)
 
 
 _RING_ONLY = {
@@ -450,20 +442,17 @@ def ring_property(ring: FiniteRing, prop) -> tuple[bool, int | None]:
     element; the witness of a failure is the least failing element.  They
     are decided by the witness search alone, with no certificates.
     """
-    prop = _coerce(prop)
-    memo = cached_on(ring, "ring_property", dict)
-    if prop in memo:
-        return memo[prop]
+    return _ring_property(ring, _coerce(prop))
+
+
+@memo
+def _ring_property(ring: FiniteRing, prop: PropertyName) -> tuple[bool, int | None]:
     if prop in PropertyName.ring_only():
-        result = _RING_ONLY[prop](ring)
-    else:
-        result = (True, None)
-        for a in range(ring.order):
-            if _search(ring, a, prop) is None:
-                result = (False, a)
-                break
-    memo[prop] = result
-    return result
+        return _RING_ONLY[prop](ring)
+    for a in range(ring.order):
+        if _search(ring, a, prop) is None:
+            return False, a
+    return True, None
 
 
 # --------------------------------------------------------------------------

@@ -11,9 +11,9 @@ from ringlab.core import (
     ElementSet,
     FiniteRing,
     _subgroup_generators,
-    cached_on,
     flags_from_mask,
     mask_from_flags,
+    memo,
     units_map,
 )
 from ringlab.ideals import (
@@ -27,6 +27,7 @@ from ringlab.ideals import (
     all_right_ideals,
     is_delta_small,
     is_two_sided_ideal,
+    maximal_right_ideals,
     socle,
 )
 
@@ -70,81 +71,70 @@ class DeltaDisagreement(ComputationFault):
 # Jacobson radical and quasinilpotents
 
 
+@memo
 def jacobson(ring: FiniteRing) -> ElementSet:
     """Jacobson radical, computed two ways that must coincide:
     the intersection of the maximal right ideals, and the set of ``x`` such
     that ``1 - x y`` is a unit for every ``y``."""
-
-    def compute():
-        from ringlab.ideals import maximal_right_ideals
-
-        full = (1 << ring.order) - 1
-        route_a = full
-        for m in maximal_right_ideals(ring):
-            route_a &= m.bits
-        # one_minus_unit[z] is 1 when 1 - z is a unit; row x of mul holds the xy
-        one_minus = map(ring.add[ring.one].__getitem__, ring._neg_table())
-        one_minus_unit = bytes(map(units_map(ring).__contains__, one_minus))
-        route_b = mask_from_flags(
-            bytes(all(map(one_minus_unit.__getitem__, row)) for row in ring.mul)
-        )
-        if route_a != route_b:
-            raise ComputationFault(f"Jacobson radical mismatch on {ring.name}")
-        return ElementSet(route_a, ring.order)
-
-    return cached_on(ring, "jacobson", compute)
+    route_a = (1 << ring.order) - 1
+    for m in maximal_right_ideals(ring):
+        route_a &= m.bits
+    # one_minus_unit[z] is 1 when 1 - z is a unit; row x of mul holds the xy
+    one_minus = map(ring.add[ring.one].__getitem__, ring._neg_table())
+    one_minus_unit = bytes(map(units_map(ring).__contains__, one_minus))
+    route_b = mask_from_flags(
+        bytes(all(map(one_minus_unit.__getitem__, row)) for row in ring.mul)
+    )
+    if route_a != route_b:
+        raise ComputationFault(f"Jacobson radical mismatch on {ring.name}")
+    return ElementSet(route_a, ring.order)
 
 
+@memo
 def _row_commutant(ring: FiniteRing, a: int) -> int:
     """The ``x`` with ``a x = x a``: row ``a`` of ``mul`` against column ``a``."""
     mul = ring.mul
     return mask_from_flags(bytes(map(eq, mul[a], map(itemgetter(a), mul))))
 
 
-def center_bits(ring: FiniteRing) -> int:
-    """The centre as a mask; cached.
+@memo
+def centraliser_bits(ring: FiniteRing, subgroup: int) -> int:
+    """The elements commuting with every member of an additive subgroup.
 
-    An element commuting with g and h commutes with g + h, so the centre is
-    the intersection of the commutants of the ring's additive generators.
+    An element commuting with g and h commutes with g + h, so this is the
+    intersection of the commutants of the subgroup's greedy generators.
     """
+    bits = (1 << ring.order) - 1
+    for g in _subgroup_generators(ring, subgroup):
+        bits &= _row_commutant(ring, g)
+    return bits
 
-    def compute():
-        memo = cached_on(ring, "commutant_bits", dict)
-        bits = (1 << ring.order) - 1
-        for g in _subgroup_generators(ring, bits):
-            memo[g] = _row_commutant(ring, g)
-            bits &= memo[g]
-        return bits
 
-    return cached_on(ring, "center_bits", compute)
+def center_bits(ring: FiniteRing) -> int:
+    """The centre as a mask: the centraliser of the whole ring."""
+    return centraliser_bits(ring, (1 << ring.order) - 1)
 
 
 def commutant_bits(ring: FiniteRing, a: int) -> int:
     """The commutant of ``a``; all of the ring when ``a`` is central."""
-    centre = center_bits(ring)
-    memo = cached_on(ring, "commutant_bits", dict)
-    if a not in memo:
-        memo[a] = (1 << ring.order) - 1 if (centre >> a) & 1 else _row_commutant(ring, a)
-    return memo[a]
+    full = (1 << ring.order) - 1
+    return full if (centraliser_bits(ring, full) >> a) & 1 else _row_commutant(ring, a)
 
 
+@memo
 def qnil_set(ring: FiniteRing) -> ElementSet:
     """Quasinilpotents: ``a`` with ``1 + a x`` a unit for every ``x``
     commuting with ``a``."""
+    # one_plus_unit[z] is 1 when 1 + z is a unit
+    one_plus_unit = bytes(map(units_map(ring).__contains__, ring.add[ring.one]))
 
-    def compute():
-        # one_plus_unit[z] is 1 when 1 + z is a unit
-        one_plus_unit = bytes(map(units_map(ring).__contains__, ring.add[ring.one]))
+    def quasinilpotent(a: int) -> bool:
+        # the ax over the x commuting with a
+        products = compress(ring.mul[a], flags_from_mask(commutant_bits(ring, a)))
+        return all(map(one_plus_unit.__getitem__, products))
 
-        def quasinilpotent(a: int) -> bool:
-            # the ax over the x commuting with a
-            products = compress(ring.mul[a], flags_from_mask(commutant_bits(ring, a)))
-            return all(map(one_plus_unit.__getitem__, products))
-
-        flags = bytes(map(quasinilpotent, range(ring.order)))
-        return ElementSet(mask_from_flags(flags), ring.order)
-
-    return cached_on(ring, "qnil", compute)
+    flags = bytes(map(quasinilpotent, range(ring.order)))
+    return ElementSet(mask_from_flags(flags), ring.order)
 
 
 # --------------------------------------------------------------------------
@@ -237,36 +227,33 @@ def delta_r5(ring: FiniteRing) -> ElementSet:
     return ElementSet(mask_from_flags(flags), order)
 
 
+@memo
 def delta(ring: FiniteRing) -> DeltaComputation:
     """Run all five characterizations and require consensus.
 
     On disagreement a :class:`DeltaDisagreement` is raised carrying the
     partial computation; nothing is cached in that case.
     """
-
-    def compute():
-        r1 = delta_r1(ring)
-        r2 = delta_r2(ring)
-        r3 = delta_r3(ring)
-        r4 = delta_r4(ring)
-        r5 = delta_r5(ring)
-        agree = r1.bits == r2.bits == r3.bits == r4.bits == r5.bits
-        if not agree:
-            raise DeltaDisagreement(
-                ring, DeltaComputation(r1, r2, r3, r4, r5, False, None)
-            )
-        consensus = r1
-        if not is_two_sided_ideal(ring, consensus):
-            raise ComputationFault(
-                f"delta consensus on {ring.name} is not a two-sided ideal"
-            )
-        if jacobson(ring).bits & ~consensus.bits:
-            raise ComputationFault(
-                f"delta consensus on {ring.name} does not contain the Jacobson radical"
-            )
-        return DeltaComputation(r1, r2, r3, r4, r5, True, consensus)
-
-    return cached_on(ring, "delta", compute)
+    r1 = delta_r1(ring)
+    r2 = delta_r2(ring)
+    r3 = delta_r3(ring)
+    r4 = delta_r4(ring)
+    r5 = delta_r5(ring)
+    agree = r1.bits == r2.bits == r3.bits == r4.bits == r5.bits
+    if not agree:
+        raise DeltaDisagreement(
+            ring, DeltaComputation(r1, r2, r3, r4, r5, False, None)
+        )
+    consensus = r1
+    if not is_two_sided_ideal(ring, consensus):
+        raise ComputationFault(
+            f"delta consensus on {ring.name} is not a two-sided ideal"
+        )
+    if jacobson(ring).bits & ~consensus.bits:
+        raise ComputationFault(
+            f"delta consensus on {ring.name} does not contain the Jacobson radical"
+        )
+    return DeltaComputation(r1, r2, r3, r4, r5, True, consensus)
 
 
 def delta_mask(ring: FiniteRing) -> ElementSet:

@@ -33,7 +33,13 @@ from ringlab.core import (
     ring_to_json,
     units_map,
 )
-from ringlab.ideals import _principal_bits, all_right_ideals, socle, two_sided_ideals
+from ringlab.ideals import (
+    _principal_bits,
+    _summand_witness,
+    all_right_ideals,
+    socle,
+    two_sided_ideals,
+)
 from ringlab.properties import (
     PropertyName,
     center,
@@ -1156,6 +1162,27 @@ def scan_summand_witness(ring: FiniteRing, bits: int) -> int | None:
     pb = _principal_bits(ring)
     _, idempotents, _ = element_sets(ring)
     return next((e for e in idempotents.indices() if pb[e] == bits), None)
+
+
+# The ring-level right-pp and boolean loops from before they read von Neumann
+# regularity and the idempotent mask, kept verbatim (leading underscores
+# dropped) as references for `ringlab.properties`.
+
+
+def ring_right_pp(ring: FiniteRing) -> tuple[bool, int | None]:
+    """The least ``a`` whose ``aR`` is not a direct summand, if any."""
+    pb = _principal_bits(ring)
+    for a in range(ring.order):
+        if _summand_witness(ring, pb[a]) is None:
+            return False, a
+    return True, None
+
+
+def ring_boolean(ring: FiniteRing) -> tuple[bool, int | None]:
+    for a in range(ring.order):
+        if ring.mul[a][a] != a:
+            return False, a
+    return True, None
 
 
 def permuted_ring(ring: FiniteRing, perm: Sequence[int]) -> FiniteRing:

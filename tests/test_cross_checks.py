@@ -135,6 +135,27 @@ def test_ring_property_is_the_element_sweep_on_catalog(catalog_rings):
         _assert_ring_property_is_the_element_sweep(ring)
 
 
+def _assert_ring_level_readings_match_old_loops(ring):
+    """right-pp read as regularity, and boolean read off the idempotent mask,
+    against the loops they replaced."""
+    assert ring_property(ring, PropertyName.RIGHT_PP) == oracles.ring_right_pp(ring), (
+        ring.name
+    )
+    assert ring_property(ring, PropertyName.BOOLEAN) == oracles.ring_boolean(ring), (
+        ring.name
+    )
+
+
+@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
+def test_ring_level_readings_match_old_loops(preset):
+    _assert_ring_level_readings_match_old_loops(build_preset(preset))
+
+
+def test_ring_level_readings_match_old_loops_on_catalog(catalog_rings):
+    for ring in catalog_rings.values():
+        _assert_ring_level_readings_match_old_loops(ring)
+
+
 def _permuted_report(report: dict, perm) -> dict:
     """``report`` with element ``a`` renamed ``perm[a]`` throughout."""
 

@@ -11,6 +11,7 @@ import time
 import pytest
 
 import oracles
+from ringlab import ideals
 from ringlab.catalog import build_preset
 from ringlab.core import (
     ElementSet,
@@ -303,18 +304,23 @@ def test_two_sided_ideals_m2z2(m2z2):
     assert [len(i) for i in two_sided_ideals(m2z2)] == [1, 16]
 
 
-def test_lattice_limit(z6):
+def test_lattice_limit(monkeypatch):
+    # a fresh Z6: the lattice of a shared ring may be cached already
+    monkeypatch.setattr(ideals, "DEFAULT_LATTICE_LIMIT", 3)
     with pytest.raises(LatticeLimitError):
-        all_right_ideals(z6, limit=3)
+        all_right_ideals(build_zmod(6))
 
 
-def test_lattice_limit_boundary():
-    # 16 right ideals, generated by the 4 join-irreducible ones
+def test_lattice_limit_boundary(monkeypatch):
+    # 16 right ideals, generated by the 4 join-irreducible ones; a failed
+    # enumeration caches nothing, so the same ring is enumerated again
     ring = build_product([build_zmod(2)] * 4)
     assert len(_join_irreducible_principals(ring)) == 4
+    monkeypatch.setattr(ideals, "DEFAULT_LATTICE_LIMIT", 15)
     with pytest.raises(LatticeLimitError):
-        all_right_ideals(ring, limit=15)
-    assert len(all_right_ideals(ring, limit=16)) == 16
+        all_right_ideals(ring)
+    monkeypatch.setattr(ideals, "DEFAULT_LATTICE_LIMIT", 16)
+    assert len(all_right_ideals(ring)) == 16
 
 
 # --------------------------------------------------------------- essential

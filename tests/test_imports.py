@@ -71,3 +71,62 @@ def test_library_imports_only_stdlib():
         and name.partition(".")[0] not in sys.stdlib_module_names
     ]
     assert outside == []
+
+
+# the node fields that hold an identifier
+_IDENTIFIER_FIELDS = {
+    ast.Name: "id",
+    ast.Attribute: "attr",
+    ast.FunctionDef: "name",
+    ast.alias: "name",
+    ast.arg: "arg",
+}
+
+
+def _cache_access(source: str, owner: str | None = None) -> list[tuple[str, int]]:
+    """Each ``x._cache`` attribute outside the top-level function ``owner``,
+    and each identifier ``cached_on``, with its line, in line order."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and top.name == owner
+        for node in ast.walk(top)
+    }
+    found = []
+    for node in ast.walk(tree):
+        is_cache = isinstance(node, ast.Attribute) and node.attr == "_cache"
+        if is_cache and id(node) not in allowed:
+            found.append(("_cache", node.lineno))
+        field = _IDENTIFIER_FIELDS.get(type(node))
+        if field is not None and getattr(node, field) == "cached_on":
+            found.append(("cached_on", node.lineno))
+    return sorted(found, key=lambda hit: hit[1])
+
+
+def test_cache_scan_sees_attributes_and_names_but_not_the_owner():
+    source = (
+        "from ringlab.core import cached_on\n"
+        "def memo(fn):\n"
+        "    return lambda ring: ring._cache\n"
+        "def f(ring, _cache=None):\n"
+        "    ring._cache.clear()\n"
+        "    return core.cached_on(ring, '_cache', dict)\n"
+    )
+    assert _cache_access(source, owner="memo") == [
+        ("cached_on", 1),
+        ("_cache", 5),
+        ("cached_on", 6),
+    ]
+    assert ("_cache", 3) in _cache_access(source)
+
+
+def test_only_memo_touches_the_ring_cache():
+    found = [
+        f"{path.name}: {name} at line {line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _cache_access(
+            path.read_text(), owner="memo" if path.name == "core.py" else None
+        )
+    ]
+    assert found == []

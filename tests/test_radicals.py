@@ -169,6 +169,11 @@ def test_delta_disagreement_is_reported(monkeypatch):
     assert comp.consensus is None
     assert comp.r3.bits != comp.r1.bits
     assert "Z4" in str(err.value)
+    # nothing was cached on disagreement: the real routes now agree
+    monkeypatch.undo()
+    comp = delta(ring)
+    assert comp.agree
+    assert comp.consensus.indices() == (0, 2)
 
 
 # ---------------------------------------------------------- qnil and order
