@@ -213,8 +213,12 @@ class FiniteRing:
 
     @memo
     def _neg_table(self) -> tuple[int, ...]:
-        zero = self.zero
-        return tuple(row.index(zero) for row in self.add)
+        """Each element's additive inverse: row -1 of ``mul``, as (-1) a = -a.
+
+        This holds in every ring, so on a constructed or verified ring; on
+        unchecked tables it may be wrong.
+        """
+        return self.mul[self.add[self.one].index(self.zero)]
 
     def neg(self, i: int) -> int:
         return self._neg_table()[i]

@@ -8,9 +8,10 @@ element (or idempotent) exhibiting the failure.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from itertools import compress, islice, repeat
 
 from ringlab.core import (
     ComputationFault,
@@ -19,6 +20,7 @@ from ringlab.core import (
     bit_members,
     build_quotient,
     element_sets,
+    flags_from_mask,
     mask_from_flags,
     memo,
 )
@@ -121,7 +123,9 @@ def center(ring: FiniteRing) -> ElementSet:
 # Every quasipolar and clean property asks for an idempotent p in a
 # centraliser of a (all of R, comm(a) or comm2(a)) with a + p (sign +1) or
 # a - p (sign -1) in a target set.  "Strongly" needs no commutation test of
-# its own: for u = a - e, eu = ue exactly when ea = ae.
+# its own: for u = a - e, eu = ue exactly when ea = ae.  The search runs one
+# idempotent at a time: every decision reads the masks A_p of the elements
+# that have p as companion.
 
 
 _CENTRALISERS = {
@@ -169,23 +173,80 @@ _COMPANION_SPECS = {
 _UNIQUE = frozenset({PropertyName.UNIQUELY_CLEAN, PropertyName.UNIQUELY_DELTA_R_CLEAN})
 
 
-def _companions(ring: FiniteRing, a: int, prop: PropertyName):
-    """Yield each idempotent companion of ``a`` for ``prop`` in ascending order."""
-    centraliser, sign, target = _COMPANION_SPECS[prop]
-    candidates = element_sets(ring)[1].bits & _CENTRALISERS[centraliser](ring, a)
+@memo
+def _shifted_preimages(ring: FiniteRing, sign: int, target: str) -> tuple[int, ...]:
+    """For each idempotent p in ascending order, the a with a + p (sign +1)
+    or a - p (sign -1) in the target.
+
+    a + q lies in the target T exactly when a lies in T - q, so each mask is
+    the translate of T by -q, and row -q of ``add`` is that translation.
+    The smaller of T and its complement is translated, member by member.
+    The properties that share a shift share these masks.
+    """
+    n, add, neg = ring.order, ring.add, ring._neg_table()
     goal = _TARGETS[target](ring).bits
-    # quasipolar also needs ap quasinilpotent; -1 has every bit set
+    flip = (1 << n) - 1 if 2 * goal.bit_count() > n else 0
+    members = bit_members(goal ^ flip)
+    out = []
+    for p in element_sets(ring)[1].indices():
+        row = add[neg[p] if sign > 0 else p]
+        flags = bytearray(n)
+        for g in members:
+            flags[row[g]] = 1
+        out.append(mask_from_flags(flags) ^ flip)
+    return tuple(out)
+
+
+def _double_commuting(ring: FiniteRing, p: int, candidates: int) -> int:
+    """The candidates a with p in comm2(a), that is with comm(a) inside comm(p)."""
+    outside = ~commutant_bits(ring, p)
+    kept = 0
+    for a in bit_members(candidates):
+        if not commutant_bits(ring, a) & outside:
+            kept |= 1 << a
+    return kept
+
+
+@memo
+def _companion_masks(ring: FiniteRing, prop: PropertyName) -> tuple[int, ...]:
+    """A_p for each idempotent p in ascending order: the elements that have
+    p as their companion for ``prop``."""
+    centraliser, sign, target = _COMPANION_SPECS[prop]
+    masks = _shifted_preimages(ring, sign, target)
+    if centraliser == "all":
+        return masks
+    centre, mul = center_bits(ring), ring.mul
     qnil = qnil_set(ring).bits if prop is PropertyName.QUASIPOLAR else -1
-    add_a, mul_a = ring.add[a], ring.mul[a]
-    neg = ring._neg_table()
-    # walk the mask lazily: most callers stop at the first companion
-    while candidates:
-        low = candidates & -candidates
-        candidates ^= low
-        p = low.bit_length() - 1
-        shifted = add_a[p] if sign > 0 else add_a[neg[p]]
-        if (goal >> shifted) & 1 and (qnil >> mul_a[p]) & 1:
-            yield p
+    out = []
+    for p, mask in zip(element_sets(ring)[1].indices(), masks):
+        if prop is PropertyName.QUASIPOLAR:
+            # ap quasinilpotent, tested on the few a with a + p a unit
+            mask = sum(1 << a for a in bit_members(mask) if (qnil >> mul[a][p]) & 1)
+        # a central p lies in every centraliser; commuting is symmetric, and
+        # p in comm2(a) makes p commute with a
+        if not (centre >> p) & 1:
+            mask &= commutant_bits(ring, p)
+            if centraliser == "dcomm":
+                mask = _double_commuting(ring, p, mask)
+        out.append(mask)
+    return tuple(out)
+
+
+def _companion_witnesses(ring: FiniteRing, a: int, prop: PropertyName) -> dict | None:
+    """The named witnesses of ``prop`` at ``a`` from its least companion p,
+    or ``None`` when ``a`` has none (or, for uniquely-*, more than one)."""
+    masks = _companion_masks(ring, prop)
+    hits = (
+        p
+        for p, mask in zip(element_sets(ring)[1].indices(), masks)
+        if (mask >> a) & 1
+    )
+    found = tuple(islice(hits, 1 + (prop in _UNIQUE)))
+    if len(found) != 1:
+        return None
+    _, sign, target = _COMPANION_SPECS[prop]
+    p = found[0]
+    return {"p": p} if sign > 0 else {"e": p, _DIFFERENCE[target]: ring.sub(a, p)}
 
 
 # --------------------------------------------------------------------------
@@ -308,19 +369,6 @@ def _certificate_checks(
 # element-level decisions
 
 
-def _search(ring: FiniteRing, a: int, prop: PropertyName) -> dict | None:
-    """The named witnesses of ``prop`` at ``a``, or ``None`` when ``a`` fails it."""
-    if prop in _COMPANION_SPECS:
-        # a uniquely-* property needs exactly one companion, so look for two
-        found = tuple(islice(_companions(ring, a, prop), 1 + (prop in _UNIQUE)))
-        if len(found) != 1:
-            return None
-        _, sign, target = _COMPANION_SPECS[prop]
-        p = found[0]
-        return {"p": p} if sign > 0 else {"e": p, _DIFFERENCE[target]: ring.sub(a, p)}
-    return _FINDERS[prop](ring, a)
-
-
 def element_property(ring: FiniteRing, a: int, prop) -> Certificate | None:
     prop = _coerce(prop)
     if prop in PropertyName.ring_only():
@@ -332,7 +380,10 @@ def element_property(ring: FiniteRing, a: int, prop) -> Certificate | None:
 
 @memo
 def _certificate(ring: FiniteRing, a: int, prop: PropertyName) -> Certificate | None:
-    witnesses = _search(ring, a, prop)
+    if prop in _COMPANION_SPECS:
+        witnesses = _companion_witnesses(ring, a, prop)
+    else:
+        witnesses = _FINDERS[prop](ring, a)
     return None if witnesses is None else Certificate(
         property=prop,
         element=a,
@@ -372,8 +423,16 @@ def property_mask(ring: FiniteRing, prop) -> ElementSet:
 
 @memo
 def _property_mask(ring: FiniteRing, prop: PropertyName) -> ElementSet:
-    found = (_search(ring, a, prop) is not None for a in range(ring.order))
-    return ElementSet(mask_from_flags(bytes(found)), ring.order)
+    if prop not in _COMPANION_SPECS:
+        finder = _FINDERS[prop]
+        found = (finder(ring, a) is not None for a in range(ring.order))
+        return ElementSet(mask_from_flags(bytes(found)), ring.order)
+    # the elements with at least one companion, and with two or more
+    once = twice = 0
+    for mask in _companion_masks(ring, prop):
+        twice |= once & mask
+        once |= mask
+    return ElementSet(once & ~twice if prop in _UNIQUE else once, ring.order)
 
 
 # --------------------------------------------------------------------------
@@ -449,8 +508,11 @@ def ring_property(ring: FiniteRing, prop) -> tuple[bool, int | None]:
 def _ring_property(ring: FiniteRing, prop: PropertyName) -> tuple[bool, int | None]:
     if prop in PropertyName.ring_only():
         return _RING_ONLY[prop](ring)
+    if prop in _COMPANION_SPECS:
+        return _holds_unless(_property_mask(ring, prop).complement().bits)
+    finder = _FINDERS[prop]
     for a in range(ring.order):
-        if _search(ring, a, prop) is None:
+        if finder(ring, a) is None:
             return False, a
     return True, None
 
@@ -474,7 +536,18 @@ def spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tuple[int, ...
         raise ValueError(f"unknown spectral flavor: {flavor!r}")
     if not 0 <= a < ring.order:
         raise ValueError(f"element {a} out of range")
-    return tuple(_companions(ring, a, _SPECTRAL_FLAVORS[flavor]))
+    return tuple(_spectral_lists(ring, _SPECTRAL_FLAVORS[flavor])[a])
+
+
+@memo
+def _spectral_lists(ring: FiniteRing, prop: PropertyName) -> list[list[int]]:
+    """Each element's companions for ``prop`` in ascending order, built by
+    appending p to the list of every member of A_p."""
+    lists = [[] for _ in range(ring.order)]
+    for p, mask in zip(element_sets(ring)[1].indices(), _companion_masks(ring, prop)):
+        # list.append(lst, p) for each selected list, all in C
+        deque(map(list.append, compress(lists, flags_from_mask(mask)), repeat(p)), maxlen=0)
+    return lists
 
 
 def idempotents_lift(ring: FiniteRing, ideal: ElementSet) -> tuple[bool, int | None]:

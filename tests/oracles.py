@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import islice
 from operator import itemgetter
 from typing import Sequence
 
@@ -41,6 +42,12 @@ from ringlab.ideals import (
     two_sided_ideals,
 )
 from ringlab.properties import (
+    _CENTRALISERS,
+    _COMPANION_SPECS,
+    _DIFFERENCE,
+    _FINDERS,
+    _TARGETS,
+    _UNIQUE,
     PropertyName,
     center,
     commutant,
@@ -864,6 +871,44 @@ def reference_spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tupl
     return tuple(out)
 
 
+# The per-element companion walk that `ringlab.properties` used before it
+# built one mask of elements per idempotent, kept verbatim (leading
+# underscores dropped): each element walks the idempotent mask in Python and
+# tests its own centraliser, target and (for quasipolar) qnil bits.
+
+
+def companions(ring: FiniteRing, a: int, prop: PropertyName):
+    """Yield each idempotent companion of ``a`` for ``prop`` in ascending order."""
+    centraliser, sign, target = _COMPANION_SPECS[prop]
+    candidates = element_sets(ring)[1].bits & _CENTRALISERS[centraliser](ring, a)
+    goal = _TARGETS[target](ring).bits
+    # quasipolar also needs ap quasinilpotent; -1 has every bit set
+    qnil = qnil_set(ring).bits if prop is PropertyName.QUASIPOLAR else -1
+    add_a, mul_a = ring.add[a], ring.mul[a]
+    neg = ring._neg_table()
+    # walk the mask lazily: most callers stop at the first companion
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        p = low.bit_length() - 1
+        shifted = add_a[p] if sign > 0 else add_a[neg[p]]
+        if (goal >> shifted) & 1 and (qnil >> mul_a[p]) & 1:
+            yield p
+
+
+def search(ring: FiniteRing, a: int, prop: PropertyName) -> dict | None:
+    """The named witnesses of ``prop`` at ``a``, or ``None`` when ``a`` fails it."""
+    if prop in _COMPANION_SPECS:
+        # a uniquely-* property needs exactly one companion, so look for two
+        found = tuple(islice(companions(ring, a, prop), 1 + (prop in _UNIQUE)))
+        if len(found) != 1:
+            return None
+        _, sign, target = _COMPANION_SPECS[prop]
+        p = found[0]
+        return {"p": p} if sign > 0 else {"e": p, _DIFFERENCE[target]: ring.sub(a, p)}
+    return _FINDERS[prop](ring, a)
+
+
 # --------------------------------------------------------------------------
 # reference regularity and exchange finders
 #
@@ -1021,6 +1066,17 @@ def percell_units_map(ring: FiniteRing) -> dict[int, int]:
                 out[a] = b
                 break
     return out
+
+
+def percell_neg_table(ring: FiniteRing) -> tuple[int, ...]:
+    n, add, zero = ring.order, ring.add, ring.zero
+    out = []
+    for a in range(n):
+        for b in range(n):
+            if add[a][b] == zero:
+                out.append(b)
+                break
+    return tuple(out)
 
 
 def percell_commutant_bits(ring: FiniteRing, a: int) -> int:

@@ -21,15 +21,17 @@ from ringlab.claims import (
     registry,
     search_counterexample,
 )
-from ringlab.core import build_quotient
+from ringlab import properties, radicals
+from ringlab.core import ElementSet, build_quotient, element_sets
 from ringlab.ideals import two_sided_ideals
 from ringlab.properties import (
     PropertyName,
     _certificate_checks,
-    _search,
     element_property,
     ring_property,
+    spectral_candidates,
 )
+from ringlab.radicals import DeltaComputation, qnil_set
 from test_cross_checks import DIFFERENTIAL_PRESETS, ELEMENT_PROPERTIES
 
 REPLACED_CHECKERS = {
@@ -238,7 +240,7 @@ def _assert_certificate_checks_match(ring, rng):
                 dict.fromkeys(keys[1:], 0),
                 *({k: rng.randrange(-2, n + 2) for k in keys} for _ in range(2)),
             ]
-            real = _search(ring, a, prop)
+            real = oracles.search(ring, a, prop)
             if real is not None:
                 cases.append(real)
             for witnesses in cases:
@@ -255,3 +257,187 @@ def test_certificate_checks_match_the_per_property_checks(suites, preset):
 def test_certificate_checks_match_the_per_property_checks_on_catalog(catalog_rings):
     for name, ring in catalog_rings.items():
         _assert_certificate_checks_match(ring, random.Random(name))
+
+
+# --------------------------------------------------------------------------
+# witness branches forced open
+#
+# On the catalog and the differential presets only the disputed claims
+# produce witnesses, so the witness branches of the other checkers never run
+# there.  Each case below sets one cached fact of one freshly built ring
+# (a property, a companion mask, delta or a delta route) so that one branch
+# fires, and compares the registry's witnesses with the old checkers'.
+
+
+def _force(monkeypatch, ring, fact, *args, value):
+    """Make the memoised ``fact(ring, *args)`` return ``value`` on this ring."""
+    monkeypatch.setitem(ring._cache, (fact.__wrapped__, *args), value)
+
+
+def _property(prop, holds, witness=None):
+    def force(monkeypatch, ring):
+        _force(monkeypatch, ring, properties._ring_property, prop, value=(holds, witness))
+
+    return force
+
+
+def _companions(prop, *members):
+    """The least idempotent is the companion of exactly ``members``; no other
+    idempotent is a companion of anything."""
+
+    def force(monkeypatch, ring):
+        others = (0,) * (len(element_sets(ring)[1]) - 1)
+        masks = (sum(1 << a for a in members), *others)
+        _force(monkeypatch, ring, properties._companion_masks, prop, value=masks)
+
+    return force
+
+
+def _delta(*members, warm=()):
+    """delta is ``members``; the properties ``warm`` are decided first."""
+
+    def force(monkeypatch, ring):
+        for prop in warm:
+            ring_property(ring, prop)
+        forced = ElementSet.from_indices(ring.order, members)
+        computation = DeltaComputation(*[forced] * 5, agree=True, consensus=forced)
+        _force(monkeypatch, ring, radicals.delta, value=computation)
+
+    return force
+
+
+def _split_delta_r5(monkeypatch, ring):
+    real = radicals.delta_r5
+    monkeypatch.setattr(
+        radicals, "delta_r5", lambda r: ElementSet.full(r.order) if r is ring else real(r)
+    )
+
+
+def _spectral_of_unit(unit, candidates):
+    def force(monkeypatch, ring):
+        lists = [list(spectral_candidates(ring, a, "delta")) for a in range(ring.order)]
+        lists[unit] = list(candidates)
+        _force(monkeypatch, ring, properties._spectral_lists, DQP, value=lists)
+
+    return force
+
+
+def _unlifted_idempotent(e):
+    """``e`` is dropped from the idempotents, after delta-quasipolarity is decided."""
+
+    def force(monkeypatch, ring):
+        ring_property(ring, DQP)
+        units, idempotents, nilpotents = element_sets(ring)
+        dropped = ElementSet(idempotents.bits & ~(1 << e), ring.order)
+        _force(monkeypatch, ring, element_sets, value=(units, dropped, nilpotents))
+
+    return force
+
+
+def _qnil(*members):
+    def force(monkeypatch, ring):
+        _force(monkeypatch, ring, qnil_set, value=ElementSet.from_indices(ring.order, members))
+
+    return force
+
+
+P = PropertyName
+FORCED_BRANCHES = [
+    ("delta-five-characterizations", "zmod:4", _split_delta_r5),
+    ("semisimple-or-boolean-is-delta-quasipolar", "zmod:2", _property(DQP, False, 1)),
+    ("j-quasipolar-implies-delta-quasipolar", "zmod:2", _companions(DQP, 0)),
+    (
+        "delta-quasipolar-with-socle-in-radical-is-j-quasipolar",
+        "zmod:4",
+        _property(P.J_QUASIPOLAR, False, 3),
+    ),
+    ("conjugation-preserves-delta-quasipolar", "mat:2:zmod:2", _companions(DQP, 4)),
+    ("minus-one-shift-preserves-delta-quasipolar", "zmod:4", _companions(DQP, 1)),
+    ("unit-spectral-idempotent-is-identity", "zmod:4", _spectral_of_unit(3, (0, 1))),
+    ("delta-quasipolar-ring-has-two-in-delta", "zmod:9", _property(DQP, True)),
+    ("local-quasipolar-implies-delta-quasipolar", "zmod:2", _property(DQP, False, 1)),
+    ("delta-quasipolar-implies-right-pp", "zmod:2", _property(P.RIGHT_PP, False, 1)),
+    (
+        "abelian-delta-quasipolar-implies-strongly-regular",
+        "zmod:2",
+        _property(P.STRONGLY_REGULAR, False, 1),
+    ),
+    (
+        "abelian-delta-quasipolar-implies-quasipolar",
+        "zmod:2",
+        _property(P.QUASIPOLAR, False, 1),
+    ),
+    (
+        "abelian-delta-quasipolar-implies-strongly-clean",
+        "zmod:2",
+        _property(P.STRONGLY_CLEAN, False, 1),
+    ),
+    # the quotient by delta is Z3, not boolean
+    ("delta-quasipolar-quotient-is-boolean-with-lifting", "zmod:9", _property(DQP, True)),
+    # Z4 x Z4 modulo delta is Z2 x Z2; without the idempotent (1, 0) of
+    # Z4 x Z4, its image has no lift
+    (
+        "delta-quasipolar-quotient-is-boolean-with-lifting",
+        "product:zmod:4,zmod:4",
+        _unlifted_idempotent(4),
+    ),
+    (
+        "delta-quasipolar-iff-delta-r-clean-for-abelian",
+        "zmod:2",
+        _property(P.DELTA_R_CLEAN, False, 1),
+    ),
+    ("delta-quasipolar-iff-delta-r-clean-for-abelian", "zmod:2", _property(DQP, False, 1)),
+    ("delta-quasipolar-implies-exchange", "zmod:2", _property(P.EXCHANGE, False, 1)),
+    ("boolean-regular-chain", "zmod:4", _delta(0, warm=(DQP,))),
+    ("boolean-regular-chain", "zmod:2", _property(P.VON_NEUMANN_REGULAR, False, 1)),
+    ("boolean-regular-chain", "zmod:2", _property(DQP, False, 1)),
+    ("abelian-j-clean-implies-delta-quasipolar", "zmod:2", _property(DQP, False, 1)),
+    ("trivial-idempotents-dichotomy", "zmod:4", _property(DQP, False, 1)),
+    ("radical-chain-when-delta-equals-radical", "zmod:4", _qnil(0)),
+    ("delta-quasipolar-implies-weakly", "zmod:2", _companions(P.WEAKLY_DELTA_QUASIPOLAR, 0)),
+    (
+        "strongly-j-clean-implies-weakly-delta-quasipolar",
+        "zmod:2",
+        _property(P.WEAKLY_DELTA_QUASIPOLAR, False, 1),
+    ),
+    # Z9 is not weakly delta-quasipolar, so its image modulo {0} and its
+    # corner at 1, both fresh copies of it, fail
+    (
+        "weakly-delta-quasipolar-surjective-images",
+        "zmod:9",
+        _property(P.WEAKLY_DELTA_QUASIPOLAR, True),
+    ),
+    (
+        "weakly-delta-quasipolar-corner-rings",
+        "zmod:9",
+        _property(P.WEAKLY_DELTA_QUASIPOLAR, True),
+    ),
+    (
+        "weakly-equals-strongly-delta-r-clean",
+        "zmod:4",
+        _companions(P.WEAKLY_DELTA_QUASIPOLAR, 0),
+    ),
+    ("local-ring-five-equivalences", "zmod:4", _property(P.UNIQUELY_CLEAN, False, 1)),
+]
+
+
+def test_every_per_ring_claim_has_a_forced_branch():
+    checked = {claim.id for claim in registry() if claim.check is not None}
+    assert {claim_id for claim_id, _, _ in FORCED_BRANCHES} == checked - SUITE_LEVEL
+
+
+@pytest.mark.parametrize(
+    "claim_id, preset, force",
+    FORCED_BRANCHES,
+    ids=[f"{claim_id}-{i}" for i, (claim_id, _, _) in enumerate(FORCED_BRANCHES)],
+)
+def test_forced_witness_branches_match_the_old_checkers(monkeypatch, claim_id, preset, force):
+    ring = build_entry(CatalogEntry(name=preset, recipe=preset))
+    force(monkeypatch, ring)
+    ctx = SuiteContext(entries=(CatalogEntry(name=preset, recipe=preset),), rings={preset: ring})
+    claim = next(c for c in registry() if c.id == claim_id)
+    found = claim.check(ctx)
+    assert found, claim_id
+    for old in (REPLACED_CHECKERS.get(claim_id), PRE_CHANGE_CHECKERS.get(claim_id)):
+        if old is not None:
+            assert found == old(ctx), claim_id

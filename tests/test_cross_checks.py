@@ -13,12 +13,20 @@ import random
 import pytest
 
 import oracles
-from ringlab import ideals
+from ringlab import ideals, properties
 from ringlab.catalog import build_preset
 from ringlab.core import element_sets, units_map
 from ringlab.ideals import _ideal_core_bits, _principal_bits, all_right_ideals
-from ringlab.properties import PropertyName, element_property, property_mask, ring_property
-from ringlab.radicals import commutant_bits, delta_r5, jacobson, qnil_set
+from ringlab.properties import (
+    _COMPANION_SPECS,
+    _SPECTRAL_FLAVORS,
+    PropertyName,
+    element_property,
+    property_mask,
+    ring_property,
+    spectral_candidates,
+)
+from ringlab.radicals import center_bits, commutant_bits, delta_r5, jacobson, qnil_set
 from ringlab.report import build_report
 from test_properties import NON_CATALOG_PRESETS
 
@@ -55,6 +63,7 @@ ELEMENT_PROPERTIES = [p for p in PropertyName if p not in PropertyName.ring_only
 def _assert_cross_checks_match_per_cell_loops(ring):
     n = ring.order
     assert units_map(ring) == oracles.percell_units_map(ring), ring.name
+    assert ring._neg_table() == oracles.percell_neg_table(ring), ring.name
     assert tuple(set(s.indices()) for s in element_sets(ring)) == (
         oracles.brute_units(ring),
         oracles.brute_idempotents(ring),
@@ -133,6 +142,68 @@ def test_ring_property_is_the_element_sweep(preset):
 def test_ring_property_is_the_element_sweep_on_catalog(catalog_rings):
     for ring in catalog_rings.values():
         _assert_ring_property_is_the_element_sweep(ring)
+
+
+def _assert_companion_masks_match_the_per_element_walk(ring):
+    """Masks, ring witnesses, certificates and spectral lists, all read off
+    the masks A_p, against the walk over the idempotents of each element."""
+    for prop in _COMPANION_SPECS:
+        walked = [oracles.search(ring, a, prop) for a in range(ring.order)]
+        bits = sum(1 << a for a, witnesses in enumerate(walked) if witnesses is not None)
+        assert property_mask(ring, prop).bits == bits, (ring.name, prop)
+        least = next((a for a, witnesses in enumerate(walked) if witnesses is None), None)
+        assert ring_property(ring, prop) == (least is None, least), (ring.name, prop)
+        for a, witnesses in enumerate(walked):
+            cert = element_property(ring, a, prop)
+            found = None if cert is None else dict(cert.witnesses)
+            assert found == witnesses, (ring.name, prop, a)
+    for flavor, prop in _SPECTRAL_FLAVORS.items():
+        for a in range(ring.order):
+            assert spectral_candidates(ring, a, flavor) == tuple(
+                oracles.companions(ring, a, prop)
+            ), (ring.name, flavor, a)
+
+
+@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
+def test_companion_masks_match_the_per_element_walk(preset):
+    _assert_companion_masks_match_the_per_element_walk(build_preset(preset))
+
+
+def test_companion_masks_match_the_per_element_walk_on_catalog(catalog_rings):
+    for ring in catalog_rings.values():
+        _assert_companion_masks_match_the_per_element_walk(ring)
+
+
+@pytest.mark.parametrize("preset", ["mat:2:zmod:2", "tri:2:zmod:3", "cdtri:3:zmod:2"])
+def test_companion_masks_match_the_per_element_walk_on_relabelled_rings(
+    preset, monkeypatch
+):
+    """Relabelled non-commutative rings.  M2(Z2) and T2(Z3) have non-central
+    idempotents, so they reach the comm2 test with candidates to test; every
+    idempotent of CT3(Z2) is central, so it never does."""
+    ring = build_preset(preset)
+    perm = oracles.moving_permutation(ring, random.Random(f"companions:{preset}"))
+    relabelled = oracles.permuted_ring(ring, perm)
+    tested = []
+    double_commuting = properties._double_commuting
+
+    def recorded(ring, p, candidates):
+        tested.append(candidates)
+        return double_commuting(ring, p, candidates)
+
+    monkeypatch.setattr(properties, "_double_commuting", recorded)
+    _assert_companion_masks_match_the_per_element_walk(relabelled)
+    non_central = element_sets(relabelled)[1].bits & ~center_bits(relabelled)
+    assert bool(non_central) == (preset != "cdtri:3:zmod:2"), preset
+    assert any(tested) == bool(non_central), preset
+
+
+def test_neg_table_matches_per_row_scan_on_relabelled_rings():
+    for preset in ("zmod:12", "tri:2:zmod:3", "mat:2:zmod:2", "dorroh:zmod:4"):
+        ring = build_preset(preset)
+        perm = oracles.moving_permutation(ring, random.Random(f"neg:{preset}"))
+        relabelled = oracles.permuted_ring(ring, perm)
+        assert relabelled._neg_table() == oracles.percell_neg_table(relabelled), preset
 
 
 def _assert_ring_level_readings_match_old_loops(ring):
