@@ -216,11 +216,11 @@ def _companion_masks(ring: FiniteRing, prop: PropertyName) -> tuple[int, ...]:
     if centraliser == "all":
         return masks
     centre, mul = center_bits(ring), ring.mul
-    qnil = qnil_set(ring).bits if prop is PropertyName.QUASIPOLAR else -1
     out = []
     for p, mask in zip(element_sets(ring)[1].indices(), masks):
         if prop is PropertyName.QUASIPOLAR:
-            # ap quasinilpotent, tested on the few a with a + p a unit
+            # ap quasinilpotent, tested on the a with a + p a unit only
+            qnil = qnil_set(ring).bits
             mask = sum(1 << a for a in bit_members(mask) if (qnil >> mul[a][p]) & 1)
         # a central p lies in every centraliser; commuting is symmetric, and
         # p in comm2(a) makes p commute with a
