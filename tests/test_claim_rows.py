@@ -13,6 +13,7 @@ import random
 import pytest
 
 import oracles
+from ringlab import properties, radicals
 from ringlab.catalog import CatalogEntry, build_entry
 from ringlab.claims import (
     SuiteContext,
@@ -21,7 +22,6 @@ from ringlab.claims import (
     registry,
     search_counterexample,
 )
-from ringlab import properties, radicals
 from ringlab.core import ElementSet, build_quotient, element_sets
 from ringlab.ideals import two_sided_ideals
 from ringlab.properties import (
@@ -264,9 +264,10 @@ def test_certificate_checks_match_the_per_property_checks_on_catalog(catalog_rin
 #
 # On the catalog and the differential presets only the disputed claims
 # produce witnesses, so the witness branches of the other checkers never run
-# there.  Each case below sets one cached fact of one freshly built ring
-# (a property, a companion mask, delta or a delta route) so that one branch
-# fires, and compares the registry's witnesses with the old checkers'.
+# there.  Each case below sets one input fact of one freshly built ring (a
+# property, a companion mask, delta, qnil, the idempotents, the spectral
+# lists or one delta route) so that one branch fires, and compares the
+# registry's witnesses with the old checkers'.
 
 
 def _force(monkeypatch, ring, fact, *args, value):
@@ -293,17 +294,12 @@ def _companions(prop, *members):
     return force
 
 
-def _delta(*members, warm=()):
-    """delta is ``members``; the properties ``warm`` are decided first."""
-
-    def force(monkeypatch, ring):
-        for prop in warm:
-            ring_property(ring, prop)
-        forced = ElementSet.from_indices(ring.order, members)
-        computation = DeltaComputation(*[forced] * 5, agree=True, consensus=forced)
-        _force(monkeypatch, ring, radicals.delta, value=computation)
-
-    return force
+def _zero_delta(monkeypatch, ring):
+    """delta is {0}, after delta-quasipolarity is decided."""
+    ring_property(ring, DQP)
+    zero = ElementSet.from_indices(ring.order, [ring.zero])
+    computation = DeltaComputation(*[zero] * 5, agree=True, consensus=zero)
+    _force(monkeypatch, ring, radicals.delta, value=computation)
 
 
 def _split_delta_r5(monkeypatch, ring):
@@ -388,7 +384,7 @@ FORCED_BRANCHES = [
     ),
     ("delta-quasipolar-iff-delta-r-clean-for-abelian", "zmod:2", _property(DQP, False, 1)),
     ("delta-quasipolar-implies-exchange", "zmod:2", _property(P.EXCHANGE, False, 1)),
-    ("boolean-regular-chain", "zmod:4", _delta(0, warm=(DQP,))),
+    ("boolean-regular-chain", "zmod:4", _zero_delta),
     ("boolean-regular-chain", "zmod:2", _property(P.VON_NEUMANN_REGULAR, False, 1)),
     ("boolean-regular-chain", "zmod:2", _property(DQP, False, 1)),
     ("abelian-j-clean-implies-delta-quasipolar", "zmod:2", _property(DQP, False, 1)),

@@ -1,5 +1,6 @@
 """The n^2 cross-checks, run as row operations, against the per-cell loops
-they replaced, and the report against relabelling.
+they replaced, the companion masks per idempotent against the per-element
+walk they replaced, and the report against relabelling.
 
 Each library check below reads whole rows of ``mul`` in C; its reference in
 ``oracles`` walks the same definition one cell at a time.  They are compared
