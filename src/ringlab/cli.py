@@ -11,6 +11,7 @@ import argparse
 import ctypes
 import json
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -47,7 +48,9 @@ except (AttributeError, OSError, TypeError):  # another C library: nothing to tr
 
 
 def _emit(payload) -> None:
-    print(json.dumps(payload, indent=2))
+    # streamed: json.dumps would hold the whole text, larger than the payload
+    json.dump(payload, sys.stdout, indent=2)
+    sys.stdout.write("\n")
 
 
 def _action_table(obj: dict, key: str) -> tuple[tuple[int, ...], ...]:
@@ -181,18 +184,7 @@ def _cmd_verify_paper(args) -> int:
     ]
     results = theorem_suite(entries, rings)
     if args.format == "json":
-        _emit(
-            [
-                {
-                    "claim_id": r.claim_id,
-                    "summary": r.summary,
-                    "status": r.status,
-                    "witnesses": list(r.witnesses),
-                    "note": r.note,
-                }
-                for r in results
-            ]
-        )
+        _emit([asdict(r) for r in results])
     else:
         width = max(len(r.claim_id) for r in results)
         for r in results:

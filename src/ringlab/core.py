@@ -12,7 +12,7 @@ import functools
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import chain, product
 from operator import eq, getitem, itemgetter
 from pathlib import Path
@@ -231,15 +231,7 @@ def renamed(ring: FiniteRing, name: str) -> FiniteRing:
     """A copy of ``ring`` carrying a different display name (fresh cache)."""
     if ring.name == name:
         return ring
-    return FiniteRing(
-        order=ring.order,
-        add=ring.add,
-        mul=ring.mul,
-        zero=ring.zero,
-        one=ring.one,
-        name=name,
-        labels=ring.labels,
-    )
+    return replace(ring, name=name)
 
 
 # --------------------------------------------------------------------------
@@ -250,24 +242,30 @@ def verify_axioms(ring: FiniteRing) -> list[str]:
     """Check the ring axioms; return up to ``MAX_VIOLATIONS`` violations, each
     at a real coordinate.
 
-    Table shape and range, the additive identity and inverses, commutativity
-    of addition and the unit are checked cell by cell.  The laws over triples
-    are checked on the greedy generators g_1..g_k of (R,+):
+    Table shape and range, the additive identity on both sides, inverses and
+    the unit are checked cell by cell.  Everything else is checked along one
+    walk of (R,+), :func:`_normal_form`: greedy generators g_1..g_k, and a
+    tree edge p -> p + g into every x != 0 plus one wrap edge per generator.
 
-    - Light's test: the s with (a+s)+b = a+(s+b) for all a, b are closed
-      under +, so passing for every generator makes addition associative.
-      If addition fails, its violations are returned and nothing else is
-      checked.
-    - Distributivity along the normal-form tree.  Let H_i = <g_1..g_i> and
-      r_i = [H_i : H_(i-1)].  Every x is uniquely a sum of c_i g_i with
-      0 <= c_i < r_i, and every x != 0 has one tree edge p -> p + g_i into
-      it.  A map f is additive iff f(p + g) = f(p) + f(g) on these n - 1
-      edges and on the k wrap edges (r_i - 1) g_i -> r_i g_i: the wrap
-      edges give r_i f(g_i) = f(r_i g_i), the relations of a presentation
-      of (R,+) on the g_i, so the f(g_i) extend to a homomorphism, and the
-      tree edges show that it is f.  Every column map x -> xa is checked
-      this way, then the row maps x -> gx of the generators only: by right
-      distributivity each row map is a sum of these, so it is additive.
+    - Addition.  With L_x the translation y -> x + y, check L_(p+g) =
+      L_p o L_g (one row) and p + g = g + p (one cell) on every edge, and on
+      every pair (h, g) with h chosen after g.  Then the L_g commute, every
+      L_x is a word in them, and the wrap edges cap the monoid they
+      generate at n maps.  The n maps L_x are distinct, since L_x(0) = x, so
+      they are the whole monoid, and L_x o L_y = L_(x+y): + is associative
+      and commutative.  If the walk steps onto an element it has already
+      reached, the same check runs on every (a, g) for the generators
+      chosen so far, and it must fail: were it to pass, the earlier L_s
+      would form a group and force L_g to be non-injective, which g + h = 0
+      rules out at (h, g).  If addition fails, its violations are returned
+      and nothing else is checked.
+    - Distributivity along the tree.  A map f is additive iff f(p + g) =
+      f(p) + f(g) on the edges: the wrap edges give r_i f(g_i) =
+      f(r_i g_i), the relations of a presentation of (R,+) on the g_i, so
+      the f(g_i) extend to a homomorphism, and the tree edges show that it
+      is f.  Every column map x -> xa is checked this way, then the row maps
+      x -> gx of the generators only: by right distributivity each row map
+      is a sum of these, so it is additive.
     - With both, the associator (ab)c - a(bc) is additive in each argument,
       so it vanishes on R^3 once it vanishes on the generator triples.
 
@@ -303,23 +301,27 @@ def verify_axioms(ring: FiniteRing) -> list[str]:
     add = [tuple(row) for row in ring.add]
     mul = ring.mul
     zero, one = ring.zero, ring.one
-    for a, column in enumerate(zip(*add)):
+    for a in range(n):
         if add[a][zero] != a and push(f"zero is not an additive identity at {a}"):
+            return out
+        if add[zero][a] != add[a][zero] and push(
+            f"addition is not commutative at ({zero},{a})"
+        ):
             return out
         if zero not in add[a] and push(f"no additive inverse for {a}"):
             return out
-        if add[a] == column:
-            continue
-        for b in range(n):
-            if add[a][b] != add[b][a] and push(f"addition is not commutative at ({a},{b})"):
-                return out
 
-    gens = _subgroup_generators(ring, (1 << n) - 1)
-    # Each row comparison runs in C: itemgetter(*add[g])(row) is the tuple
-    # of row[g + x] over all x.
-    for g in gens:
+    gens, edges = _normal_form(ring, (1 << n) - 1)
+    if edges is None:
+        pairs = [(g, range(n)) for g in gens]
+    else:
+        pairs = [(g, parents + gens[i + 1 :]) for i, (g, parents, _) in enumerate(edges)]
+    for g, sources in pairs:
+        # itemgetter(*add[g])(add[a]) is the row of a + (g + x) over all x, in C
         plus_g = itemgetter(*add[g])
-        for a in range(n):
+        for a in sources:
+            if add[a][g] != add[g][a] and push(f"addition is not commutative at ({a},{g})"):
+                return out
             if add[add[a][g]] != plus_g(add[a]):
                 for b in range(n):
                     if add[add[a][g]][b] != add[a][add[g][b]] and push(
@@ -334,7 +336,6 @@ def verify_axioms(ring: FiniteRing) -> list[str]:
         ):
             return out
 
-    edges = _normal_form_edges(add, zero, gens)
     groups = [(g, itemgetter(*ps), itemgetter(*xs)) for g, ps, xs in edges]
 
     def additive(f: Sequence[int]) -> bool:
@@ -368,64 +369,59 @@ def verify_axioms(ring: FiniteRing) -> list[str]:
     return out
 
 
-def _normal_form_edges(
-    add: Sequence[Sequence[int]], zero: int, gens: Sequence[int]
-) -> list[tuple[int, list[int], list[int]]]:
-    """The tree and wrap edges of :func:`verify_axioms`, grouped by generator.
+@memo
+def _normal_form(
+    ring: FiniteRing, bits: int
+) -> tuple[list[int], list[tuple[int, list[int], list[int]]] | None]:
+    """Greedy generators of the additive subgroup ``bits`` and the edges of
+    :func:`verify_axioms`, from one walk; cached per mask.
 
-    Each group is ``(g, parents, children)`` with ``children[j] =
-    parents[j] + g``: the cosets of H_(i-1) stepped by g until the next step
-    lands back in H_(i-1), then that wrap edge last.  (R,+) must be an
-    abelian group.  Since r_i >= 2, every group has at least two edges.
+    Each generator g is the least member of ``bits`` above the last one that
+    is not yet reached.  The cosets of H = <earlier generators> are stepped
+    by g, in walk order, until the next step of the first coset's first
+    member lands in H.  The edges come grouped by generator as ``(g,
+    parents, children)`` with ``children[j] = parents[j] + g``: the tree
+    edges, then that wrap edge last.
+
+    On any square table each step reaches only new elements, or the walk
+    ends there with the edges ``None``, so it ends within n steps.  On an
+    abelian group it never ends early, and H_i = <g_1..g_i> has the
+    normal forms c_1 g_1 + ... + c_i g_i with 0 <= c_j < [H_j : H_(j-1)].
     """
-    members = [zero]
-    reached = 1 << zero
+    add = ring.add
+    members = [ring.zero]
+    reached = 1 << ring.zero
+    gens: list[int] = []
     edges = []
-    for g in gens:
+    candidates = bits & ~reached
+    while candidates:
+        g = (candidates & -candidates).bit_length() - 1
+        gens.append(g)
         row_g = add[g]
+        below = reached
         parents: list[int] = []
         children: list[int] = []
         coset = members
-        # coset[0] is c g; the coset is new until (c + 1) g is in H_(i-1)
-        while not (reached >> row_g[coset[0]]) & 1:
+        # coset[0] is c g; the coset is new until (c + 1) g is in H
+        while not (below >> row_g[coset[0]]) & 1:
             shifted = [row_g[y] for y in coset]
+            for x in shifted:
+                if (reached >> x) & 1:
+                    return gens, None
+                reached |= 1 << x
             parents += coset
             children += shifted
             coset = shifted
         edges.append((g, parents + [coset[0]], children + [row_g[coset[0]]]))
         members = members + children
-        for x in children:
-            reached |= 1 << x
-    return edges
-
-
-@memo
-def _subgroup_generators(ring: FiniteRing, bits: int) -> list[int]:
-    """Greedy generators of the additive subgroup ``bits``; cached per mask.
-
-    Each generator is the least member of ``bits`` above the last one that
-    is not yet reached.  The reached set starts at zero and is closed under
-    x -> x+g for every generator g chosen so far.  That is well defined on
-    any square table, so ``verify_axioms`` can call it on tables it has not
-    validated yet (with ``bits`` the full mask).
-    """
-    add = ring.add
-    reached = 1 << ring.zero
-    gens: list[int] = []
-    candidates = bits & ~reached
-    while candidates:
-        g = (candidates & -candidates).bit_length() - 1
-        gens.append(g)
-        todo = bit_members(reached)
-        while todo:
-            x = todo.pop()
-            for h in gens:
-                y = add[x][h]
-                if not (reached >> y) & 1:
-                    reached |= 1 << y
-                    todo.append(y)
         candidates = bits & ~reached & (-1 << (g + 1))
-    return gens
+    return gens, edges
+
+
+def _subgroup_generators(ring: FiniteRing, bits: int) -> list[int]:
+    """Greedy generators of the additive subgroup ``bits``: the generators of
+    :func:`_normal_form`."""
+    return _normal_form(ring, bits)[0]
 
 
 # --------------------------------------------------------------------------

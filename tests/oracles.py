@@ -22,7 +22,6 @@ from ringlab.core import (
     ElementSet,
     FiniteRing,
     _matrix_label,
-    _subgroup_generators,
     bit_members,
     build_corner,
     build_quotient,
@@ -964,6 +963,33 @@ def find_exchange(ring: FiniteRing, a: int) -> dict | None:
 # cache, and each calls the per-cell versions of the others.
 
 
+def bfs_subgroup_generators(ring: FiniteRing, bits: int) -> list[int]:
+    """Greedy generators of the additive subgroup ``bits``, by closure.
+
+    Each generator is the least member of ``bits`` above the last one that
+    is not yet reached.  The reached set starts at zero and is closed under
+    x -> x+g for every generator g chosen so far, revisiting every reached
+    element for each new generator.  It is well defined on any square table.
+    """
+    add = ring.add
+    reached = 1 << ring.zero
+    gens: list[int] = []
+    candidates = bits & ~reached
+    while candidates:
+        g = (candidates & -candidates).bit_length() - 1
+        gens.append(g)
+        todo = bit_members(reached)
+        while todo:
+            x = todo.pop()
+            for h in gens:
+                y = add[x][h]
+                if not (reached >> y) & 1:
+                    reached |= 1 << y
+                    todo.append(y)
+        candidates = bits & ~reached & (-1 << (g + 1))
+    return gens
+
+
 def generator_verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[str]:
     """The O(n^2 |G|) checker: distributivity on every row and column against
     every additive generator g in G."""
@@ -1013,7 +1039,7 @@ def generator_verify_axioms(ring: FiniteRing, max_violations: int = 25) -> list[
         ):
             return out
 
-    gens = _subgroup_generators(ring, (1 << n) - 1)
+    gens = bfs_subgroup_generators(ring, (1 << n) - 1)
     # Each row comparison runs in C: itemgetter(*add[g])(row) is the tuple
     # of row[g + x] over all x.
     plus = {g: itemgetter(*add[g]) for g in gens}

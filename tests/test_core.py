@@ -20,6 +20,8 @@ import oracles
 from oracles import mixed_radix_decode, mixed_radix_encode
 from ringlab.catalog import build_preset, dorroh_of_ring
 from ringlab.claims import PRODUCT_PAIR_CAP
+from ringlab.ideals import all_right_ideals
+from ringlab.radicals import _row_commutant
 from ringlab.core import (
     AxiomError,
     BimoduleError,
@@ -28,6 +30,7 @@ from ringlab.core import (
     FiniteRing,
     IdealError,
     SizeCapError,
+    _normal_form,
     _subgroup_generators,
     build_constant_diagonal_triangular,
     build_corner,
@@ -45,6 +48,7 @@ from ringlab.core import (
     save_ring,
     verify_axioms,
 )
+from test_cross_checks import DIFFERENTIAL_PRESETS
 
 
 # ---------------------------------------------------------------- ElementSet
@@ -713,6 +717,122 @@ def test_tree_axiom_check_needs_the_wrap_edges():
     bad = FiniteRing(order=8, add=base.add, mul=mul, zero=0, one=2, name="bad")
     assert "right distributivity fails at (1,1,1)" in verify_axioms(bad)
     _assert_agrees_with_brute_force(bad, "wrap")
+
+
+def test_tree_axiom_check_needs_the_cell_check():
+    """(R,+) is Z3 x| Z2, index 2u + v and (u, v) + (u', v') = (u + (-1)^v u',
+    v + v'), with the multiplication of Z3 x Z2.  The group is associative,
+    so every translation row agrees, and the products pass their checks
+    along the walk.  Only a + g = g + a sees that + is not commutative."""
+    base = build_preset("product:zmod:3,zmod:2")
+
+    def plus(x, y):
+        (u, v), (w, z) = divmod(x, 2), divmod(y, 2)
+        return 2 * ((u + (-1) ** v * w) % 3) + (v + z) % 2
+
+    add = tuple(tuple(plus(x, y) for y in range(6)) for x in range(6))
+    bad = dataclasses.replace(base, add=add, name="bad")
+    violations = verify_axioms(bad)
+    assert violations and all("not commutative" in v for v in violations)
+    _assert_agrees_with_brute_force(bad, "cell")
+
+
+def test_tree_axiom_check_needs_the_later_generator_pairs():
+    """x + y = x xor y but in eight cells, with the multiplication of Z2^3.
+    The generators are 1, 2 and 4.  Of the pairs (a, g) the check visits,
+    only (2, 1) and (4, 2) fail, and they are no tree edges: 2 is reached
+    after 1, and 4 after 2.  So only the pairs (h, g) with h chosen after g
+    see the fault."""
+    base = build_preset("product:zmod:2,zmod:2,zmod:2")
+    rows = [[a ^ b for b in range(8)] for a in range(8)]
+    cells = [(2, 5, 5), (2, 7, 7), (3, 5, 4), (3, 7, 6), (6, 1, 5), (6, 3, 7), (7, 1, 4), (7, 3, 6)]
+    for a, b, v in cells:
+        rows[a][b] = v
+    bad = _with_rows(base, "add", rows)
+    assert verify_axioms(bad)[0] == "addition is not associative at (2,1,4)"
+    _assert_agrees_with_brute_force(bad, "later pair")
+
+
+def _assert_walk_matches_bfs(ring, rng):
+    """The walk's generators are the BFS closure's on the full mask, every
+    right ideal, every row commutant and random masks holding zero; on the
+    full mask its tree reaches each element once."""
+    n, full = ring.order, (1 << ring.order) - 1
+    masks = {full}
+    masks.update(ideal.bits for ideal in all_right_ideals(ring))
+    masks.update(_row_commutant(ring, a) for a in range(n))
+    masks.update((rng.getrandbits(n) | 1 << ring.zero) for _ in range(20))
+    for bits in masks:
+        gens, edges = _normal_form(ring, bits)
+        assert edges is not None, (ring.name, bits)
+        assert gens == oracles.bfs_subgroup_generators(ring, bits), (ring.name, bits)
+    gens, edges = _normal_form(ring, full)
+    # the last edge of each generator is its wrap edge, back into the
+    # subgroup of the generators before it
+    tree_children = [x for _, _, children in edges for x in children[:-1]]
+    assert sorted([ring.zero, *tree_children]) == list(range(n)), ring.name
+    assert len(edges) == len(gens)
+    reached = {ring.zero}
+    for g, parents, children in edges:
+        assert all(ring.add[p][g] == x for p, x in zip(parents, children))
+        assert children[-1] in reached
+        reached.update(children[:-1])
+
+
+def test_normal_form_generators_match_bfs_oracle_on_catalog(catalog_rings):
+    for name, ring in catalog_rings.items():
+        _assert_walk_matches_bfs(ring, random.Random(f"walk:{name}"))
+
+
+@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
+def test_normal_form_generators_match_bfs_oracle(preset):
+    _assert_walk_matches_bfs(build_preset(preset), random.Random(f"walk:{preset}"))
+
+
+# Rings of order at most 12 whose corrupted addition tables drive the walk
+# onto an element it has already reached
+WALK_FAILURE_RINGS = (
+    "zmod:8",
+    "zmod:9",
+    "zmod:12",
+    "product:zmod:4,zmod:2",
+    "product:zmod:2,zmod:2,zmod:2",
+    "product:zmod:2,zmod:6",
+    "tri:2:zmod:2",
+)
+
+
+def _generator_row_corruption(ring, rng):
+    """1-3 wrong cells in the addition row of a greedy generator, mirrored
+    into its column half the time."""
+    n = ring.order
+    rows = [list(row) for row in ring.add]
+    g = rng.choice(_subgroup_generators(ring, (1 << n) - 1))
+    for _ in range(rng.randint(1, 3)):
+        rows[g][rng.randrange(n)] = rng.randrange(n)
+    if rng.random() < 0.5:
+        for x in range(n):
+            rows[x][g] = rows[g][x]
+    return _with_rows(ring, "add", rows)
+
+
+@pytest.mark.parametrize("recipe", WALK_FAILURE_RINGS)
+def test_verify_axioms_when_the_walk_fails(recipe):
+    """A walk that steps onto a reached element ends there, and the check
+    over every (a, g) still returns the brute oracle's verdict with messages
+    the oracle also gives."""
+    ring = build_preset(recipe)
+    rng = random.Random(f"walk-failure:{recipe}")
+    failures = 0
+    for trial in range(300):
+        if trial % 2:
+            bad = _generator_row_corruption(ring, rng)
+        else:
+            bad = _cell_corruption(ring, "add", rng.randint(1, 3), rng)
+        if _normal_form(bad, (1 << bad.order) - 1)[1] is None:
+            failures += 1
+            _assert_agrees_with_brute_force(bad, (recipe, trial))
+    assert failures >= 50, failures
 
 
 def _bilinear_algebra(p, k, rng):
