@@ -7,16 +7,15 @@ fixed expected facts that :func:`verify_expected` recomputes.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from functools import partial
 from pathlib import Path
 
 from ringlab.core import (
     DorrohData,
     FiniteRing,
     RinglabError,
-    _unique_fields,
+    _check_fields,
+    _read_json,
     build_constant_diagonal_triangular,
     build_dorroh,
     build_matrix_ring,
@@ -28,6 +27,7 @@ from ringlab.core import (
     renamed,
 )
 from ringlab.ideals import two_sided_closure
+from ringlab.properties import _coerce, ring_property
 from ringlab.radicals import delta_mask, jacobson
 
 
@@ -76,6 +76,13 @@ def build_preset(text: str) -> FiniteRing:
         dorroh:P                     (extension of P by itself)
         quot:delta:P | quot:jac:P | quot:gen:I1[+I2...]:P
     """
+    try:
+        return _build_preset(text)
+    except RecursionError:
+        raise PresetError("preset is nested too deeply") from None
+
+
+def _build_preset(text: str) -> FiniteRing:
     head, _, rest = text.partition(":")
     if head == "zmod":
         if not rest or ":" in rest:
@@ -87,13 +94,13 @@ def build_preset(text: str) -> FiniteRing:
             raise PresetError(f"expected product:P1,P2[,...], got {text!r}")
         if any(t.partition(":")[0] == "product" for t in tokens):
             raise PresetError("products may not be nested inside a product preset")
-        return build_product([build_preset(t) for t in tokens])
+        return build_product([_build_preset(t) for t in tokens])
     if head in ("mat", "tri", "cdtri"):
         size_token, _, base_text = rest.partition(":")
         if not size_token or not base_text:
             raise PresetError(f"expected {head}:K:P, got {text!r}")
         k = _parse_positive_int(size_token, "matrix size")
-        base = build_preset(base_text)
+        base = _build_preset(base_text)
         if head == "mat":
             return build_matrix_ring(base, k)
         if head == "tri":
@@ -102,21 +109,21 @@ def build_preset(text: str) -> FiniteRing:
     if head == "dorroh":
         if not rest:
             raise PresetError(f"expected dorroh:P, got {text!r}")
-        base = build_preset(rest)
+        base = _build_preset(rest)
         return build_dorroh(dorroh_of_ring(base))
     if head == "quot":
         mode, _, base_text = rest.partition(":")
         if mode in ("delta", "jac"):
             if not base_text:
                 raise PresetError(f"expected quot:{mode}:P, got {text!r}")
-            ring = build_preset(base_text)
+            ring = _build_preset(base_text)
             ideal = delta_mask(ring) if mode == "delta" else jacobson(ring)
             return build_quotient(ring, ideal)[0]
         if mode == "gen":
             gen_token, _, inner = base_text.partition(":")
             if not gen_token or not inner:
                 raise PresetError(f"expected quot:gen:I1[+I2...]:P, got {text!r}")
-            ring = build_preset(inner)
+            ring = _build_preset(inner)
             generators = []
             for piece in gen_token.split("+"):
                 try:
@@ -367,8 +374,6 @@ def build_entry(entry: CatalogEntry) -> FiniteRing:
 
 def verify_expected(entry: CatalogEntry, ring: FiniteRing) -> list[str]:
     """Recompute an entry's expected facts; return the list of mismatches."""
-    from ringlab.properties import ring_property
-
     expected = entry.expected or {}
     mismatches: list[str] = []
     if "order" in expected and ring.order != expected["order"]:
@@ -399,27 +404,19 @@ def verify_expected(entry: CatalogEntry, ring: FiniteRing) -> list[str]:
 # manifests
 
 
-_MANIFEST_KEYS = ("name", "preset", "file", "basis", "expected")
-
-
 def _check_expected(name: str, expected: dict) -> None:
     """Reject expected facts that :func:`verify_expected` cannot read."""
-    from ringlab.properties import _coerce
-
+    facts = {"order": int, "delta": (str, list), "jacobson": list, "properties": dict}
+    _check_fields(expected, f"object 'expected' of catalog entry {name!r}", {}, facts)
     for key, value in expected.items():
-        if key == "order":
-            ok = type(value) is int
-        elif key in ("delta", "jacobson"):
-            ok = (key == "delta" and value == "full") or (
-                isinstance(value, list) and all(type(v) is int for v in value)
-            )
-        elif key == "properties":
-            ok = isinstance(value, dict) and all(type(v) is bool for v in value.values())
-            if ok:
-                for prop in value:
-                    _coerce(prop)
+        if key == "properties":
+            ok = all(type(v) is bool for v in value.values())
+            for prop in value:
+                _coerce(prop)
+        elif type(value) is str:  # only a delta may be a string
+            ok = value == "full"
         else:
-            raise ValueError(f"catalog entry {name!r} has unknown expected fact {key!r}")
+            ok = key == "order" or all(type(v) is int for v in value)
         if not ok:
             raise ValueError(
                 f"catalog entry {name!r} has malformed expected {key}: {value!r}"
@@ -431,26 +428,22 @@ def load_catalog_manifest(path: str | Path) -> list[CatalogEntry]:
 
     Each entry has a unique string ``name``, exactly one of the strings
     ``preset`` and ``file``, and optionally a string ``basis`` and an object
-    ``expected`` of the facts :class:`CatalogEntry` lists; any other key is
-    an error.  File paths are resolved relative to the manifest location.
+    ``expected`` of the facts :class:`CatalogEntry` lists; any other field,
+    in an entry or beside ``entries``, is an error.  File paths are resolved
+    relative to the manifest location.
     """
     path = Path(path)
-    obj = json.loads(
-        path.read_text(), object_pairs_hook=partial(_unique_fields, what="catalog manifest")
-    )
-    if not isinstance(obj, dict) or not isinstance(obj.get("entries"), list):
-        raise ValueError("catalog manifest must be an object with an 'entries' list")
+    obj = _read_json(path, "catalog manifest")
+    _check_fields(obj, "catalog manifest", {"entries": list}, {})
     entries: list[CatalogEntry] = []
     names: set[str] = set()
     for raw in obj["entries"]:
-        if not isinstance(raw, dict) or "name" not in raw:
-            raise ValueError(f"malformed catalog entry: {raw!r}")
-        for key, value in raw.items():
-            if key not in _MANIFEST_KEYS:
-                raise ValueError(f"unknown catalog entry key: {key!r}")
-            want, what = (dict, "an object") if key == "expected" else (str, "a string")
-            if not isinstance(value, want):
-                raise ValueError(f"catalog entry {key} must be {what}, got {value!r}")
+        _check_fields(
+            raw,
+            "catalog entry",
+            {"name": str},
+            {"preset": str, "file": str, "basis": str, "expected": dict},
+        )
         name = raw["name"]
         if name in names:
             raise ValueError(f"duplicate catalog entry name {name!r}")

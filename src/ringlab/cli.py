@@ -10,10 +10,9 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
 from dataclasses import asdict
-from functools import partial
-from pathlib import Path
 
 from ringlab.catalog import (
     build_entry,
@@ -26,7 +25,9 @@ from ringlab.core import (
     DorrohData,
     FiniteRing,
     RinglabError,
-    _unique_fields,
+    _check_fields,
+    _int_rows,
+    _read_json,
     build_dorroh,
     load_ring,
     renamed,
@@ -53,51 +54,24 @@ def _emit(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _action_table(obj: dict, key: str) -> tuple[tuple[int, ...], ...]:
-    raw = obj[key]
-    # type(...) is int, not isinstance: JSON true/false load as bool, an int subclass
-    if not isinstance(raw, list) or not all(
-        isinstance(row, list) and all(type(v) is int for v in row) for row in raw
-    ):
-        raise ValueError(f"{key} must be a list of lists of integers")
-    return tuple(tuple(row) for row in raw)
-
-
-_PRESET_KEYS = {"preset", "name"}
-_DORROH_KEYS = {"kind", "base", "bimodule", "left_action", "right_action", "name"}
-
-
-def _ring_from_spec_obj(obj: dict) -> FiniteRing:
-    if not isinstance(obj, dict):
-        raise ValueError("ring spec must be a JSON object")
-    if obj.get("kind", "dorroh") != "dorroh":
+def _ring_from_spec_obj(obj) -> FiniteRing:
+    if type(obj) is not dict or "kind" not in obj:
+        _check_fields(obj, "ring spec", {"preset": str}, {"name": str})
+        ring = build_preset(obj["preset"])
+    elif obj["kind"] != "dorroh":
         raise ValueError(f"unknown ring spec kind: {obj['kind']!r}")
-    unknown = sorted(set(obj) - (_DORROH_KEYS if "kind" in obj else _PRESET_KEYS))
-    if unknown:
-        raise ValueError(f"unknown ring spec key: {unknown[0]!r}")
-    for key in ("preset", "name"):
-        if key in obj and not isinstance(obj[key], str):
-            raise ValueError(f"{key} must be a string, got {obj[key]!r}")
-    if "kind" in obj:
-        for key in ("base", "bimodule", "left_action", "right_action"):
-            if key not in obj:
-                raise ValueError(f"dorroh spec is missing {key!r}")
-        base = _ring_from_spec_obj(obj["base"])
-        bimodule = _ring_from_spec_obj(obj["bimodule"])
+    else:
+        actions = {"left_action": list, "right_action": list}
+        required = {"kind": str, "base": dict, "bimodule": dict, **actions}
+        _check_fields(obj, "dorroh spec", required, {"name": str})
         data = DorrohData(
-            base=base,
-            bimodule=bimodule,
-            left_action=_action_table(obj, "left_action"),
-            right_action=_action_table(obj, "right_action"),
+            base=_ring_from_spec_obj(obj["base"]),
+            bimodule=_ring_from_spec_obj(obj["bimodule"]),
+            left_action=_int_rows(obj["left_action"], "left_action"),
+            right_action=_int_rows(obj["right_action"], "right_action"),
         )
         ring = build_dorroh(data)
-    elif "preset" in obj:
-        ring = build_preset(obj["preset"])
-    else:
-        raise ValueError("ring spec needs a 'preset' or a 'kind' entry")
-    if "name" in obj:
-        ring = renamed(ring, obj["name"])
-    return ring
+    return renamed(ring, obj.get("name", ring.name))
 
 
 def _cmd_build(args) -> int:
@@ -106,15 +80,12 @@ def _cmd_build(args) -> int:
     # one after another would depend on what it freed before and on the order
     # of the rings, not only on the ring being built.
     _malloc_trim(0)
-    source = args.source
-    path = Path(source)
-    if path.exists():
-        obj = json.loads(
-            path.read_text(), object_pairs_hook=partial(_unique_fields, what="ring spec")
-        )
-        ring = _ring_from_spec_obj(obj)
+    # os.path.exists is False where Path.exists raises, as on a name too long
+    # for a file, and unlike isfile it accepts a spec piped in as /dev/fd/N
+    if os.path.exists(args.source):
+        ring = _ring_from_spec_obj(_read_json(args.source, "ring spec"))
     else:
-        ring = build_preset(source)
+        ring = build_preset(args.source)
     save_ring(ring, args.output)
     print(f"wrote {ring.name} of order {ring.order} to {args.output}")
     del ring

@@ -227,6 +227,11 @@ class FiniteRing:
         return self.add[i][self._neg_table()[j]]
 
 
+def _check_element(ring: FiniteRing, a: int, what: str = "element") -> None:
+    if not 0 <= a < ring.order:
+        raise ValueError(f"{what} {a} out of range for order {ring.order}")
+
+
 def renamed(ring: FiniteRing, name: str) -> FiniteRing:
     """A copy of ``ring`` carrying a different display name (fresh cache)."""
     if ring.name == name:
@@ -740,8 +745,7 @@ def build_quotient(
 
 def build_corner(ring: FiniteRing, e: int) -> FiniteRing:
     """The corner ring ``e R e`` for a central idempotent ``e``."""
-    if not 0 <= e < ring.order:
-        raise ValueError(f"element {e} out of range")
+    _check_element(ring, e)
     if ring.mul[e][e] != e:
         raise ValueError(f"element {e} is not idempotent in {ring.name}")
     for r in range(ring.order):
@@ -845,57 +849,25 @@ def ring_to_json(ring: FiniteRing) -> dict:
     return obj
 
 
-_RING_KEYS = ("name", "order", "zero", "one", "add", "mul", "labels")
-
-
 def ring_from_json(obj: dict) -> FiniteRing:
-    if not isinstance(obj, dict):
-        raise ValueError("ring data must be a JSON object")
-    for key in obj:
-        if key not in _RING_KEYS:
-            raise ValueError(f"ring data has unknown field {key!r}")
-    for key in ("order", "zero", "one", "add", "mul"):
-        if key not in obj:
-            raise ValueError(f"ring data missing required field {key!r}")
+    required = {"order": int, "zero": int, "one": int, "add": list, "mul": list}
+    optional = {"name": str, "labels": (list, type(None))}
+    _check_fields(obj, "ring data", required, optional)
     order = obj["order"]
-    # type(...) is int, not isinstance: JSON true/false load as bool, an int subclass
-    if type(order) is not int or order < 1:
-        raise ValueError(f"order must be a positive integer, got {order!r}")
     check_size(order)
-    for key in ("zero", "one"):
-        if type(obj[key]) is not int:
-            raise ValueError(f"{key} must be an integer, got {obj[key]!r}")
-
-    def table(key: str) -> tuple[tuple[int, ...], ...]:
-        raw = obj[key]
-        if not isinstance(raw, list) or len(raw) != order:
-            raise ValueError(f"{key} table must be a list of {order} rows")
-        rows = []
-        for row in raw:
-            if not isinstance(row, list) or len(row) != order:
-                raise ValueError(f"{key} table rows must have length {order}")
-            if set(map(type, row)) != {int}:
-                raise ValueError(f"{key} table entries must be integers")
-            rows.append(tuple(row))
-        return tuple(rows)
-
     labels = obj.get("labels")
     if labels is not None:
-        if not isinstance(labels, list) or len(labels) != order:
+        if len(labels) != order or not all(type(v) is str for v in labels):
             raise ValueError(f"labels must be a list of {order} strings")
-        if not all(isinstance(v, str) for v in labels):
-            raise ValueError("labels must be strings")
         labels = tuple(labels)
-    name = obj.get("name", "ring")
-    if not isinstance(name, str):
-        raise ValueError(f"name must be a string, got {name!r}")
+    # a positive order and the tables' shape and range are left to verify_axioms
     ring = FiniteRing(
         order=order,
-        add=table("add"),
-        mul=table("mul"),
+        add=_int_rows(obj["add"], "add table"),
+        mul=_int_rows(obj["mul"], "mul table"),
         zero=obj["zero"],
         one=obj["one"],
-        name=name,
+        name=obj.get("name", "ring"),
         labels=labels,
     )
     violations = verify_axioms(ring)
@@ -936,7 +908,7 @@ def save_ring(ring: FiniteRing, path: str | Path) -> None:
         out.write("\n}\n")
 
 
-def _unique_fields(pairs: list[tuple[str, object]], what: str = "ring data") -> dict:
+def _unique_fields(pairs: list[tuple[str, object]], what: str) -> dict:
     """A JSON object's fields as a dict; a repeated field is an error that
     names ``what`` the file holds.
 
@@ -951,10 +923,63 @@ def _unique_fields(pairs: list[tuple[str, object]], what: str = "ring data") -> 
     return obj
 
 
-def load_ring(path: str | Path) -> FiniteRing:
+def _read_json(path: str | Path, what: str):
+    """The JSON value in the file at ``path``, which holds ``what``.
+
+    This is the one JSON reader for input files.  A repeated field, text
+    that is not JSON and nesting too deep to parse are each a one-line
+    ValueError.
+    """
     try:
         # no name for the text, so it is freed before the tables are built
-        obj = json.loads(Path(path).read_text(), object_pairs_hook=_unique_fields)
+        return json.loads(
+            Path(path).read_text(),
+            object_pairs_hook=functools.partial(_unique_fields, what=what),
+        )
     except json.JSONDecodeError as err:
-        raise ValueError(f"{path} is not valid JSON: {err}") from None
-    return ring_from_json(obj)
+        raise ValueError(f"{what} in {path} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise ValueError(f"{what} in {path} is nested too deeply") from None
+
+
+_JSON_TYPE_NAMES = {
+    int: "an integer",
+    str: "a string",
+    list: "an array",
+    dict: "an object",
+    type(None): "null",
+}
+
+
+def _check_fields(obj, what: str, required: dict, optional: dict) -> None:
+    """Check that ``obj`` is a JSON object with every field of ``required``
+    and no field outside ``required`` and ``optional``.
+
+    Both map a field to its type, or to a tuple of types, as JSON loads
+    them: ``int`` is exactly int, since JSON true and false load as bool.
+    """
+    if type(obj) is not dict:
+        raise ValueError(f"{what} must be a JSON object")
+    for key, value in obj.items():
+        want = required.get(key) or optional.get(key)
+        if want is None:
+            raise ValueError(f"{what} has unknown field {key!r}")
+        wants = want if isinstance(want, tuple) else (want,)
+        if type(value) not in wants:
+            names = " or ".join(_JSON_TYPE_NAMES[t] for t in wants)
+            raise ValueError(f"{what} field {key!r} must be {names}, got {value!r}")
+    for key in required:
+        if key not in obj:
+            raise ValueError(f"{what} missing required field {key!r}")
+
+
+def _int_rows(raw: list, what: str) -> tuple[tuple[int, ...], ...]:
+    """A JSON array of arrays of integers as a tuple of tuples; rows may
+    differ in length."""
+    if not all(type(row) is list and set(map(type, row)) <= {int} for row in raw):
+        raise ValueError(f"{what} must be an array of arrays of integers")
+    return tuple(map(tuple, raw))
+
+
+def load_ring(path: str | Path) -> FiniteRing:
+    return ring_from_json(_read_json(path, "ring data"))

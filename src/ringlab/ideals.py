@@ -14,6 +14,7 @@ from ringlab.core import (
     FiniteRing,
     IdealError,
     LatticeLimitError,
+    _check_element,
     _subgroup_generators,
     bit_members,
     element_sets,
@@ -137,8 +138,7 @@ def _is_left_closed_bits(ring: FiniteRing, bits: int) -> bool:
 
 
 def principal_right_ideal(ring: FiniteRing, a: int) -> ElementSet:
-    if not 0 <= a < ring.order:
-        raise ValueError(f"element {a} out of range")
+    _check_element(ring, a)
     return ElementSet(_principal_bits(ring)[a], ring.order)
 
 
@@ -146,8 +146,7 @@ def right_ideal_closure(ring: FiniteRing, generators) -> ElementSet:
     bits = 1 << ring.zero
     pb = _principal_bits(ring)
     for g in generators:
-        if not 0 <= g < ring.order:
-            raise ValueError(f"generator {g} out of range")
+        _check_element(ring, g, "generator")
         bits = _span_bits(ring, bits, pb[g])
     return ElementSet(bits, ring.order)
 
@@ -163,8 +162,7 @@ def two_sided_closure(ring: FiniteRing, generators) -> ElementSet:
     pb = _principal_bits(ring)
     gens = _subgroup_generators(ring, (1 << ring.order) - 1)
     for g in generators:
-        if not 0 <= g < ring.order:
-            raise ValueError(f"generator {g} out of range")
+        _check_element(ring, g, "generator")
         for h in gens:
             bits = _span_bits(ring, bits, pb[ring.mul[h][g]])
     return ElementSet(bits, ring.order)

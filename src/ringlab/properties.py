@@ -17,6 +17,7 @@ from ringlab.core import (
     ComputationFault,
     ElementSet,
     FiniteRing,
+    _check_element,
     bit_members,
     build_quotient,
     element_sets,
@@ -97,8 +98,7 @@ class Certificate:
 
 
 def commutant(ring: FiniteRing, a: int) -> ElementSet:
-    if not 0 <= a < ring.order:
-        raise ValueError(f"element {a} out of range")
+    _check_element(ring, a)
     return ElementSet(commutant_bits(ring, a), ring.order)
 
 
@@ -108,8 +108,7 @@ def _double_commutant_bits(ring: FiniteRing, a: int) -> int:
 
 
 def double_commutant(ring: FiniteRing, a: int) -> ElementSet:
-    if not 0 <= a < ring.order:
-        raise ValueError(f"element {a} out of range")
+    _check_element(ring, a)
     return ElementSet(_double_commutant_bits(ring, a), ring.order)
 
 
@@ -373,8 +372,7 @@ def element_property(ring: FiniteRing, a: int, prop) -> Certificate | None:
     prop = _coerce(prop)
     if prop in PropertyName.ring_only():
         raise ValueError(f"property {prop.value} is decided for rings, not elements")
-    if not 0 <= a < ring.order:
-        raise ValueError(f"element {a} out of range for order {ring.order}")
+    _check_element(ring, a)
     return _certificate(ring, a, prop)
 
 
@@ -534,8 +532,7 @@ def spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tuple[int, ...
     """All idempotents usable as the companion of ``a`` for the given flavor."""
     if not isinstance(flavor, str) or flavor not in _SPECTRAL_FLAVORS:
         raise ValueError(f"unknown spectral flavor: {flavor!r}")
-    if not 0 <= a < ring.order:
-        raise ValueError(f"element {a} out of range")
+    _check_element(ring, a)
     return tuple(_spectral_lists(ring, _SPECTRAL_FLAVORS[flavor])[a])
 
 

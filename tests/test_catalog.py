@@ -93,6 +93,7 @@ def test_preset_examples():
         "quot:weird:zmod:4",
         "quot:gen:9:zmod:4",
         "dorroh:",
+        pytest.param("tri:1:" * 1200 + "zmod:2", id="nested-1200-deep"),
     ],
 )
 def test_preset_errors(bad):

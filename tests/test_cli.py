@@ -56,6 +56,8 @@ def test_build_examples_match_expected_orders(tmp_path, capsys):
         ("cdtri:2:zmod:3", 9),
         ("dorroh:zmod:2", 4),
         ("quot:delta:tri:2:zmod:2", 2),
+        # longer than a file name may be
+        ("product:" + ",".join(["zmod:1"] * 40), 1),
     ]:
         out = tmp_path / "r.json"
         code, stdout, _ = run(capsys, "build", preset, "-o", str(out))
@@ -122,6 +124,10 @@ def test_build_dorroh_spec_rejects_bad_action(tmp_path, capsys):
     assert code == 2
 
 
+# deeper than the JSON parser can recurse
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
 def _dorroh_spec(left_action):
     return {
         "kind": "dorroh",
@@ -146,10 +152,11 @@ def _dorroh_spec(left_action):
         {"kind": "dorrow", "preset": "zmod:2", "nmae": "x"},
         {"preset": "zmod:2", "nmae": "x"},
         '{"preset": "zmod:2", "preset": "zmod:4"}',
+        _DEEP_JSON,
     ],
     ids=["preset-int", "name-int", "nested-preset-list", "action-flat", "action-str",
          "action-str-first", "action-bool", "action-object", "unknown-kind", "unknown-key",
-         "repeated-key"],
+         "repeated-key", "deep-nesting"],
 )
 def test_build_rejects_malformed_spec(tmp_path, capsys, spec):
     """Each spec is a JSON value, or the file's text where JSON values cannot
@@ -250,8 +257,10 @@ _Z2_FIELDS = (
         "{" + _Z2_FIELDS + ', "order": 2}',
         "{" + _Z2_FIELDS + ', "mul": [[0, 0], [0, 0]]}',
         '{"name": "a", ' + _Z2_FIELDS + "}",
+        _DEEP_JSON,
     ],
-    ids=["extra", "wrong-case", "repeated-order", "repeated-mul", "repeated-name"],
+    ids=["extra", "wrong-case", "repeated-order", "repeated-mul", "repeated-name",
+         "deep-nesting"],
 )
 def test_report_rejects_unknown_and_repeated_ring_fields(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
@@ -567,12 +576,16 @@ def test_verify_paper_bad_catalog_exits_2(tmp_path, capsys):
         [{"name": "a", "preset": "zmod:2", "expected": {"properties": {"shiny": True}}}],
         [{"name": "a", "preset": "zmod:2", "expected": {"properties": {"boolean": 1}}}],
         '{"entries": [{"name": "A", "preset": "zmod:2", "preset": "zmod:4"}]}',
+        '{"entries": [{"name": "a", "preset": "zmod:2"}], "bogus": 1}',
+        _DEEP_JSON,
+        [{"name": "a", "preset": "tri:1:" * 1200 + "zmod:2"}],
     ],
     ids=["duplicate-name", "file-int", "name-list", "unknown-key", "preset-int",
          "basis-int", "expected-list", "preset-and-file", "entry-list",
          "expected-unknown-fact", "expected-order-string", "expected-delta-int",
          "expected-jacobson-full", "expected-properties-list",
-         "expected-unknown-property", "expected-property-int", "repeated-key"],
+         "expected-unknown-property", "expected-property-int", "repeated-key",
+         "unknown-top-level-key", "deep-nesting", "deep-preset"],
 )
 def test_verify_paper_rejects_malformed_manifest(tmp_path, capsys, entries):
     """Each case is an entries list, or the file's text where JSON values

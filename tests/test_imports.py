@@ -83,16 +83,21 @@ _IDENTIFIER_FIELDS = {
 }
 
 
-def _cache_access(source: str, owner: str | None = None) -> list[tuple[str, int]]:
-    """Each ``x._cache`` attribute outside the top-level function ``owner``,
-    and each identifier ``cached_on``, with its line, in line order."""
-    tree = ast.parse(source)
-    allowed = {
+def _nodes_of(tree: ast.Module, owner: str | None) -> set[int]:
+    """The ids of the nodes inside the top-level function ``owner``."""
+    return {
         id(node)
         for top in tree.body
         if isinstance(top, ast.FunctionDef) and top.name == owner
         for node in ast.walk(top)
     }
+
+
+def _cache_access(source: str, owner: str | None = None) -> list[tuple[str, int]]:
+    """Each ``x._cache`` attribute outside the top-level function ``owner``,
+    and each identifier ``cached_on``, with its line, in line order."""
+    tree = ast.parse(source)
+    allowed = _nodes_of(tree, owner)
     found = []
     for node in ast.walk(tree):
         is_cache = isinstance(node, ast.Attribute) and node.attr == "_cache"
@@ -127,6 +132,59 @@ def test_only_memo_touches_the_ring_cache():
         for path in sorted(PACKAGE.glob("*.py"))
         for name, line in _cache_access(
             path.read_text(), owner="memo" if path.name == "core.py" else None
+        )
+    ]
+    assert found == []
+
+
+_JSON_READS = ("load", "loads")
+
+
+def _json_reads(source: str, owner: str | None = None) -> list[tuple[str, int]]:
+    """Each ``json.load``/``json.loads`` and ``object_pairs_hook`` outside the
+    top-level function ``owner``, with its line, in line order."""
+    tree = ast.parse(source)
+    allowed = _nodes_of(tree, owner)
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in allowed:
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found.extend((a.name, node.lineno) for a in node.names if a.name in _JSON_READS)
+        is_json = isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "json"
+        if is_json and node.attr in _JSON_READS:
+            found.append((node.attr, node.lineno))
+        field = "arg" if isinstance(node, ast.keyword) else _IDENTIFIER_FIELDS.get(type(node))
+        if field is not None and getattr(node, field) == "object_pairs_hook":
+            found.append(("object_pairs_hook", node.lineno))
+    return sorted(found, key=lambda hit: hit[1])
+
+
+def test_json_scan_sees_reads_and_hooks_but_not_the_owner():
+    source = (
+        "import json\n"
+        "from json import loads as parse\n"
+        "def _read_json(path):\n"
+        "    return json.loads(path, object_pairs_hook=dict)\n"
+        "def f(text, object_pairs_hook=None):\n"
+        "    json.dumps(json.load(text))\n"
+        "    return json.JSONDecoder(object_pairs_hook=dict)\n"
+    )
+    assert _json_reads(source, owner="_read_json") == [
+        ("loads", 2),
+        ("object_pairs_hook", 5),
+        ("load", 6),
+        ("object_pairs_hook", 7),
+    ]
+    assert ("loads", 4) in _json_reads(source)
+
+
+def test_only_read_json_parses_json():
+    found = [
+        f"{path.name}: {name} at line {line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _json_reads(
+            path.read_text(), owner="_read_json" if path.name == "core.py" else None
         )
     ]
     assert found == []
