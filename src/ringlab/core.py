@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import chain, product
+from itertools import chain, compress, product
 from operator import eq, getitem, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -137,7 +137,14 @@ class ElementSet:
 
 
 def bit_members(bits: int) -> list[int]:
-    """Indices of the set bits of ``bits`` in ascending order."""
+    """Indices of the set bits of ``bits`` in ascending order.
+
+    A dense mask is read through its flags in C.  A sparse one is peeled a
+    bit at a time, each step copying the int, which is cheaper only while
+    few bits are set.
+    """
+    if bits.bit_count() << 4 > bits.bit_length() + 64:
+        return list(compress(range(bits.bit_length()), flags_from_mask(bits)))
     out = []
     while bits:
         low = bits & -bits

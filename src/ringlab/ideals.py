@@ -38,41 +38,48 @@ def _principal_bits(ring: FiniteRing) -> tuple[int, ...]:
     ``(au)R = aR`` for a unit ``u``, so one mask serves the orbit ``aU``,
     which is row ``a`` of ``mul`` read at the units.
     """
-    everything = range(ring.order)
     # one is listed twice so that itemgetter always returns a tuple
     orbit = itemgetter(ring.one, *units_map(ring))
     out = [None] * ring.order
     for a, row in enumerate(ring.mul):
         if out[a] is None:
-            bits = mask_from_flags(bytes(map(set(row).__contains__, everything)))
+            flags = bytearray(ring.order)
+            for x in set(row):
+                flags[x] = 1
+            bits = mask_from_flags(flags)
             for b in orbit(row):
                 out[b] = bits
     return tuple(out)
 
 
-def _span_bits(ring: FiniteRing, b1: int, b2: int) -> int:
-    """Additive span of the union of two additive subgroups.
+def _coset_union(add, bits: int, members, other: int) -> int:
+    """The span of the subgroups ``bits``, whose members are ``members``,
+    and ``other``.
 
-    ``I + K`` is the union of the cosets ``I + b`` for ``b`` in ``K``, where
-    ``I`` is the larger subgroup.  A ``b`` already reached lies in a coset
-    taken before, so each coset is taken once: ``|I + K|`` lookups in all.
+    ``I + K`` is the union of the cosets ``I + b`` for ``b`` in ``K``.  A
+    ``b`` already reached lies in a coset taken before, so each coset is
+    taken once: ``|I + K|`` lookups in all.
     """
+    out = bits
+    rest = other & ~bits
+    while rest:
+        row = add[(rest & -rest).bit_length() - 1]
+        for a in members:
+            out |= 1 << row[a]
+        rest &= ~out
+    return out
+
+
+def _span_bits(ring: FiniteRing, b1: int, b2: int) -> int:
+    """Additive span of the union of two additive subgroups, walked by the
+    cosets of the larger one."""
     if b2 & ~b1 == 0:
         return b1
     if b1 & ~b2 == 0:
         return b2
     if b1.bit_count() < b2.bit_count():
         b1, b2 = b2, b1
-    add = ring.add
-    base = bit_members(b1)
-    out = b1
-    rest = b2 & ~b1
-    while rest:
-        row = add[(rest & -rest).bit_length() - 1]
-        for a in base:
-            out |= 1 << row[a]
-        rest &= ~out
-    return out
+    return _coset_union(ring.add, b1, bit_members(b1), b2)
 
 
 def _maps_into(bits: int, rows) -> bool:
@@ -182,21 +189,32 @@ def _join_irreducible_principals(ring: FiniteRing) -> list[int]:
     """The principal right ideals ``aR`` that are not the join of the
     principal right ideals strictly inside them.
 
-    Those are the ``xR`` with ``x`` in ``aR`` and ``xR != aR``.  Every
-    principal right ideal is a join of these, so they generate the lattice.
+    Let ``N`` be the members of ``aR`` that do not generate it.  ``xR``
+    lies in ``N`` for each ``x`` in ``N``, so the join of the principal
+    right ideals strictly inside ``aR`` is the additive span of ``N``, and
+    every proper right ideal inside ``aR`` lies in ``N``.  So ``aR`` is a
+    seed exactly when ``N`` is closed under addition, and then ``N`` is a
+    proper subgroup, at most half of ``aR``.  The joins stop as soon as one
+    leaves ``N``.  Every principal right ideal is a join of seeds, so they
+    generate the lattice.
     """
     pb = _principal_bits(ring)
     zero_bit = 1 << ring.zero
+    generators: dict[int, int] = {}
+    for x, p in enumerate(pb):
+        generators[p] = generators.get(p, 0) | 1 << x
     seeds = []
-    for p in sorted(set(pb)):
+    for p in sorted(generators):
+        below = p & ~generators[p]
+        if p == zero_bit or below.bit_count() * 2 > p.bit_count():
+            continue
         join = zero_bit
-        for x in bit_members(p):
-            q = pb[x]
-            if q != p and q & ~join:
-                join = _span_bits(ring, join, q)
-                if join == p:
+        for x in bit_members(below):
+            if pb[x] & ~join:
+                join = _span_bits(ring, join, pb[x])
+                if join & ~below:
                     break
-        if join != p:
+        else:
             seeds.append(p)
     return seeds
 
@@ -205,24 +223,48 @@ def _join_irreducible_principals(ring: FiniteRing) -> list[int]:
 def all_right_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
     """Every right ideal, sorted by size then membership; cached.
 
-    The lattice is the closure of ``{0}`` and the join-irreducible principal
-    right ideals under joins with the latter.  More than
-    :data:`DEFAULT_LATTICE_LIMIT` members raise :class:`LatticeLimitError`.
+    Every right ideal is the join of the join-irreducible principal right
+    ideals ``s_j`` inside it, and the lattice is listed by Close-by-One.
+    ``s_j`` is ``x_j R`` for its least generator ``x_j``, so a right ideal
+    holds ``s_j`` exactly when it holds ``x_j``.  An ideal ``I`` reached
+    with first index ``k`` is joined with each ``s_j`` (``j >= k``, ``x_j``
+    not in ``I``), and the join ``J`` is kept only when it gains no ``x_i``
+    with ``i < j``.  So a nonzero ``J`` is kept once, as ``I`` joined with
+    ``s_j`` for the least ``j`` such that the ``s_i`` in ``J`` with
+    ``i <= j`` span ``J``, and ``I`` the span of those with ``i < j``.
+    More than :data:`DEFAULT_LATTICE_LIMIT` members, counting ``{0}``, raise
+    :class:`LatticeLimitError`.
     """
     limit = DEFAULT_LATTICE_LIMIT
     seeds = _join_irreducible_principals(ring)
-    found = {1 << ring.zero, *seeds}
-    queue = list(seeds)
-    while len(found) <= limit and queue:
-        current = queue.pop()
-        for seed in seeds:
-            if seed & ~current:
-                span = _span_bits(ring, current, seed)
-                if span not in found:
-                    found.add(span)
-                    queue.append(span)
-    if len(found) > limit:
-        raise LatticeLimitError(f"{ring.name} has more than {limit} right ideals")
+    pb = _principal_bits(ring)
+    add = ring.add
+    # the bit of x_j, and the bits of x_0 .. x_(j-1)
+    marks = [1 << pb.index(seed) for seed in seeds]
+    earlier = [sum(marks[:j]) for j in range(len(seeds))]
+    seed_members = [bit_members(seed) for seed in seeds]
+    zero_bit = 1 << ring.zero
+    found = [zero_bit]
+    stack = [(zero_bit, 0)]
+    while stack:
+        current, start = stack.pop()
+        size = current.bit_count()
+        members = None
+        for j in range(start, len(seeds)):
+            if current & marks[j]:
+                continue
+            seed = seeds[j]
+            if size >= len(seed_members[j]):
+                if members is None:
+                    members = bit_members(current)
+                join = _coset_union(add, current, members, seed)
+            else:
+                join = _coset_union(add, seed, seed_members[j], current)
+            if join & earlier[j] & ~current == 0:
+                found.append(join)
+                stack.append((join, j + 1))
+        if len(found) > limit:
+            raise LatticeLimitError(f"{ring.name} has more than {limit} right ideals")
     ideals = [ElementSet(bits, ring.order) for bits in found]
     return tuple(sorted(ideals, key=ElementSet.sort_key))
 

@@ -204,20 +204,20 @@ def delta_r5(ring: FiniteRing) -> ElementSet:
     ``1 + x y`` is complemented by a right ideal inside the socle."""
     pb = _principal_bits(ring)
     soc = socle(ring).bits
-    semisimple_parts = [
-        ideal for ideal in all_right_ideals(ring) if ideal.bits & ~soc == 0
-    ]
-    part_sizes = [(ideal.bits, len(ideal)) for ideal in semisimple_parts]
+    # a complement Y of Z has |Z| |Y| = |R|, so parts are grouped by size
+    parts_of_size: dict[int, list[int]] = {}
+    for ideal in all_right_ideals(ring):
+        if ideal.bits & ~soc == 0:
+            parts_of_size.setdefault(len(ideal), []).append(ideal.bits)
     zero_bit = 1 << ring.zero
     order = ring.order
     decided: dict[int, bool] = {}
 
     def complemented(zbits: int) -> bool:
         if zbits not in decided:
-            zsize = zbits.bit_count()
-            decided[zbits] = any(
-                zbits & ybits == zero_bit and zsize * ysize == order
-                for ybits, ysize in part_sizes
+            size, rest = divmod(order, zbits.bit_count())
+            decided[zbits] = not rest and any(
+                zbits & ybits == zero_bit for ybits in parts_of_size.get(size, ())
             )
         return decided[zbits]
 

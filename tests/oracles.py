@@ -35,6 +35,7 @@ from ringlab.core import (
 )
 from ringlab.ideals import (
     _principal_bits,
+    _span_bits,
     _summand_witness,
     all_right_ideals,
     socle,
@@ -224,6 +225,52 @@ def brute_join_closure_right_ideals(ring):
                 queue.append(span)
     ideals = [frozenset(i for i in range(n) if (bits >> i) & 1) for bits in found]
     return sorted(ideals, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def span_join_irreducible_principals(ring):
+    """The principal right ideals that are not the join of the principal
+    right ideals strictly inside them, each found by joining those ideals
+    until the join reaches it.
+
+    This is the library's seed search before it tested the non-generators
+    of each principal ideal for additive closure.
+    """
+    pb = _principal_bits(ring)
+    zero_bit = 1 << ring.zero
+    seeds = []
+    for p in sorted(set(pb)):
+        join = zero_bit
+        for x in bit_members(p):
+            q = pb[x]
+            if q != p and q & ~join:
+                join = _span_bits(ring, join, q)
+                if join == p:
+                    break
+        if join != p:
+            seeds.append(p)
+    return seeds
+
+
+def bfs_seed_closure_right_ideals(ring):
+    """Every right ideal, as the closure of ``{0}`` and the seeds under
+    joins of every ideal found with every seed, deduplicated by a set.
+
+    This is the library's enumerator before it listed the lattice by
+    Close-by-One.
+    """
+    seeds = span_join_irreducible_principals(ring)
+    found = {1 << ring.zero, *seeds}
+    queue = list(seeds)
+    while queue:
+        current = queue.pop()
+        for seed in seeds:
+            if seed & ~current:
+                span = _span_bits(ring, current, seed)
+                if span not in found:
+                    found.add(span)
+                    queue.append(span)
+    ideals = [ElementSet(bits, ring.order) for bits in found]
+    return tuple(sorted(ideals, key=ElementSet.sort_key))
 
 
 def brute_two_sided_ideals(ring, right_ideals=None):

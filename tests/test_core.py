@@ -32,6 +32,7 @@ from ringlab.core import (
     SizeCapError,
     _normal_form,
     _subgroup_generators,
+    bit_members,
     build_constant_diagonal_triangular,
     build_corner,
     build_dorroh,
@@ -90,6 +91,31 @@ def test_element_set_ops_match_python_sets(xs, ys):
     assert set((a | b).indices()) == xs | ys
     assert set((a & b).indices()) == xs & ys
     assert a.is_subset(b) == (xs <= ys)
+
+
+def _members_by_scan(bits):
+    return [i for i in range(bits.bit_length()) if bits >> i & 1]
+
+
+@given(st.integers(min_value=1, max_value=4096), st.booleans(),
+       st.randoms(use_true_random=False))
+def test_bit_members_matches_scan(length, dense, rng):
+    # a few set bits take the bit-by-bit loop; about half of at least 64
+    # bits take the flags read in C
+    if dense:
+        length = max(length, 64)
+        count = length // 2
+    else:
+        count = rng.randint(1, 1 + length // 64)
+    bits = 1 << (length - 1)
+    for i in rng.sample(range(length), count):
+        bits |= 1 << i
+    assert bit_members(bits) == _members_by_scan(bits)
+
+
+@pytest.mark.parametrize("bits", [0, *(1 << i for i in (0, 1, 5, 63, 64, 4095))])
+def test_bit_members_of_empty_and_single_bit_masks(bits):
+    assert bit_members(bits) == _members_by_scan(bits)
 
 
 # ------------------------------------------------------------- mixed radix

@@ -46,6 +46,7 @@ from ringlab.ideals import (
     two_sided_closure,
     two_sided_ideals,
 )
+from test_cross_checks import DIFFERENTIAL_PRESETS
 
 
 def _sets(ideals):
@@ -98,6 +99,14 @@ LARGER_RINGS = [
     ("T2(Z2)xZ2^3", "product:tri:2:zmod:2,zmod:2,zmod:2,zmod:2"),
     ("Z4xZ2^4", "product:zmod:4,zmod:2,zmod:2,zmod:2,zmod:2"),
     ("CT4(Z2)", "cdtri:4:zmod:2"),
+]
+
+# The order-256 products of the lattice benchmark, 192-224 right ideals each.
+LATTICE_SURVEY_RINGS = [
+    "product:zmod:4,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
+    "product:tri:2:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
+    "product:tri:2:zmod:2,tri:2:zmod:2,zmod:2,zmod:2",
+    "product:cdtri:2:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
 ]
 
 
@@ -252,6 +261,48 @@ def test_span_matches_pairwise_sums(name, preset):
     for _ in range(100):
         left, right = rng.choice(lattice), rng.choice(lattice)
         assert _span_bits(ring, left, right) == oracles.brute_pairwise_span(ring, left, right)
+
+
+def _assert_lattice_matches_seed_closure(ring):
+    """Close-by-One against the search that joined every ideal found with
+    every seed, on seeds found by joining principal ideals."""
+    lattice = all_right_ideals(ring)
+    assert lattice == oracles.bfs_seed_closure_right_ideals(ring), ring.name
+    assert len({ideal.bits for ideal in lattice}) == len(lattice), ring.name
+    assert _join_irreducible_principals(ring) == oracles.span_join_irreducible_principals(ring)
+
+
+def test_lattice_matches_seed_closure_oracle_on_catalog(catalog_rings):
+    for ring in catalog_rings.values():
+        _assert_lattice_matches_seed_closure(ring)
+
+
+@pytest.mark.parametrize(
+    "preset",
+    DIFFERENTIAL_PRESETS + [preset for _, preset in LARGER_RINGS] + LATTICE_SURVEY_RINGS,
+)
+def test_lattice_matches_seed_closure_oracle(preset):
+    _assert_lattice_matches_seed_closure(build_preset(preset))
+
+
+def test_lattice_of_z2_power_nine_takes_one_join_per_ideal(monkeypatch):
+    """Close-by-One joins 511 times for the 512 right ideals of Z2^9; joining
+    every ideal found with every seed took 2,295 joins.  Joins made while
+    finding the seeds are not counted."""
+    ring = build_product([build_zmod(2)] * 9)
+    seeds = _join_irreducible_principals(ring)
+    joins = []
+    coset_union = ideals._coset_union
+
+    def counted(*args):
+        joins.append(args)
+        return coset_union(*args)
+
+    monkeypatch.setattr(ideals, "_join_irreducible_principals", lambda _: seeds)
+    monkeypatch.setattr(ideals, "_coset_union", counted)
+    lattice = all_right_ideals(ring)
+    assert len(lattice) == 512
+    assert len(joins) < 2 * len(lattice)
 
 
 def _m3z2():
