@@ -28,11 +28,11 @@ from ringlab.radicals import DeltaDisagreement, delta, delta_mask, jacobson, qni
 from ringlab.properties import (
     PropertyName,
     _coerce,
+    _spectral_lists,
     center,
     idempotents_lift,
     property_mask,
     ring_property,
-    spectral_candidates,
 )
 
 STATUS_HOLDS = "holds-on-catalog"
@@ -159,8 +159,9 @@ def _check_unit_spectral_identity(ring: FiniteRing) -> tuple | None:
         ring, PropertyName.DELTA_QUASIPOLAR
     ):
         return None
+    companions = _spectral_lists(ring, PropertyName.DELTA_QUASIPOLAR)
     for u in units_map(ring):
-        if spectral_candidates(ring, u, "delta") != (ring.one,):
+        if companions[u] != [ring.one]:
             return (u,)
     return None
 

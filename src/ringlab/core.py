@@ -539,11 +539,8 @@ def _pattern_ring(
     folds the d lists of ``a E_j(v)`` over v, where ``E_j(v)`` holds v on
     cell j and zero elsewhere.
     """
-    if k < 1:
-        raise ValueError(f"matrix size must be positive, got {k}")
     n, zero, badd, bmul = base.order, base.zero, base.add, base.mul
     order = n ** len(cells)
-    check_size(order)
     add = badd
     for _ in cells[1:]:
         add = _pair_table(add, badd)
@@ -592,8 +589,19 @@ def _pattern_ring(
     )
 
 
+def _check_pattern_size(base: FiniteRing, k: int, digits: int) -> None:
+    """Refuse ``k x k`` matrices of ``digits`` stored digits before a cell is
+    listed; ``base.order ** digits`` is taken only for digits within the cap."""
+    if k < 1:
+        raise ValueError(f"matrix size must be positive, got {k}")
+    if digits > _size_cap():
+        raise SizeCapError(f"{digits} matrix digits exceed the size cap {_size_cap()}")
+    check_size(base.order**digits)
+
+
 def build_matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
     """The full ``k x k`` matrix ring, entries packed row-major."""
+    _check_pattern_size(base, k, k * k)
     cells = [[(r, c)] for r in range(k) for c in range(k)]
     return _pattern_ring(base, k, f"M{k}({base.name})", cells)
 
@@ -601,6 +609,7 @@ def build_matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
 def build_upper_triangular(base: FiniteRing, k: int) -> FiniteRing:
     """The upper triangular ``k x k`` matrix ring; stored entries are the
     positions ``(r, c)`` with ``r <= c`` in row-major order."""
+    _check_pattern_size(base, k, k * (k + 1) // 2)
     cells = [[(r, c)] for r in range(k) for c in range(r, k)]
     return _pattern_ring(base, k, f"T{k}({base.name})", cells)
 
@@ -611,6 +620,7 @@ def build_constant_diagonal_triangular(base: FiniteRing, k: int) -> FiniteRing:
     Stored digits are the diagonal value followed by the strictly upper
     entries ``(r, c)`` with ``r < c`` in row-major order.
     """
+    _check_pattern_size(base, k, 1 + k * (k - 1) // 2)
     diagonal = [(r, r) for r in range(k)]
     uppers = [[(r, c)] for r in range(k) for c in range(r + 1, k)]
     return _pattern_ring(base, k, f"CT{k}({base.name})", [diagonal, *uppers])
@@ -665,12 +675,12 @@ def build_dorroh(data: DorrohData) -> FiniteRing:
     Raises :class:`BimoduleError` if the actions are malformed or not
     unital, or if the extension fails ``verify_axioms``.
     """
-    _validate_dorroh(data)
     base, bim = data.base, data.bimodule
     la, ra = data.left_action, data.right_action
     nr, nv = base.order, bim.order
     order = nr * nv
     check_size(order)
+    _validate_dorroh(data)
 
     def enc(r: int, v: int) -> int:
         return nv * r + v
@@ -718,36 +728,17 @@ def build_quotient(
         raise IdealError(
             f"subset {list(members)} is not a two-sided ideal of {ring.name}"
         )
-    coset_of: list[int | None] = [None] * ring.order
+    coset_of: list = [None] * ring.order
     reps: list[int] = []
     for a in range(ring.order):
-        if coset_of[a] is not None:
-            continue
-        members_of_a = sorted(ring.add[a][i] for i in members)
-        rep_index = len(reps)
-        reps.append(members_of_a[0])
-        for m in members_of_a:
-            coset_of[m] = rep_index
-    # order cosets by least member; reps are discovered in ascending order
-    proj = tuple(coset_of[a] for a in range(ring.order))  # type: ignore[misc]
-    size = len(reps)
-    add = tuple(
-        tuple(proj[ring.add[reps[i]][reps[j]]] for j in range(size)) for i in range(size)
-    )
-    mul = tuple(
-        tuple(proj[ring.mul[reps[i]][reps[j]]] for j in range(size)) for i in range(size)
-    )
+        if coset_of[a] is None:  # so a is the least member of its coset
+            for m in map(ring.add[a].__getitem__, members):
+                coset_of[m] = len(reps)
+            reps.append(a)
+    proj = tuple(coset_of)
     labels = tuple(f"[{ring.label(r)}]" for r in reps)
-    quotient = FiniteRing(
-        order=size,
-        add=add,
-        mul=mul,
-        zero=proj[ring.zero],
-        one=proj[ring.one],
-        name=f"{ring.name}/I{len(members)}",
-        labels=labels,
-    )
-    return quotient, proj
+    name = f"{ring.name}/I{len(members)}"
+    return _induced_ring(ring, reps, proj, ring.one, name, labels), proj
 
 
 def build_corner(ring: FiniteRing, e: int) -> FiniteRing:
@@ -758,24 +749,23 @@ def build_corner(ring: FiniteRing, e: int) -> FiniteRing:
     for r in range(ring.order):
         if ring.mul[e][r] != ring.mul[r][e]:
             raise ValueError(f"idempotent {e} is not central in {ring.name}")
-    members = sorted({ring.mul[e][r] for r in range(ring.order)})
+    members = sorted(set(ring.mul[e]))
     position = {m: i for i, m in enumerate(members)}
-    add = tuple(
-        tuple(position[ring.add[a][b]] for b in members) for a in members
+    labels = tuple(map(ring.label, members))
+    return _induced_ring(ring, members, position, e, f"{ring.name}|e{e}", labels)
+
+
+def _induced_ring(
+    ring: FiniteRing, reps: Sequence[int], index, one: int, name: str, labels: tuple
+) -> FiniteRing:
+    """The ring on the elements ``reps`` of ``ring``: each sum and product is
+    taken in ``ring`` and read back through ``index`` to a position in
+    ``reps``.  ``one`` is the element of ``ring`` at the identity's position."""
+    add, mul = (
+        tuple(tuple(map(index.__getitem__, map(rows[r].__getitem__, reps))) for r in reps)
+        for rows in (ring.add, ring.mul)
     )
-    mul = tuple(
-        tuple(position[ring.mul[a][b]] for b in members) for a in members
-    )
-    labels = tuple(ring.label(m) for m in members)
-    return FiniteRing(
-        order=len(members),
-        add=add,
-        mul=mul,
-        zero=position[ring.zero],
-        one=position[e],
-        name=f"{ring.name}|e{e}",
-        labels=labels,
-    )
+    return FiniteRing(len(reps), add, mul, index[ring.zero], index[one], name, labels)
 
 
 # --------------------------------------------------------------------------
@@ -888,12 +878,14 @@ def save_ring(ring: FiniteRing, path: str | Path) -> None:
 
     json's C encoder does not indent, so the rows of ``ring.add`` and
     ``ring.mul`` go out one by one in the same layout instead of as one
-    string, without list copies.  Table entries must be element indices; any
-    other entry raises TypeError or IndexError.
+    string, without list copies.  The tables are trusted to hold element
+    indices, as every constructor and :func:`load_ring` give.  Most other
+    entries raise TypeError or IndexError, not all: one in [-2n, -n) is
+    written as the element it indexes from the end, and ``True`` as ``1``.
     """
     n = ring.order
     # n Nones after the n texts: an entry in [-n, 0) or [n, 2n) reads a None,
-    # which join refuses, and any other non-index fails in itemgetter
+    # which join refuses, and one outside [-2n, 2n) fails in itemgetter
     texts = tuple(map(str, range(n))) + (None,) * n
     with Path(path).open("w") as out:
         out.write("{")

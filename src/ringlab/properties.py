@@ -27,6 +27,7 @@ from ringlab.core import (
 )
 from ringlab.ideals import (
     _principal_bits,
+    _summand_witnesses,
     maximal_right_ideals,
     socle,
 )
@@ -68,9 +69,7 @@ class PropertyName(str, Enum):
 
     @classmethod
     def ring_only(cls) -> frozenset["PropertyName"]:
-        return frozenset(
-            {cls.BOOLEAN, cls.ABELIAN, cls.LOCAL, cls.SEMISIMPLE, cls.RIGHT_PP}
-        )
+        return frozenset(_RING_ONLY)
 
 
 def _coerce(prop) -> PropertyName:
@@ -421,16 +420,26 @@ def property_mask(ring: FiniteRing, prop) -> ElementSet:
 
 @memo
 def _property_mask(ring: FiniteRing, prop: PropertyName) -> ElementSet:
-    if prop not in _COMPANION_SPECS:
+    n = ring.order
+    if prop in _COMPANION_SPECS:
+        # the elements with at least one companion, and with two or more
+        once = twice = 0
+        for mask in _companion_masks(ring, prop):
+            twice |= once & mask
+            once |= mask
+        return ElementSet(once & ~twice if prop in _UNIQUE else once, n)
+    if prop is PropertyName.VON_NEUMANN_REGULAR:
+        # a = a b a for some b exactly when aR = eR for an idempotent e
+        # (e = a b; conversely e = a r and a = e a give a = a r a)
+        found = map(_summand_witnesses(ring).__contains__, _principal_bits(ring))
+    elif prop is PropertyName.STRONGLY_REGULAR:
+        # a = a a b for some b exactly when a lies in (a a)R
+        pb = _principal_bits(ring)
+        found = ((pb[ring.mul[a][a]] >> a) & 1 for a in range(n))
+    else:
         finder = _FINDERS[prop]
-        found = (finder(ring, a) is not None for a in range(ring.order))
-        return ElementSet(mask_from_flags(bytes(found)), ring.order)
-    # the elements with at least one companion, and with two or more
-    once = twice = 0
-    for mask in _companion_masks(ring, prop):
-        twice |= once & mask
-        once |= mask
-    return ElementSet(once & ~twice if prop in _UNIQUE else once, ring.order)
+        found = (finder(ring, a) is not None for a in range(n))
+    return ElementSet(mask_from_flags(bytes(found)), n)
 
 
 # --------------------------------------------------------------------------
@@ -496,23 +505,17 @@ def ring_property(ring: FiniteRing, prop) -> tuple[bool, int | None]:
     """Decide a property for the whole ring.
 
     Element-level properties hold for the ring when they hold for every
-    element; the witness of a failure is the least failing element.  They
-    are decided by the witness search alone, with no certificates.
+    element; the witness of a failure is the least element outside the
+    property's mask, so no certificate is built.
     """
     return _ring_property(ring, _coerce(prop))
 
 
 @memo
 def _ring_property(ring: FiniteRing, prop: PropertyName) -> tuple[bool, int | None]:
-    if prop in PropertyName.ring_only():
+    if prop in _RING_ONLY:
         return _RING_ONLY[prop](ring)
-    if prop in _COMPANION_SPECS:
-        return _holds_unless(_property_mask(ring, prop).complement().bits)
-    finder = _FINDERS[prop]
-    for a in range(ring.order):
-        if finder(ring, a) is None:
-            return False, a
-    return True, None
+    return _holds_unless(_property_mask(ring, prop).complement().bits)
 
 
 # --------------------------------------------------------------------------

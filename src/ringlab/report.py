@@ -3,7 +3,7 @@ from __future__ import annotations
 
 from ringlab.core import FiniteRing, element_sets
 from ringlab.ideals import socle
-from ringlab.properties import PropertyName, ring_property, spectral_candidates
+from ringlab.properties import PropertyName, _spectral_lists, ring_property
 from ringlab.radicals import delta, jacobson, qnil_set
 
 
@@ -11,6 +11,7 @@ def build_report(ring: FiniteRing) -> dict:
     """Full survey of one ring as a JSON-ready, insertion-ordered dict."""
     units, idempotents, nilpotents = element_sets(ring)
     computation = delta(ring)
+    spectral = _spectral_lists(ring, PropertyName.DELTA_QUASIPOLAR)
     report: dict = {
         "name": ring.name,
         "order": ring.order,
@@ -29,9 +30,7 @@ def build_report(ring: FiniteRing) -> dict:
         "properties": {
             prop.value: ring_property(ring, prop)[0] for prop in PropertyName
         },
-        "delta_spectral": [
-            list(spectral_candidates(ring, a, "delta")) for a in range(ring.order)
-        ],
+        "delta_spectral": list(map(list, spectral)),  # copies; the cache keeps its own
     }
     return report
 

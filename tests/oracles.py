@@ -21,6 +21,7 @@ from ringlab.core import (
     BimoduleError,
     ElementSet,
     FiniteRing,
+    IdealError,
     _matrix_label,
     bit_members,
     build_corner,
@@ -38,6 +39,7 @@ from ringlab.ideals import (
     _span_bits,
     _summand_witness,
     all_right_ideals,
+    is_two_sided_ideal,
     socle,
     two_sided_ideals,
 )
@@ -754,6 +756,79 @@ def brute_constant_diagonal_triangular(base: FiniteRing, k: int) -> FiniteRing:
         name=f"CT{k}({base.name})",
         labels=labels,
     )
+
+# The quotient and corner builders from before both read their tables
+# through `ringlab.core._induced_ring`, kept verbatim (memo dropped): each
+# builds its own tables, zero, one and ring.
+
+
+def reference_quotient(
+    ring: FiniteRing, ideal: ElementSet
+) -> tuple[FiniteRing, tuple[int, ...]]:
+    members = ideal.indices()
+    if not is_two_sided_ideal(ring, ideal):
+        raise IdealError(
+            f"subset {list(members)} is not a two-sided ideal of {ring.name}"
+        )
+    coset_of: list[int | None] = [None] * ring.order
+    reps: list[int] = []
+    for a in range(ring.order):
+        if coset_of[a] is not None:
+            continue
+        members_of_a = sorted(ring.add[a][i] for i in members)
+        rep_index = len(reps)
+        reps.append(members_of_a[0])
+        for m in members_of_a:
+            coset_of[m] = rep_index
+    # order cosets by least member; reps are discovered in ascending order
+    proj = tuple(coset_of[a] for a in range(ring.order))  # type: ignore[misc]
+    size = len(reps)
+    add = tuple(
+        tuple(proj[ring.add[reps[i]][reps[j]]] for j in range(size)) for i in range(size)
+    )
+    mul = tuple(
+        tuple(proj[ring.mul[reps[i]][reps[j]]] for j in range(size)) for i in range(size)
+    )
+    labels = tuple(f"[{ring.label(r)}]" for r in reps)
+    quotient = FiniteRing(
+        order=size,
+        add=add,
+        mul=mul,
+        zero=proj[ring.zero],
+        one=proj[ring.one],
+        name=f"{ring.name}/I{len(members)}",
+        labels=labels,
+    )
+    return quotient, proj
+
+
+def reference_corner(ring: FiniteRing, e: int) -> FiniteRing:
+    if not 0 <= e < ring.order:
+        raise ValueError(f"element {e} out of range for order {ring.order}")
+    if ring.mul[e][e] != e:
+        raise ValueError(f"element {e} is not idempotent in {ring.name}")
+    for r in range(ring.order):
+        if ring.mul[e][r] != ring.mul[r][e]:
+            raise ValueError(f"idempotent {e} is not central in {ring.name}")
+    members = sorted({ring.mul[e][r] for r in range(ring.order)})
+    position = {m: i for i, m in enumerate(members)}
+    add = tuple(
+        tuple(position[ring.add[a][b]] for b in members) for a in members
+    )
+    mul = tuple(
+        tuple(position[ring.mul[a][b]] for b in members) for a in members
+    )
+    labels = tuple(ring.label(m) for m in members)
+    return FiniteRing(
+        order=len(members),
+        add=add,
+        mul=mul,
+        zero=position[ring.zero],
+        one=position[e],
+        name=f"{ring.name}|e{e}",
+        labels=labels,
+    )
+
 
 def brute_delta_r3(ring):
     """Elements x such that every right ideal K with xR + K = R is eR for an

@@ -79,9 +79,20 @@ def test_build_into_directory_exits_2(tmp_path, capsys):
 
 def test_build_size_cap_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("RINGLAB_SIZE_CAP", "10")
-    code, _, stderr = run(capsys, "build", "mat:2:zmod:2", "-o", str(tmp_path / "x.json"))
-    assert code == 2
-    assert "cap" in stderr
+    # the k = 100000 matrix presets are refused on their digit count before
+    # a cell is listed; M_100000(Z1) has order 1 but too many digits
+    for preset in (
+        "mat:2:zmod:2",
+        "mat:100000:zmod:2",
+        "tri:100000:zmod:2",
+        "cdtri:100000:zmod:2",
+        "mat:100000:zmod:1",
+        "dorroh:zmod:4",
+    ):
+        code, _, stderr = run(capsys, "build", preset, "-o", str(tmp_path / "x.json"))
+        assert code == 2, preset
+        assert "cap" in stderr, preset
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1, preset
 
 
 def test_build_from_spec_file(tmp_path, capsys):

@@ -954,6 +954,8 @@ def test_size_cap_blocks_large_builds(monkeypatch):
     with pytest.raises(SizeCapError):
         build_matrix_ring(build_zmod(2), 2)  # 16 elements
     with pytest.raises(SizeCapError):
+        build_matrix_ring(build_zmod(1), 4)  # one element, but 16 digits
+    with pytest.raises(SizeCapError):
         build_zmod(11)
     assert build_zmod(10).order == 10
 

@@ -14,10 +14,17 @@ import random
 import pytest
 
 import oracles
-from ringlab import ideals, properties
-from ringlab.catalog import build_preset
-from ringlab.core import element_sets, units_map
-from ringlab.ideals import _ideal_core_bits, _principal_bits, all_right_ideals
+from ringlab import claims, ideals, properties
+from ringlab import report as report_module
+from ringlab.catalog import CatalogEntry, build_preset
+from ringlab.claims import SuiteContext, registry
+from ringlab.core import bit_members, build_corner, build_quotient, element_sets, units_map
+from ringlab.ideals import (
+    _ideal_core_bits,
+    _principal_bits,
+    all_right_ideals,
+    two_sided_ideals,
+)
 from ringlab.properties import (
     _COMPANION_SPECS,
     _SPECTRAL_FLAVORS,
@@ -226,6 +233,79 @@ def test_ring_level_readings_match_old_loops(preset):
 def test_ring_level_readings_match_old_loops_on_catalog(catalog_rings):
     for ring in catalog_rings.values():
         _assert_ring_level_readings_match_old_loops(ring)
+
+
+def _assert_quotients_and_corners_match_old_builders(ring):
+    """Each quotient by a two-sided ideal and each corner at a central
+    idempotent, built through the one induced-ring builder, against the
+    builders that made their own tables; ring equality compares the tables,
+    zero, one, name and labels."""
+    for ideal in two_sided_ideals(ring):
+        quotient, proj = build_quotient(ring, ideal)
+        assert (quotient, proj) == oracles.reference_quotient(ring, ideal), (
+            ring.name,
+            ideal.indices(),
+        )
+    for e in bit_members(element_sets(ring)[1].bits & center_bits(ring)):
+        assert build_corner(ring, e) == oracles.reference_corner(ring, e), (ring.name, e)
+
+
+@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
+def test_quotients_and_corners_match_old_builders(preset):
+    _assert_quotients_and_corners_match_old_builders(build_preset(preset))
+
+
+def test_quotients_and_corners_match_old_builders_on_catalog(catalog_rings):
+    for ring in catalog_rings.values():
+        _assert_quotients_and_corners_match_old_builders(ring)
+
+
+REGULARITY = (PropertyName.VON_NEUMANN_REGULAR, PropertyName.STRONGLY_REGULAR)
+
+
+@pytest.mark.parametrize(
+    "preset", ["zmod:12", "tri:2:zmod:3", "mat:2:zmod:2", "cdtri:3:zmod:2", "dorroh:zmod:4"]
+)
+def test_regularity_is_decided_without_a_finder(preset, monkeypatch):
+    """Von Neumann and strong regularity are read off the principal masks:
+    on a fresh ring, neither the ring decision nor the mask calls a finder."""
+    expected = {prop: oracles.property_mask(build_preset(preset), prop) for prop in REGULARITY}
+
+    def refuse(ring, a):
+        raise AssertionError("a regularity finder was called")
+
+    for prop in REGULARITY:
+        monkeypatch.setitem(properties._FINDERS, prop, refuse)
+    ring = build_preset(preset)
+    for prop in REGULARITY:
+        least = next((a for a in range(ring.order) if a not in expected[prop]), None)
+        assert ring_property(ring, prop) == (least is None, least), (preset, prop)
+        assert property_mask(ring, prop) == expected[prop], (preset, prop)
+
+
+@pytest.mark.parametrize("preset", ["zmod:4", "tri:2:zmod:3", "mat:2:zmod:2"])
+def test_report_and_unit_spectral_claim_read_the_spectral_lists(preset, monkeypatch):
+    """Neither the report nor the unit-spectral claim calls the validating
+    spectral_candidates; the report's lists are fresh copies of the same."""
+    reference = build_preset(preset)
+    spectral = [list(spectral_candidates(reference, a, "delta")) for a in range(reference.order)]
+    entry = CatalogEntry(name=preset, recipe=preset)
+    claim = next(c for c in registry() if c.id == "unit-spectral-idempotent-is-identity")
+    expected = oracles.check_unit_spectral_identity(
+        SuiteContext(entries=(entry,), rings={preset: reference})
+    )
+
+    def refuse(*args):
+        raise AssertionError("spectral_candidates was called")
+
+    for module in (properties, report_module, claims):
+        monkeypatch.setattr(module, "spectral_candidates", refuse, raising=module is properties)
+    ring = build_preset(preset)
+    built = build_report(ring)
+    assert built["delta_spectral"] == spectral, preset
+    cached = properties._spectral_lists(ring, PropertyName.DELTA_QUASIPOLAR)
+    assert set(map(id, built["delta_spectral"])).isdisjoint(map(id, cached)), preset
+    assert claim.check(SuiteContext(entries=(entry,), rings={preset: ring})) == expected
 
 
 def _permuted_report(report: dict, perm) -> dict:

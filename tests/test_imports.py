@@ -188,3 +188,57 @@ def test_only_read_json_parses_json():
         )
     ]
     assert found == []
+
+
+# the functions of core.py that may call FiniteRing(...)
+_RING_BUILDERS = {
+    "build_zmod",
+    "build_product",
+    "_pattern_ring",
+    "build_dorroh",
+    "_induced_ring",
+    "ring_from_json",
+}
+
+
+def _ring_constructions(source: str) -> list[tuple[str | None, int]]:
+    """Each call of ``FiniteRing(...)`` or ``x.FiniteRing(...)``, with the
+    top-level function it is in (``None`` at module level) and its line."""
+    tree = ast.parse(source)
+    owner_of = {
+        id(node): top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef)
+        for node in ast.walk(top)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        field = _IDENTIFIER_FIELDS.get(type(node.func))
+        if field is not None and getattr(node.func, field) == "FiniteRing":
+            found.append((owner_of.get(id(node)), node.lineno))
+    return sorted(found, key=lambda hit: hit[1])
+
+
+def test_ring_construction_scan_sees_names_attributes_and_owners():
+    source = (
+        "def build_zmod(n):\n"
+        "    return FiniteRing(order=n)\n"
+        "def f(ring):\n"
+        "    def inner():\n"
+        "        return core.FiniteRing(order=1)\n"
+        "    return replace(ring, name='x'), FiniteRing\n"
+        "RING = FiniteRing(order=1)\n"
+    )
+    assert _ring_constructions(source) == [("build_zmod", 2), ("f", 5), (None, 7)]
+
+
+def test_only_the_ring_builders_call_finite_ring():
+    found = [
+        f"{path.name}: {owner} at line {line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner, line in _ring_constructions(path.read_text())
+        if path.name != "core.py" or owner not in _RING_BUILDERS
+    ]
+    assert found == []
