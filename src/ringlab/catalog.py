@@ -7,6 +7,7 @@ fixed expected facts that :func:`verify_expected` recomputes.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from ringlab.core import (
     FiniteRing,
     RinglabError,
     _check_fields,
+    _check_pattern_size,
     _read_json,
     build_constant_diagonal_triangular,
     build_dorroh,
@@ -23,6 +25,7 @@ from ringlab.core import (
     build_quotient,
     build_upper_triangular,
     build_zmod,
+    check_size,
     load_ring,
     renamed,
 )
@@ -77,9 +80,63 @@ def build_preset(text: str) -> FiniteRing:
         quot:delta:P | quot:jac:P | quot:gen:I1[+I2...]:P
     """
     try:
+        _recipe_order(text)
         return _build_preset(text)
     except RecursionError:
         raise PresetError("preset is nested too deeply") from None
+
+
+# stored digits of a k x k pattern ring, as its builder in core counts them
+_PATTERN_DIGITS = {
+    "mat": lambda k: k * k,
+    "tri": lambda k: k * (k + 1) // 2,
+    "cdtri": lambda k: 1 + k * (k - 1) // 2,
+}
+
+
+def _recipe_order(text: str) -> int | None:
+    """The order of the ring a recipe builds, read off its text; ``None``
+    where the text does not give it: a quotient, or a recipe that
+    :func:`_build_preset` refuses.
+
+    Raises :class:`~ringlab.core.SizeCapError` for the first part of the
+    recipe over the size cap, so that no table of an over-cap recipe is
+    built.  The base of a quotient is checked too.
+    """
+    head, _, rest = text.partition(":")
+    if head == "quot":
+        mode, _, base_text = rest.partition(":")
+        _recipe_order(base_text.partition(":")[2] if mode == "gen" else base_text)
+        return None
+    if head in _PATTERN_DIGITS:
+        size_token, _, base_text = rest.partition(":")
+        k, base = _positive_int_or_none(size_token), _recipe_order(base_text)
+        if k is None or base is None:
+            return None
+        digits = _PATTERN_DIGITS[head](k)
+        _check_pattern_size(base, k, digits)
+        return base**digits
+    if head == "zmod":
+        orders = [_positive_int_or_none(rest)]
+    elif head == "product":
+        orders = [_recipe_order(token) for token in rest.split(",")]
+    elif head == "dorroh":
+        orders = [_recipe_order(rest)] * 2
+    else:
+        return None
+    if None in orders:
+        return None
+    order = math.prod(orders)
+    check_size(order)
+    return order
+
+
+def _positive_int_or_none(token: str) -> int | None:
+    try:
+        value = int(token)
+    except ValueError:
+        return None
+    return value if value >= 1 else None
 
 
 def _build_preset(text: str) -> FiniteRing:

@@ -478,14 +478,17 @@ def build_product(factors: Sequence[FiniteRing]) -> FiniteRing:
         raise ValueError("a product needs at least one factor")
     order = math.prod(f.order for f in factors)
     check_size(order)
-    first = factors[0]
-    add, mul, zero, one = first.add, first.mul, first.zero, first.one
-    # Folding left keeps the last factor fastest: ((d1*n2 + d2)*n3 + d3)...
-    for f in factors[1:]:
-        add = _pair_table(add, f.add)
-        mul = _pair_table(mul, f.mul)
-        zero = zero * f.order + f.zero
-        one = one * f.order + f.one
+    last = factors[-1]
+    add, mul, zero, one, width = last.add, last.mul, last.zero, last.one, last.order
+    # Mixed-radix packing is associative, d1*(n2*n3) + (d2*n3 + d3) =
+    # (d1*n2 + d2)*n3 + d3, so folding from the right keeps the last factor
+    # fastest and gives the same tables, with the wide operand on the right.
+    for f in reversed(factors[:-1]):
+        add = _pair_table(f.add, add)
+        mul = _pair_table(f.mul, mul)
+        zero += f.zero * width
+        one += f.one * width
+        width *= f.order
     labels = tuple(
         "(" + ",".join(parts) + ")"
         for parts in product(*([f.label(x) for x in range(f.order)] for f in factors))
@@ -507,13 +510,17 @@ def _pair_table(
     """The table of a two-factor product; pair ``(i, j)`` has index ``i*m + j``
     where ``m = len(right)``."""
     m = len(right)
-    rows: list = [None] * (len(left) * m)
+    ints = tuple(range(len(left) * m))
+    spans = [ints[a * m : (a + 1) * m] for a in range(len(left))]
+    rows: list = [None] * len(ints)
     for j, right_row in enumerate(right):
         # shifted[a] is the block of row (i, j) under the columns (k, .) with
         # left[i][k] = a, so each row is a concatenation of these blocks.  The
-        # blocks are lists because freed short tuples stay on a per-length free
-        # list, which raised peak RSS by about 1 MiB over a catalog run.
-        shifted = [[a * m + b for b in right_row] for a in range(len(left))]
+        # blocks are read out of the shared ints, so every cell is one of the
+        # len(left) * m ints, as in build_zmod.  A wide right operand makes
+        # each row a few long blocks.  When m is 1 the one block is the span
+        # itself, where itemgetter would return an int.
+        shifted = spans if m == 1 else list(map(itemgetter(*right_row), spans))
         for i, left_row in enumerate(left):
             blocks = map(shifted.__getitem__, left_row)
             rows[i * m + j] = tuple(chain.from_iterable(blocks))
@@ -543,7 +550,7 @@ def _pattern_ring(
     order = n ** len(cells)
     add = badd
     for _ in cells[1:]:
-        add = _pair_table(add, badd)
+        add = _pair_table(badd, add)
     first = [cell[0] for cell in cells]
 
     def encode(entries: Sequence[Sequence[int]]) -> int:
@@ -589,19 +596,19 @@ def _pattern_ring(
     )
 
 
-def _check_pattern_size(base: FiniteRing, k: int, digits: int) -> None:
+def _check_pattern_size(base_order: int, k: int, digits: int) -> None:
     """Refuse ``k x k`` matrices of ``digits`` stored digits before a cell is
-    listed; ``base.order ** digits`` is taken only for digits within the cap."""
+    listed; ``base_order ** digits`` is taken only for digits within the cap."""
     if k < 1:
         raise ValueError(f"matrix size must be positive, got {k}")
     if digits > _size_cap():
         raise SizeCapError(f"{digits} matrix digits exceed the size cap {_size_cap()}")
-    check_size(base.order**digits)
+    check_size(base_order**digits)
 
 
 def build_matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
     """The full ``k x k`` matrix ring, entries packed row-major."""
-    _check_pattern_size(base, k, k * k)
+    _check_pattern_size(base.order, k, k * k)
     cells = [[(r, c)] for r in range(k) for c in range(k)]
     return _pattern_ring(base, k, f"M{k}({base.name})", cells)
 
@@ -609,7 +616,7 @@ def build_matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
 def build_upper_triangular(base: FiniteRing, k: int) -> FiniteRing:
     """The upper triangular ``k x k`` matrix ring; stored entries are the
     positions ``(r, c)`` with ``r <= c`` in row-major order."""
-    _check_pattern_size(base, k, k * (k + 1) // 2)
+    _check_pattern_size(base.order, k, k * (k + 1) // 2)
     cells = [[(r, c)] for r in range(k) for c in range(r, k)]
     return _pattern_ring(base, k, f"T{k}({base.name})", cells)
 
@@ -620,7 +627,7 @@ def build_constant_diagonal_triangular(base: FiniteRing, k: int) -> FiniteRing:
     Stored digits are the diagonal value followed by the strictly upper
     entries ``(r, c)`` with ``r < c`` in row-major order.
     """
-    _check_pattern_size(base, k, 1 + k * (k - 1) // 2)
+    _check_pattern_size(base.order, k, 1 + k * (k - 1) // 2)
     diagonal = [(r, r) for r in range(k)]
     uppers = [[(r, c)] for r in range(k) for c in range(r + 1, k)]
     return _pattern_ring(base, k, f"CT{k}({base.name})", [diagonal, *uppers])

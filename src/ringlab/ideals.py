@@ -25,6 +25,7 @@ from ringlab.core import (
 )
 
 DEFAULT_LATTICE_LIMIT = 100000
+_SWAP_DIGITS = str.maketrans("01", "10")
 
 
 # --------------------------------------------------------------------------
@@ -133,11 +134,37 @@ def is_two_sided_ideal(ring: FiniteRing, subset: ElementSet) -> bool:
 def _is_left_closed_bits(ring: FiniteRing, bits: int) -> bool:
     """Whether a right ideal is closed under left multiplication.
 
-    ``(g + h) x = g x + h x`` and the ideal is additively closed, so it is
-    enough to multiply by the additive generators of the ring.
+    A right ideal ``I`` is the join of the seeds ``x_j R`` inside it, those
+    with ``x_j`` in ``I``, so ``RI`` is the sum of the ``(R x_j) R``.  That
+    lies in ``I`` when each ``R x_j`` does, and a two-sided ``I`` holds each
+    ``R x_j``: one bit test per seed.
     """
-    gens = _subgroup_generators(ring, (1 << ring.order) - 1)
-    return _maps_into(bits, (ring.mul[g] for g in gens))
+    for mark, column in _seed_columns(ring):
+        if bits & mark and column & ~bits:
+            return False
+    return True
+
+
+@memo
+def _seed_columns(ring: FiniteRing) -> tuple[tuple[int, int], ...]:
+    """``(1 << x_j, G x_j)`` for the least generator ``x_j`` of each seed
+    ``x_j R``, where ``G x_j`` holds the ``g x_j`` over the additive
+    generators ``g`` of R; cached.
+
+    ``r -> r x_j`` is additive, so the ``g x_j`` generate the column
+    ``R x_j`` as a group, and an additive subgroup holds ``R x_j`` exactly
+    when it holds ``G x_j``.
+    """
+    pb = _principal_bits(ring)
+    rows = [ring.mul[g] for g in _subgroup_generators(ring, (1 << ring.order) - 1)]
+    out = []
+    for seed in _join_irreducible_principals(ring):
+        x = pb.index(seed)
+        column = 0
+        for row in rows:
+            column |= 1 << row[x]
+        out.append((1 << x, column))
+    return tuple(out)
 
 
 # --------------------------------------------------------------------------
@@ -185,6 +212,7 @@ def ideal_sum(ring: FiniteRing, left: ElementSet, right: ElementSet) -> ElementS
 # lattice enumeration
 
 
+@memo
 def _join_irreducible_principals(ring: FiniteRing) -> list[int]:
     """The principal right ideals ``aR`` that are not the join of the
     principal right ideals strictly inside them.
@@ -196,7 +224,7 @@ def _join_irreducible_principals(ring: FiniteRing) -> list[int]:
     seed exactly when ``N`` is closed under addition, and then ``N`` is a
     proper subgroup, at most half of ``aR``.  The joins stop as soon as one
     leaves ``N``.  Every principal right ideal is a join of seeds, so they
-    generate the lattice.
+    generate the lattice.  Cached.
     """
     pb = _principal_bits(ring)
     zero_bit = 1 << ring.zero
@@ -265,8 +293,13 @@ def all_right_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
                 stack.append((join, j + 1))
         if len(found) > limit:
             raise LatticeLimitError(f"{ring.name} has more than {limit} right ideals")
-    ideals = [ElementSet(bits, ring.order) for bits in found]
-    return tuple(sorted(ideals, key=ElementSet.sort_key))
+    # as by ElementSet.sort_key, with no member lists: of two masks of one
+    # size, the one holding the least member of their difference comes first.
+    # Their digits from bit 0 up, with 0 and 1 swapped, first differ at that
+    # member; neither digit string is a prefix of the other, since the longer
+    # one would hold more members.
+    found.sort(key=lambda b: (b.bit_count(), bin(b)[:1:-1].translate(_SWAP_DIGITS)))
+    return tuple(ElementSet(bits, ring.order) for bits in found)
 
 
 @memo

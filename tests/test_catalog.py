@@ -8,6 +8,7 @@ import pytest
 from ringlab.catalog import (
     CatalogEntry,
     PresetError,
+    _recipe_order,
     build_entry,
     build_preset,
     default_catalog,
@@ -99,6 +100,28 @@ def test_preset_examples():
 def test_preset_errors(bad):
     with pytest.raises(PresetError):
         build_preset(bad)
+
+
+@pytest.mark.parametrize(
+    "preset",
+    [entry.recipe for entry in default_catalog()]
+    + [
+        "zmod:1",
+        "mat:1:zmod:5",
+        "mat:3:zmod:2",
+        "tri:3:zmod:2",
+        "cdtri:4:zmod:2",
+        "dorroh:tri:2:zmod:2",
+        "product:zmod:1,mat:2:zmod:2,zmod:3",
+        "tri:2:dorroh:zmod:2",
+        "quot:gen:2:tri:2:zmod:4",
+    ],
+)
+def test_recipe_order_is_the_built_order(preset):
+    """The order read off a recipe, checked against the cap before any table
+    is built, is the built ring's; a quotient's is not read off."""
+    want = None if preset.startswith("quot:") else build_preset(preset).order
+    assert _recipe_order(preset) == want
 
 
 # -------------------------------------------------- structural agreements

@@ -10,6 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ringlab import catalog
 from ringlab.cli import main
 from ringlab.core import build_zmod, ring_to_json
 
@@ -93,6 +94,37 @@ def test_build_size_cap_exits_2(tmp_path, capsys, monkeypatch):
         assert code == 2, preset
         assert "cap" in stderr, preset
         assert stderr.startswith("error: ") and stderr.count("\n") == 1, preset
+
+
+@pytest.mark.parametrize(
+    "preset",
+    [
+        "dorroh:zmod:4096",
+        "mat:2:zmod:4096",
+        "tri:2:zmod:100",
+        "cdtri:3:zmod:64",
+        "mat:2:dorroh:zmod:64",
+        "product:zmod:2,zmod:4096",
+        "quot:delta:dorroh:zmod:4096",
+        "quot:gen:1:tri:2:zmod:4096",
+    ],
+)
+def test_over_cap_recipe_is_refused_before_a_table_is_built(
+    preset, tmp_path, capsys, monkeypatch
+):
+    """The order of every part but a quotient is read off the recipe, so no
+    base is built for an extension over the cap (the default 4096 here)."""
+
+    def refuse(*args):
+        raise AssertionError(f"a table was built for {preset}")
+
+    for name in ("build_zmod", "build_product", "build_matrix_ring",
+                 "build_upper_triangular", "build_constant_diagonal_triangular"):
+        monkeypatch.setattr(catalog, name, refuse)
+    code, stdout, stderr = run(capsys, "build", preset, "-o", str(tmp_path / "x.json"))
+    assert code == 2 and stdout == ""
+    assert "exceeds the size cap 4096" in stderr
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
 
 
 def test_build_from_spec_file(tmp_path, capsys):

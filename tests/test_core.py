@@ -224,6 +224,52 @@ def test_build_product_matches_brute_force(catalog_rings):
             assert getattr(got, field) == getattr(want, field), (want.name, field)
 
 
+def _assert_cells_shared(ring):
+    """Each value in a table is one int object, wherever it stands."""
+    for table in (ring.add, ring.mul):
+        cells = [x for row in table for x in row]
+        assert len({id(x) for x in cells}) == len(set(cells))
+
+
+@pytest.mark.parametrize(
+    "preset",
+    [
+        # the order-256 products of the lattice benchmark, and Z2^9
+        "product:zmod:4,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
+        "product:tri:2:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
+        "product:tri:2:zmod:2,tri:2:zmod:2,zmod:2,zmod:2",
+        "product:cdtri:2:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
+        "product:" + ",".join(["zmod:2"] * 9),
+        # a trivial factor first, in the middle and last
+        "product:zmod:1,zmod:4,zmod:3",
+        "product:zmod:4,zmod:1,zmod:3",
+        "product:zmod:4,zmod:3,zmod:1",
+        "product:zmod:1,zmod:1",
+    ],
+)
+def test_right_folded_product_matches_brute_force(preset):
+    factors = [build_preset(token) for token in preset.partition(":")[2].split(",")]
+    got, want = build_product(factors), oracles.brute_build_product(factors)
+    for field in ("add", "mul", "zero", "one", "labels", "name"):
+        assert getattr(got, field) == getattr(want, field), field
+    _assert_cells_shared(got)
+
+
+@pytest.mark.parametrize("preset", ["mat:2:zmod:4", "tri:2:zmod:8", "cdtri:3:zmod:4"])
+def test_pattern_addition_is_base_power_addition(preset):
+    ring = build_preset(preset)
+    base = build_preset(preset.split(":", 2)[2])
+    radices = [base.order] * round(math.log(ring.order, base.order))
+    digits = [mixed_radix_decode(x, radices) for x in range(ring.order)]
+    for x, row in zip(digits, ring.add):
+        want = [
+            mixed_radix_encode([base.add[a][b] for a, b in zip(x, y)], radices)
+            for y in digits
+        ]
+        assert list(row) == want
+    _assert_cells_shared(ring)
+
+
 # ------------------------------------------------------------------ matrix
 
 def test_matrix_ring_m2_z2():

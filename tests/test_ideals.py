@@ -18,6 +18,7 @@ from ringlab.core import (
     FiniteRing,
     IdealError,
     LatticeLimitError,
+    bit_members,
     build_constant_diagonal_triangular,
     build_dorroh,
     build_matrix_ring,
@@ -283,6 +284,48 @@ def test_lattice_matches_seed_closure_oracle_on_catalog(catalog_rings):
 )
 def test_lattice_matches_seed_closure_oracle(preset):
     _assert_lattice_matches_seed_closure(build_preset(preset))
+
+
+Z2_POWER_NINE = "product:" + ",".join(["zmod:2"] * 9)
+
+
+def test_lattice_order_is_sort_key_order(catalog_rings):
+    """The lattice is sorted on masks in the order of ElementSet.sort_key."""
+    rings = [*catalog_rings.values()]
+    rings += [build_preset(p) for p in LATTICE_SURVEY_RINGS + [Z2_POWER_NINE]]
+    for ring in rings:
+        lattice = all_right_ideals(ring)
+        assert list(lattice) == sorted(lattice, key=ElementSet.sort_key), ring.name
+
+
+def _brute_is_two_sided(ring, bits):
+    members = frozenset(bit_members(bits))
+    return oracles.brute_two_sided_ideals(ring, [members]) == [members]
+
+
+@pytest.mark.parametrize(
+    "preset",
+    LATTICE_SURVEY_RINGS
+    + [Z2_POWER_NINE, "product:zmod:1,tri:2:zmod:2,zmod:2", "product:tri:2:zmod:2,zmod:1"]
+    + ["quot:gen:2:tri:2:zmod:4", "tri:2:zmod:4", "cdtri:3:zmod:2", "mat:2:zmod:2"],
+)
+def test_two_sided_ideals_match_oracle_on_seeds(preset):
+    ring = build_preset(preset)
+    # first with no lattice built, as when build_quotient checks its ideal:
+    # the right ideals generated by one or two elements
+    rng = random.Random(f"two-sided:{preset}")
+    for a in range(min(ring.order, 64)):
+        gens = (a, rng.randrange(ring.order))
+        bits = right_ideal_closure(ring, gens).bits
+        assert is_two_sided_ideal(ring, ElementSet(bits, ring.order)) == _brute_is_two_sided(
+            ring, bits
+        ), gens
+    assert all_right_ideals.__wrapped__ not in {key[0] for key in ring._cache}
+    lattice = [frozenset(i.indices()) for i in all_right_ideals(ring)]
+    want = oracles.brute_two_sided_ideals(ring, lattice)
+    assert [frozenset(i.indices()) for i in two_sided_ideals(ring)] == want
+    for ideal in all_right_ideals(ring):
+        assert is_two_sided_ideal(ring, ideal) == (frozenset(ideal.indices()) in want)
 
 
 def test_lattice_of_z2_power_nine_takes_one_join_per_ideal(monkeypatch):
