@@ -8,22 +8,24 @@ fixed expected facts that :func:`verify_expected` recomputes.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from ringlab.core import (
     DorrohData,
+    ElementSet,
     FiniteRing,
     RinglabError,
+    _PATTERNS,
     _check_fields,
-    _check_pattern_size,
+    _check_pattern_digits,
+    _pattern_ring,
     _read_json,
-    build_constant_diagonal_triangular,
     build_dorroh,
-    build_matrix_ring,
     build_product,
     build_quotient,
-    build_upper_triangular,
     build_zmod,
     check_size,
     load_ring,
@@ -58,11 +60,18 @@ class CatalogEntry:
 # preset grammar
 
 
-def _parse_positive_int(token: str, what: str) -> int:
+def _ascii_int(token: str) -> int | None:
+    """The value of a token of ASCII digits; ``None`` for any other token."""
     try:
-        value = int(token)
-    except ValueError:
-        raise PresetError(f"{what} must be an integer, got {token!r}") from None
+        return int(token) if token.isascii() and token.isdigit() else None
+    except ValueError:  # more digits than int() converts
+        return None
+
+
+def _parse_positive_int(token: str, what: str) -> int:
+    value = _ascii_int(token)
+    if value is None:
+        raise PresetError(f"{what} must be written in ASCII digits, got {token!r}")
     if value < 1:
         raise PresetError(f"{what} must be positive, got {value}")
     return value
@@ -78,124 +87,92 @@ def build_preset(text: str) -> FiniteRing:
         mat:K:P | tri:K:P | cdtri:K:P
         dorroh:P                     (extension of P by itself)
         quot:delta:P | quot:jac:P | quot:gen:I1[+I2...]:P
+
+    Every number is written in ASCII digits.  The whole recipe is parsed
+    before any table is built: its syntax, and every order it gives against
+    the size cap (all but the order of a quotient and of what is built on
+    one), and the first of these faults from left to right is raised.
     """
     try:
-        _recipe_order(text)
-        return _build_preset(text)
+        return _plan(text)[1]()
     except RecursionError:
         raise PresetError("preset is nested too deeply") from None
 
 
-# stored digits of a k x k pattern ring, as its builder in core counts them
-_PATTERN_DIGITS = {
-    "mat": lambda k: k * k,
-    "tri": lambda k: k * (k + 1) // 2,
-    "cdtri": lambda k: 1 + k * (k - 1) // 2,
-}
+def _plan(text: str) -> tuple[int | None, Callable[[], FiniteRing]]:
+    """The order of the ring a recipe builds and a function that builds it.
 
-
-def _recipe_order(text: str) -> int | None:
-    """The order of the ring a recipe builds, read off its text; ``None``
-    where the text does not give it: a quotient, or a recipe that
-    :func:`_build_preset` refuses.
-
-    Raises :class:`~ringlab.core.SizeCapError` for the first part of the
-    recipe over the size cap, so that no table of an over-cap recipe is
-    built.  The base of a quotient is checked too.
+    The order is ``None`` for a quotient and for a ring built on one; the
+    parts of a quotient are planned and checked all the same.
     """
-    head, _, rest = text.partition(":")
-    if head == "quot":
-        mode, _, base_text = rest.partition(":")
-        _recipe_order(base_text.partition(":")[2] if mode == "gen" else base_text)
-        return None
-    if head in _PATTERN_DIGITS:
-        size_token, _, base_text = rest.partition(":")
-        k, base = _positive_int_or_none(size_token), _recipe_order(base_text)
-        if k is None or base is None:
-            return None
-        digits = _PATTERN_DIGITS[head](k)
-        _check_pattern_size(base, k, digits)
-        return base**digits
-    if head == "zmod":
-        orders = [_positive_int_or_none(rest)]
-    elif head == "product":
-        orders = [_recipe_order(token) for token in rest.split(",")]
-    elif head == "dorroh":
-        orders = [_recipe_order(rest)] * 2
-    else:
-        return None
-    if None in orders:
-        return None
-    order = math.prod(orders)
-    check_size(order)
-    return order
-
-
-def _positive_int_or_none(token: str) -> int | None:
-    try:
-        value = int(token)
-    except ValueError:
-        return None
-    return value if value >= 1 else None
-
-
-def _build_preset(text: str) -> FiniteRing:
     head, _, rest = text.partition(":")
     if head == "zmod":
         if not rest or ":" in rest:
             raise PresetError(f"expected zmod:N, got {text!r}")
-        return build_zmod(_parse_positive_int(rest, "modulus"))
+        n = _parse_positive_int(rest, "modulus")
+        return _checked(n), partial(build_zmod, n)
     if head == "product":
         tokens = rest.split(",") if rest else []
         if not tokens or any(not t for t in tokens):
             raise PresetError(f"expected product:P1,P2[,...], got {text!r}")
         if any(t.partition(":")[0] == "product" for t in tokens):
             raise PresetError("products may not be nested inside a product preset")
-        return build_product([_build_preset(t) for t in tokens])
-    if head in ("mat", "tri", "cdtri"):
+        orders, builds = zip(*map(_plan, tokens))
+        order = None if None in orders else math.prod(orders)
+        return _checked(order), lambda: build_product([b() for b in builds])
+    if head in _PATTERNS:
         size_token, _, base_text = rest.partition(":")
         if not size_token or not base_text:
             raise PresetError(f"expected {head}:K:P, got {text!r}")
         k = _parse_positive_int(size_token, "matrix size")
-        base = _build_preset(base_text)
-        if head == "mat":
-            return build_matrix_ring(base, k)
-        if head == "tri":
-            return build_upper_triangular(base, k)
-        return build_constant_diagonal_triangular(base, k)
+        digits = _PATTERNS[head][1](k)  # stored digits of a k x k matrix
+        _check_pattern_digits(k, digits)
+        base_order, base = _plan(base_text)
+        order = None if base_order is None else base_order**digits
+        return _checked(order), lambda: _pattern_ring(base(), k, head)
     if head == "dorroh":
         if not rest:
             raise PresetError(f"expected dorroh:P, got {text!r}")
-        base = _build_preset(rest)
-        return build_dorroh(dorroh_of_ring(base))
+        base_order, base = _plan(rest)
+        order = None if base_order is None else base_order**2
+        return _checked(order), lambda: build_dorroh(dorroh_of_ring(base()))
     if head == "quot":
         mode, _, base_text = rest.partition(":")
-        if mode in ("delta", "jac"):
+        if mode == "gen":
+            gen_token, _, base_text = base_text.partition(":")
+            if not gen_token or not base_text:
+                raise PresetError(f"expected quot:gen:I1[+I2...]:P, got {text!r}")
+            generators = [_generator(piece, text) for piece in gen_token.split("+")]
+            ideal = partial(_generated_ideal, generators)
+        elif mode in ("delta", "jac"):
             if not base_text:
                 raise PresetError(f"expected quot:{mode}:P, got {text!r}")
-            ring = _build_preset(base_text)
-            ideal = delta_mask(ring) if mode == "delta" else jacobson(ring)
-            return build_quotient(ring, ideal)[0]
-        if mode == "gen":
-            gen_token, _, inner = base_text.partition(":")
-            if not gen_token or not inner:
-                raise PresetError(f"expected quot:gen:I1[+I2...]:P, got {text!r}")
-            ring = _build_preset(inner)
-            generators = []
-            for piece in gen_token.split("+"):
-                try:
-                    value = int(piece)
-                except ValueError:
-                    raise PresetError(f"bad generator {piece!r} in {text!r}") from None
-                if not 0 <= value < ring.order:
-                    raise PresetError(
-                        f"generator {value} out of range for order {ring.order}"
-                    )
-                generators.append(value)
-            ideal = two_sided_closure(ring, generators)
-            return build_quotient(ring, ideal)[0]
-        raise PresetError(f"unknown quotient mode in {text!r}")
+            ideal = delta_mask if mode == "delta" else jacobson
+        else:
+            raise PresetError(f"unknown quotient mode in {text!r}")
+        base = _plan(base_text)[1]
+        return None, lambda: build_quotient((ring := base()), ideal(ring))[0]
     raise PresetError(f"unknown preset kind: {text!r}")
+
+
+def _checked(order: int | None) -> int | None:
+    if order is not None:
+        check_size(order)
+    return order
+
+
+def _generator(piece: str, text: str) -> int:
+    value = _ascii_int(piece)
+    if value is None:
+        raise PresetError(f"bad generator {piece!r} in {text!r}")
+    return value
+
+
+def _generated_ideal(generators: list[int], ring: FiniteRing) -> ElementSet:
+    for value in generators:
+        if value >= ring.order:
+            raise PresetError(f"generator {value} out of range for order {ring.order}")
+    return two_sided_closure(ring, generators)
 
 
 def dorroh_of_ring(base: FiniteRing) -> DorrohData:

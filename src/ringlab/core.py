@@ -533,10 +533,21 @@ def _matrix_label(rows: Sequence[Sequence[int]], base: FiniteRing) -> str:
     ) + "]"
 
 
-def _pattern_ring(
-    base: FiniteRing, k: int, name: str, cells: Sequence[Sequence[tuple[int, int]]]
-) -> FiniteRing:
-    """The ``k x k`` matrices over ``base`` that follow a position pattern.
+# the k x k pattern rings by preset head: the name prefix, the number of
+# stored digits for k, and the cells of :func:`_pattern_ring` for k
+_PATTERNS = {
+    "mat": ("M", lambda k: k * k, lambda k: [[(r, c)] for r in range(k) for c in range(k)]),
+    "tri": ("T", lambda k: k * (k + 1) // 2,
+            lambda k: [[(r, c)] for r in range(k) for c in range(r, k)]),
+    "cdtri": ("CT", lambda k: 1 + k * (k - 1) // 2,
+              lambda k: [[(r, r) for r in range(k)]]
+              + [[(r, c)] for r in range(k) for c in range(r + 1, k)]),
+}
+
+
+def _pattern_ring(base: FiniteRing, k: int, head: str) -> FiniteRing:
+    """The ``k x k`` matrices over ``base`` that follow the position pattern
+    ``_PATTERNS[head]``.
 
     ``cells[i]`` lists the positions ``(r, c)`` that share stored digit i;
     positions in no cell hold zero.  The pattern must hold the identity and be
@@ -546,8 +557,13 @@ def _pattern_ring(
     folds the d lists of ``a E_j(v)`` over v, where ``E_j(v)`` holds v on
     cell j and zero elsewhere.
     """
+    prefix, digit_count, cells_for = _PATTERNS[head]
+    d = digit_count(k)
+    _check_pattern_digits(k, d)
     n, zero, badd, bmul = base.order, base.zero, base.add, base.mul
-    order = n ** len(cells)
+    order = n**d
+    check_size(order)
+    cells = cells_for(k)
     add = badd
     for _ in cells[1:]:
         add = _pair_table(badd, add)
@@ -591,34 +607,30 @@ def _pattern_ring(
         mul=tuple(mul),
         zero=zero_index,
         one=encode([[base.one if r == c else zero for c in range(k)] for r in range(k)]),
-        name=name,
+        name=f"{prefix}{k}({base.name})",
         labels=tuple(_matrix_label(entries, base) for entries in matrices),
     )
 
 
-def _check_pattern_size(base_order: int, k: int, digits: int) -> None:
+def _check_pattern_digits(k: int, digits: int) -> None:
     """Refuse ``k x k`` matrices of ``digits`` stored digits before a cell is
-    listed; ``base_order ** digits`` is taken only for digits within the cap."""
+    listed, so that a base order is raised only to a power within the cap."""
     if k < 1:
         raise ValueError(f"matrix size must be positive, got {k}")
-    if digits > _size_cap():
-        raise SizeCapError(f"{digits} matrix digits exceed the size cap {_size_cap()}")
-    check_size(base_order**digits)
+    cap = _size_cap()
+    if digits > cap:
+        raise SizeCapError(f"{digits} matrix digits exceed the size cap {cap}")
 
 
 def build_matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
     """The full ``k x k`` matrix ring, entries packed row-major."""
-    _check_pattern_size(base.order, k, k * k)
-    cells = [[(r, c)] for r in range(k) for c in range(k)]
-    return _pattern_ring(base, k, f"M{k}({base.name})", cells)
+    return _pattern_ring(base, k, "mat")
 
 
 def build_upper_triangular(base: FiniteRing, k: int) -> FiniteRing:
     """The upper triangular ``k x k`` matrix ring; stored entries are the
     positions ``(r, c)`` with ``r <= c`` in row-major order."""
-    _check_pattern_size(base.order, k, k * (k + 1) // 2)
-    cells = [[(r, c)] for r in range(k) for c in range(r, k)]
-    return _pattern_ring(base, k, f"T{k}({base.name})", cells)
+    return _pattern_ring(base, k, "tri")
 
 
 def build_constant_diagonal_triangular(base: FiniteRing, k: int) -> FiniteRing:
@@ -627,10 +639,7 @@ def build_constant_diagonal_triangular(base: FiniteRing, k: int) -> FiniteRing:
     Stored digits are the diagonal value followed by the strictly upper
     entries ``(r, c)`` with ``r < c`` in row-major order.
     """
-    _check_pattern_size(base.order, k, 1 + k * (k - 1) // 2)
-    diagonal = [(r, r) for r in range(k)]
-    uppers = [[(r, c)] for r in range(k) for c in range(r + 1, k)]
-    return _pattern_ring(base, k, f"CT{k}({base.name})", [diagonal, *uppers])
+    return _pattern_ring(base, k, "cdtri")
 
 
 @dataclass(frozen=True)

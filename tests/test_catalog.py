@@ -2,20 +2,23 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from ringlab import catalog
 from ringlab.catalog import (
     CatalogEntry,
     PresetError,
-    _recipe_order,
+    _plan,
     build_entry,
     build_preset,
     default_catalog,
     load_catalog_manifest,
     verify_expected,
 )
-from ringlab.core import AxiomError, save_ring
+from ringlab.core import AxiomError, SizeCapError, save_ring
 from ringlab.properties import PropertyName, ring_property
 from ringlab.report import build_report
 
@@ -95,11 +98,58 @@ def test_preset_examples():
         "quot:gen:9:zmod:4",
         "dorroh:",
         pytest.param("tri:1:" * 1200 + "zmod:2", id="nested-1200-deep"),
+        # numbers are ASCII digits only, though int() reads each of these
+        "zmod:1_0",
+        "zmod: 4",
+        "zmod:+4",
+        "zmod:\u0664",
+        "mat:\u0662:zmod:2",
+        "quot:gen:-0:zmod:4",
     ],
 )
 def test_preset_errors(bad):
     with pytest.raises(PresetError):
         build_preset(bad)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        "product:zmod:4096,zmod:x",
+        "quot:gen:x:zmod:4096",
+        "mat:2:product:zmod:64,zmod:+2",
+        "dorroh:tri:2:zmod:64:",
+        "quot:jac:cdtri:3:bogus:2",
+    ],
+)
+def test_malformed_recipe_builds_no_table(bad, monkeypatch):
+    """The whole recipe is parsed before a part of it is built."""
+
+    def refuse(*args):
+        raise AssertionError(f"a table was built for {bad}")
+
+    for name in ("build_zmod", "build_product", "_pattern_ring", "build_dorroh",
+                 "build_quotient"):
+        monkeypatch.setattr(catalog, name, refuse)
+    with pytest.raises(PresetError):
+        build_preset(bad)
+
+
+def test_the_first_fault_from_the_left_is_raised():
+    with pytest.raises(SizeCapError):
+        build_preset("product:zmod:5000,zmod:x")
+    with pytest.raises(PresetError, match="modulus"):
+        build_preset("product:zmod:x,zmod:5000")
+    with pytest.raises(PresetError, match="matrix size"):
+        build_preset("mat:x:zmod:5000")
+
+
+def _check_planned_order(preset):
+    """The order planned for a recipe, checked against the cap before any
+    table is built, is the built ring's; it is ``None`` exactly for a recipe
+    that holds a quotient."""
+    order, ring = _plan(preset)[0], build_preset(preset)
+    assert order == (None if "quot:" in preset else ring.order)
 
 
 @pytest.mark.parametrize(
@@ -115,13 +165,70 @@ def test_preset_errors(bad):
         "product:zmod:1,mat:2:zmod:2,zmod:3",
         "tri:2:dorroh:zmod:2",
         "quot:gen:2:tri:2:zmod:4",
+        "mat:2:quot:gen:2:zmod:4",
+        "product:zmod:3,quot:jac:zmod:4",
     ],
 )
 def test_recipe_order_is_the_built_order(preset):
-    """The order read off a recipe, checked against the cap before any table
-    is built, is the built ring's; a quotient's is not read off."""
-    want = None if preset.startswith("quot:") else build_preset(preset).order
-    assert _recipe_order(preset) == want
+    _check_planned_order(preset)
+
+
+# stored digits of a k x k pattern ring, counted apart from the library
+_PATTERN_DIGITS = {"mat": lambda k: k * k, "tri": lambda k: k * (k + 1) // 2,
+                   "cdtri": lambda k: 1 + k * (k - 1) // 2}
+
+
+def _root(budget: int, power: int) -> int:
+    """The largest r with r ** power <= budget."""
+    r = 1
+    while (r + 1) ** power <= budget:
+        r += 1
+    return r
+
+
+@st.composite
+def _recipes(draw, budget=32, depth=3, in_product=False):
+    """A recipe whose ring has at most ``budget`` elements, with its order
+    where the text gives it (``None`` where it holds a quotient)."""
+    kinds = ["zmod"]
+    if depth:
+        kinds += ["pattern", "dorroh", "quot"] + ([] if in_product else ["product"])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "zmod":
+        n = draw(st.integers(1, min(budget, 6)))
+        return f"zmod:{n}", n
+    if kind == "product":
+        factors, orders, left = [], [], budget
+        for _ in range(draw(st.integers(2, 3))):
+            text, order = draw(_recipes(left, depth - 1, in_product=True))
+            factors.append(text)
+            orders.append(order)
+            left //= order or left  # a quotient may use all that is left
+        known = None not in orders
+        return "product:" + ",".join(factors), math.prod(orders) if known else None
+    if kind == "pattern":
+        head = draw(st.sampled_from(sorted(_PATTERN_DIGITS)))
+        k = draw(st.integers(1, 3))
+        digits = _PATTERN_DIGITS[head](k)
+        text, order = draw(_recipes(_root(budget, digits), depth - 1, in_product))
+        return f"{head}:{k}:{text}", None if order is None else order**digits
+    if kind == "dorroh":
+        text, order = draw(_recipes(_root(budget, 2), depth - 1, in_product))
+        return f"dorroh:{text}", None if order is None else order * order
+    text, order = draw(_recipes(budget, depth - 1, in_product))
+    mode = draw(st.sampled_from(["delta", "jac", "gen"]))
+    if mode == "gen":
+        pieces = st.integers(0, (order or 1) - 1).map(str)
+        mode += ":" + "+".join(draw(st.lists(pieces, min_size=1, max_size=2)))
+    return f"quot:{mode}:{text}", None
+
+
+@settings(max_examples=100)
+@given(_recipes())
+def test_recipe_order_is_the_built_order_on_random_recipes(recipe):
+    preset, order = recipe
+    _check_planned_order(preset)
+    assert _plan(preset)[0] == order
 
 
 # -------------------------------------------------- structural agreements

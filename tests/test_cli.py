@@ -118,8 +118,7 @@ def test_over_cap_recipe_is_refused_before_a_table_is_built(
     def refuse(*args):
         raise AssertionError(f"a table was built for {preset}")
 
-    for name in ("build_zmod", "build_product", "build_matrix_ring",
-                 "build_upper_triangular", "build_constant_diagonal_triangular"):
+    for name in ("build_zmod", "build_product", "_pattern_ring"):
         monkeypatch.setattr(catalog, name, refuse)
     code, stdout, stderr = run(capsys, "build", preset, "-o", str(tmp_path / "x.json"))
     assert code == 2 and stdout == ""
