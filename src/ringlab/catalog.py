@@ -91,7 +91,9 @@ def build_preset(text: str) -> FiniteRing:
     Every number is written in ASCII digits.  The whole recipe is parsed
     before any table is built: its syntax, and every order it gives against
     the size cap (all but the order of a quotient and of what is built on
-    one), and the first of these faults from left to right is raised.
+    one), and the first of these faults from left to right is raised.  A
+    ``quot:gen`` generator is checked against its base's order right after
+    the base, where that order is known.
     """
     try:
         return _plan(text)[1]()
@@ -150,7 +152,9 @@ def _plan(text: str) -> tuple[int | None, Callable[[], FiniteRing]]:
             ideal = delta_mask if mode == "delta" else jacobson
         else:
             raise PresetError(f"unknown quotient mode in {text!r}")
-        base = _plan(base_text)[1]
+        base_order, base = _plan(base_text)
+        if mode == "gen" and base_order is not None:
+            _check_generators(generators, base_order)
         return None, lambda: build_quotient((ring := base()), ideal(ring))[0]
     raise PresetError(f"unknown preset kind: {text!r}")
 
@@ -168,10 +172,15 @@ def _generator(piece: str, text: str) -> int:
     return value
 
 
-def _generated_ideal(generators: list[int], ring: FiniteRing) -> ElementSet:
+def _check_generators(generators: list[int], order: int) -> None:
     for value in generators:
-        if value >= ring.order:
-            raise PresetError(f"generator {value} out of range for order {ring.order}")
+        if value >= order:
+            raise PresetError(f"generator {value} out of range for order {order}")
+
+
+def _generated_ideal(generators: list[int], ring: FiniteRing) -> ElementSet:
+    # checked again: the order of a base that holds a quotient is known only here
+    _check_generators(generators, ring.order)
     return two_sided_closure(ring, generators)
 
 

@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from itertools import repeat
 
 from ringlab.catalog import (
     build_entry,
@@ -26,6 +27,7 @@ from ringlab.core import (
     FiniteRing,
     RinglabError,
     _check_fields,
+    _int_list_text,
     _int_rows,
     _read_json,
     build_dorroh,
@@ -49,9 +51,37 @@ except (AttributeError, OSError, TypeError):  # another C library: nothing to tr
 
 
 def _emit(payload) -> None:
-    # streamed: json.dumps would hold the whole text, larger than the payload
-    json.dump(payload, sys.stdout, indent=2)
+    """Write ``json.dumps(payload, indent=2)`` and a newline, streamed."""
+    _write_json(sys.stdout.write, payload, 0)
     sys.stdout.write("\n")
+
+
+def _write_json(write, value, depth: int) -> None:
+    """Write ``value`` as ``json.dumps(indent=2)`` does at nesting ``depth``.
+
+    json never uses its C encoder when it indents, so a list of ints goes
+    out as one join of its items' texts.  Other lists, and objects with
+    string keys, are walked; every other value goes through json.dumps.
+    """
+    kind, pad = type(value), "\n" + "  " * depth
+    if kind is bool:
+        write("true" if value else "false")
+    elif not value and kind in (list, tuple, dict):
+        write("{}" if kind is dict else "[]")
+    elif kind in (list, tuple) and set(map(type, value)) == {int}:  # not bool
+        write(_int_list_text(map(str, value), depth))
+    elif kind in (list, tuple) or (kind is dict and all(type(k) is str for k in value)):
+        items = value.items() if kind is dict else zip(repeat(None), value)
+        sep = "{" if kind is dict else "["
+        for key, item in items:
+            write(sep + pad + "  " + ("" if key is None else json.dumps(key) + ": "))
+            _write_json(write, item, depth + 1)
+            sep = ","
+        write(pad + ("}" if kind is dict else "]"))
+    else:
+        # json escapes the newlines in strings, so any in the text are layout
+        indent = 2 if isinstance(value, (list, tuple, dict)) else None
+        write(json.dumps(value, indent=indent).replace("\n", pad))
 
 
 def _ring_from_spec_obj(obj) -> FiniteRing:

@@ -254,8 +254,9 @@ def verify_axioms(ring: FiniteRing) -> list[str]:
     """Check the ring axioms; return up to ``MAX_VIOLATIONS`` violations, each
     at a real coordinate.
 
-    Table shape and range, the additive identity on both sides, inverses and
-    the unit are checked cell by cell.  Everything else is checked along one
+    Table shape and range (a row at a time in C, a failing row cell by
+    cell), the additive identity on both sides, inverses and the unit are
+    checked per element.  Everything else is checked along one
     walk of (R,+), :func:`_normal_form`: greedy generators g_1..g_k, and a
     tree edge p -> p + g into every x != 0 plus one wrap edge per generator.
 
@@ -292,12 +293,19 @@ def verify_axioms(ring: FiniteRing) -> list[str]:
 
     if n < 1:
         return ["order must be at least 1"]
+    # an entry in [0, n) reads itself from the n shared ints, one in [-n, 0)
+    # a larger int, and any other raises
+    shared = tuple(range(n))
     for table_name, table in (("addition", ring.add), ("multiplication", ring.mul)):
         if len(table) != n or any(len(row) != n for row in table):
             return [f"{table_name} table is not {n} x {n}"]
         for i, row in enumerate(table):
-            if 0 <= min(row) and max(row) < n:
-                continue
+            try:
+                # itemgetter of one index returns the entry, not a 1-tuple
+                if n > 1 and itemgetter(*row)(shared) == tuple(row):
+                    continue
+            except (TypeError, IndexError):
+                pass
             for j, value in enumerate(row):
                 if not 0 <= value < n:
                     if push(f"{table_name} entry at ({i},{j}) is out of range"):
@@ -351,10 +359,11 @@ def verify_axioms(ring: FiniteRing) -> list[str]:
     groups = [(g, itemgetter(*ps), itemgetter(*xs)) for g, ps, xs in edges]
 
     def additive(f: Sequence[int]) -> bool:
-        # f(p + g) = f(g) + f(p) on every edge of one generator, in C;
-        # + is commutative by now
+        # f(p + g) = f(g) + f(p) on every edge of one generator, in C; + is
+        # commutative by now, and a generator has a tree edge and its wrap
+        # edge, so parents(f) is a tuple
         return all(
-            children(f) == tuple(map(add[f[g]].__getitem__, parents(f)))
+            children(f) == itemgetter(*parents(f))(add[f[g]])
             for g, parents, children in groups
         )
 
@@ -892,9 +901,9 @@ def ring_from_json(obj: dict) -> FiniteRing:
 def save_ring(ring: FiniteRing, path: str | Path) -> None:
     """Write ``json.dumps(ring_to_json(ring), indent=2)`` and a newline.
 
-    json's C encoder does not indent, so the rows of ``ring.add`` and
-    ``ring.mul`` go out one by one in the same layout instead of as one
-    string, without list copies.  The tables are trusted to hold element
+    The rows of ``ring.add`` and ``ring.mul`` go out one by one through
+    :func:`_int_list_text`, read from one tuple of the element texts, with
+    no list copies.  The tables are trusted to hold element
     indices, as every constructor and :func:`load_ring` give.  Most other
     entries raise TypeError or IndexError, not all: one in [-2n, -n) is
     written as the element it indexes from the end, and ``True`` as ``1``.
@@ -912,15 +921,22 @@ def save_ring(ring: FiniteRing, path: str | Path) -> None:
             if key not in ("add", "mul"):
                 out.write(json.dumps(value, indent=2).replace("\n", "\n  "))
                 continue
-            row_sep = "[\n"
+            row_sep = "[\n    "
             for row in value:
                 # itemgetter of one index returns the text, not a 1-tuple
                 cells = itemgetter(*row)(texts) if n > 1 else (texts[row[0]],)
-                text = ",\n      ".join(cells)
-                out.write(row_sep + "    [\n      " + text + "\n    ]")
-                row_sep = ",\n"
+                out.write(row_sep + _int_list_text(cells, 2))
+                row_sep = ",\n    "
             out.write("\n  ]")
         out.write("\n}\n")
+
+
+def _int_list_text(texts: Iterable[str], depth: int) -> str:
+    """A non-empty list of ints as ``json.dumps(indent=2)`` writes it at
+    nesting ``depth``, from its items' texts in one join: the one int-row
+    writer, for ring files and the CLI's JSON output."""
+    inner = "\n" + "  " * (depth + 1)
+    return f"[{inner}{(',' + inner).join(texts)}{inner[:-2]}]"  # one copy of the join
 
 
 def _unique_fields(pairs: list[tuple[str, object]], what: str) -> dict:

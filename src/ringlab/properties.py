@@ -279,16 +279,33 @@ def _find_strongly_pi_regular(ring: FiniteRing, a: int) -> dict | None:
 
 
 def _find_exchange(ring: FiniteRing, a: int) -> dict | None:
-    mul = ring.mul
-    pb = _principal_bits(ring)
-    one = ring.one
-    complement = ring.sub(one, a)
-    # e in aR and 1 - e in (1 - a)R; row.index gives the least r and s
-    for e in bit_members(element_sets(ring)[1].bits & pb[a]):
-        e_conj = ring.sub(one, e)
-        if (pb[complement] >> e_conj) & 1:
-            return {"e": e, "r": mul[a].index(e), "s": mul[complement].index(e_conj)}
-    return None
+    found = _exchange_idempotents(ring)[a]
+    if not found:
+        return None
+    # the least e; row.index gives the least r and s
+    e, one = (found & -found).bit_length() - 1, ring.one
+    s = ring.mul[ring.sub(one, a)].index(ring.sub(one, e))
+    return {"e": e, "r": ring.mul[a].index(e), "s": s}
+
+
+@memo
+def _exchange_idempotents(ring: FiniteRing) -> tuple[int, ...]:
+    """For each a, the idempotents e in aR with 1 - e in (1 - a)R, which
+    make a an exchange element: idempotents & aR & (1 - (1 - a)R); cached.
+
+    1 - X = 1 + X for a right ideal X, as X = -X, and each translate is
+    built once per distinct principal mask, walking its members.
+    """
+    pb, plus_one = _principal_bits(ring), ring.add[ring.one]
+    translates = {}
+    for bits in set(pb):
+        flags = bytearray(ring.order)
+        for x in bit_members(bits):
+            flags[plus_one[x]] = 1
+        translates[bits] = mask_from_flags(flags)
+    idempotents = element_sets(ring)[1].bits
+    one_minus = map(plus_one.__getitem__, ring._neg_table())
+    return tuple(idempotents & ar & translates[pb[b]] for ar, b in zip(pb, one_minus))
 
 
 _FINDERS = {
@@ -436,6 +453,8 @@ def _property_mask(ring: FiniteRing, prop: PropertyName) -> ElementSet:
         # a = a a b for some b exactly when a lies in (a a)R
         pb = _principal_bits(ring)
         found = ((pb[ring.mul[a][a]] >> a) & 1 for a in range(n))
+    elif prop is PropertyName.EXCHANGE:
+        found = map(bool, _exchange_idempotents(ring))
     else:
         finder = _FINDERS[prop]
         found = (finder(ring, a) is not None for a in range(n))

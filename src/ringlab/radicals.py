@@ -3,7 +3,7 @@ delta ideal computed by five independent characterizations that must agree."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import eq, itemgetter
 
 from ringlab.core import (
@@ -124,17 +124,25 @@ def commutant_bits(ring: FiniteRing, a: int) -> int:
 @memo
 def qnil_set(ring: FiniteRing) -> ElementSet:
     """Quasinilpotents: ``a`` with ``1 + a x`` a unit for every ``x``
-    commuting with ``a``."""
+    commuting with ``a``.
+
+    The columns of ``mul`` are walked once, lazily, and each non-central
+    row is compressed by its own flags ``a x == x a``.  A central row is
+    read whole, so a commutative ring builds no column.
+    """
+    n, mul = ring.order, ring.mul
     # one_plus_unit[z] is 1 when 1 + z is a unit
     one_plus_unit = bytes(map(units_map(ring).__contains__, ring.add[ring.one]))
+    central = flags_from_mask(center_bits(ring)).ljust(n, b"\0")
 
-    def quasinilpotent(a: int) -> bool:
+    def quasinilpotent(a: int, row, column) -> bool:
         # the ax over the x commuting with a
-        products = compress(ring.mul[a], flags_from_mask(commutant_bits(ring, a)))
+        products = row if central[a] else compress(row, map(eq, row, column))
         return all(map(one_plus_unit.__getitem__, products))
 
-    flags = bytes(map(quasinilpotent, range(ring.order)))
-    return ElementSet(mask_from_flags(flags), ring.order)
+    columns = repeat(None) if all(central) else zip(*mul)
+    flags = bytes(map(quasinilpotent, range(n), mul, columns))
+    return ElementSet(mask_from_flags(flags), n)
 
 
 # --------------------------------------------------------------------------

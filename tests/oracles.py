@@ -1059,6 +1059,18 @@ def find_strongly_pi_regular(ring: FiniteRing, a: int) -> dict | None:
     return None
 
 
+def exchange_idempotents(ring: FiniteRing, a: int) -> int:
+    """The mask of the idempotents e with e in aR and 1 - e in (1 - a)R, from
+    the two rows read as sets."""
+    complement = ring.sub(ring.one, a)
+    ar, cr = set(ring.mul[a]), set(ring.mul[complement])
+    bits = 0
+    for e in brute_idempotents(ring):
+        if e in ar and ring.sub(ring.one, e) in cr:
+            bits |= 1 << e
+    return bits
+
+
 def find_exchange(ring: FiniteRing, a: int) -> dict | None:
     mul = ring.mul
     complement = ring.sub(ring.one, a)

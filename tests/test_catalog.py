@@ -117,6 +117,7 @@ def test_preset_errors(bad):
     [
         "product:zmod:4096,zmod:x",
         "quot:gen:x:zmod:4096",
+        "quot:gen:5000:zmod:4096",
         "mat:2:product:zmod:64,zmod:+2",
         "dorroh:tri:2:zmod:64:",
         "quot:jac:cdtri:3:bogus:2",

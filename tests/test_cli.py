@@ -8,11 +8,12 @@ import weakref
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ringlab import catalog
 from ringlab.cli import main
 from ringlab.core import build_zmod, ring_to_json
+from ringlab.report import build_report
 
 
 def run(capsys, *argv):
@@ -390,6 +391,21 @@ def test_report_rejects_malformed_ring_json(tmp_path_factory, ring):
     assert stderr.getvalue().count("\n") == 1
 
 
+@pytest.mark.parametrize("entry", ["-1", "-8", "5", "10", "1000000000", "true", "1.0"])
+def test_report_rejects_an_odd_table_entry(tmp_path, capsys, entry):
+    """Z5 with one cell of each table replaced: in [-2n, -n), [-n, 0),
+    [n, 2n) and beyond, or not an integer."""
+    text = json.dumps(ring_to_json(build_zmod(5)), indent=2)
+    for key in ("add", "mul"):
+        obj = json.loads(text)
+        obj[key][2][3] = "ENTRY"
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(obj, indent=2).replace('"ENTRY"', entry))
+        code, stdout, stderr = run(capsys, "report", str(path))
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+
+
 # ------------------------------------------------------------------- check
 
 def test_check_ring_property_pass(z4_file, capsys):
@@ -723,3 +739,112 @@ def test_report_matches_golden_hash(tmp_path, capsys, preset):
     code, stdout, _ = run(capsys, "report", str(out))
     assert code == 0
     assert hashlib.sha256(stdout.encode()).hexdigest() == GOLDEN_REPORT_SHA256[preset]
+
+
+# ------------------------------------------------------------------- emit
+#
+# _emit writes lists of ints through one join, so every payload it writes is
+# compared with json.dumps(payload, indent=2), the text it stands in for.
+
+# the rings of the report-load benchmark workload, orders 64-256
+REPORT_LOAD_RINGS = [
+    "tri:3:zmod:2",
+    "dorroh:tri:2:zmod:2",
+    "tri:2:zmod:4",
+    "mat:2:zmod:3",
+    "cdtri:4:zmod:2",
+    "product:mat:2:zmod:2,zmod:8",
+    "product:tri:3:zmod:2,zmod:2",
+    "tri:2:zmod:6",
+    "mat:2:zmod:4",
+    "cdtri:3:zmod:4",
+]
+
+
+def _emitted(capsys, payload) -> str:
+    from ringlab import cli
+
+    cli._emit(payload)
+    return capsys.readouterr().out
+
+
+def test_emit_writes_json_dumps_of_every_catalog_report(catalog_rings, capsys):
+    for name, ring in catalog_rings.items():
+        report = build_report(ring)
+        assert _emitted(capsys, report) == json.dumps(report, indent=2) + "\n", name
+
+
+@pytest.mark.parametrize("preset", REPORT_LOAD_RINGS)
+def test_emit_writes_json_dumps_of_a_report_load_report(capsys, preset):
+    report = build_report(catalog.build_preset(preset))
+    assert _emitted(capsys, report) == json.dumps(report, indent=2) + "\n"
+
+
+def test_emit_writes_json_dumps_of_every_command_payload(tmp_path, capsys, monkeypatch):
+    from ringlab import cli
+
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda payload: (payloads.append(payload), emit(payload)))
+    files = {}
+    for preset in ("zmod:4", "tri:2:zmod:3"):
+        files[preset] = str(tmp_path / f"{preset.replace(':', '_')}.json")
+        assert main(["build", preset, "-o", files[preset]]) == 0
+    commands = [
+        ["verify-paper", "--format", "json"],
+        ["delta", files["zmod:4"]],
+        ["delta", files["tri:2:zmod:3"]],
+        ["check", files["zmod:4"], "delta-quasipolar"],
+        ["check", files["tri:2:zmod:3"], "delta-quasipolar"],
+        ["check", files["zmod:4"], "strongly-j-clean", "--element", "3"],
+        ["check", files["zmod:4"], "uniquely-clean", "--element", "1"],
+        ["check", files["tri:2:zmod:3"], "exchange", "--element", "5"],
+        ["search", "--hyp", "delta-quasipolar", "--concl", "j-quasipolar"],
+        ["search", "--hyp", "j-quasipolar", "--concl", "delta-quasipolar"],
+    ]
+    for argv in commands:
+        capsys.readouterr()
+        payloads.clear()
+        main(argv)
+        stdout = capsys.readouterr().out
+        assert len(payloads) == 1, argv
+        assert stdout == json.dumps(payloads[0], indent=2) + "\n", argv
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+)
+_JSON_KEYS = st.text(max_size=4) | st.integers() | st.booleans() | st.none() | st.floats()
+
+
+@settings(max_examples=300)
+@given(
+    st.recursive(
+        _JSON_SCALARS,
+        lambda inner: (
+            st.lists(inner, max_size=4)
+            | st.lists(st.integers(), max_size=4)
+            | st.tuples(inner, inner)
+            | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+            | st.dictionaries(_JSON_KEYS, inner, max_size=3)
+        ),
+        max_leaves=24,
+    )
+)
+@example([])
+@example({})
+@example([[], {}, [[]], {"": {}}])
+@example([1, True, 2])
+@example([0, None])
+@example([False])
+@example([1, "2", [3], 4.0])
+@example(["quote \" backslash \\ newline \n tab \t", "é€\U0001d4b5", "\x00\x1f\x7f"])
+@example({"é\n": [" "], "k": [1, 2, 3]})
+@example({1: [2], "1": [3], None: True, 2.5: []})
+def test_emit_writes_json_dumps_of_any_value(value):
+    from ringlab import cli
+
+    out = io.StringIO()
+    with redirect_stdout(out):
+        cli._emit(value)
+    assert out.getvalue() == json.dumps(value, indent=2) + "\n"

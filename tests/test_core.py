@@ -993,6 +993,66 @@ def test_verify_axioms_on_one_sided_near_rings(recipe, compose):
     _assert_agrees_with_brute_force(near, (recipe, compose))
 
 
+def _outcome(check, ring):
+    """What ``check(ring)`` returns, or the type of what it raises."""
+    try:
+        return check(ring)
+    except Exception as err:  # noqa: BLE001 - the type is the outcome
+        return type(err)
+
+
+# In Z5: -1 reads 4 from the end of the shared ints, -8, 5, 10 and 10**9 fall
+# outside them, and True and 1.0 compare equal to the 1 they replace.
+_ODD_ENTRIES = [-1, -8, 5, 10, 10**9, True, 1.0]
+
+
+@pytest.mark.parametrize("rows", [tuple, list])
+@pytest.mark.parametrize("which", ["add", "mul"])
+@pytest.mark.parametrize("entry", _ODD_ENTRIES, ids=repr)
+def test_range_check_matches_the_per_cell_loop(entry, which, rows):
+    """The range check through the shared ints gives the per-cell loop's
+    verdict on tuple rows and list rows alike."""
+    z5 = build_zmod(5)
+    tables = {"add": z5.add, "mul": z5.mul}
+    cells = [list(row) for row in tables[which]]
+    cells[2][cells[2].index(1)] = entry
+    tables[which] = cells
+    bad = dataclasses.replace(
+        z5, **{key: rows(map(rows, table)) for key, table in tables.items()}
+    )
+    fast = _outcome(verify_axioms, bad)
+    # the per-row min/max range loop, verbatim, ahead of another axiom check
+    assert fast == _outcome(oracles.generator_verify_axioms, bad)
+    if type(entry) is int:
+        table_name = "addition" if which == "add" else "multiplication"
+        column = z5.add[2].index(1) if which == "add" else z5.mul[2].index(1)
+        expected = [f"{table_name} entry at (2,{column}) is out of range"]
+        # the n^3 oracle stops at its first violation, the range one
+        assert fast == oracles.brute_verify_axioms(bad, 1) == expected
+    elif entry is True:
+        assert fast == oracles.brute_verify_axioms(bad, math.inf) == []
+    else:
+        # 1.0 lies in range for both; the n^3 oracle then indexes with it
+        assert _outcome(oracles.brute_verify_axioms, bad) is TypeError
+
+
+def test_range_check_lists_every_out_of_range_entry():
+    """Many rows fall to the per-cell loop, in both tables and in one row."""
+    z5 = build_zmod(5)
+    add = [list(row) for row in z5.add]
+    mul = [list(row) for row in z5.mul]
+    add[0][1], add[0][3], add[4][4] = -1, 5, 10**9
+    mul[1][0], mul[3][2] = -8, 10
+    bad = dataclasses.replace(z5, add=tuple(map(tuple, add)), mul=tuple(map(tuple, mul)))
+    assert verify_axioms(bad) == oracles.brute_verify_axioms(bad, 5) == [
+        "addition entry at (0,1) is out of range",
+        "addition entry at (0,3) is out of range",
+        "addition entry at (4,4) is out of range",
+        "multiplication entry at (1,0) is out of range",
+        "multiplication entry at (3,2) is out of range",
+    ]
+
+
 # ---------------------------------------------------------------- size cap
 
 def test_size_cap_blocks_large_builds(monkeypatch):

@@ -67,6 +67,15 @@ DIFFERENTIAL_PRESETS = NON_CATALOG_PRESETS + [
 
 ELEMENT_PROPERTIES = [p for p in PropertyName if p not in PropertyName.ring_only()]
 
+# The order-256 products of the lattice benchmark, 192-224 right ideals each.
+LATTICE_SURVEY_RINGS = [
+    "product:zmod:4,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
+    "product:tri:2:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
+    "product:tri:2:zmod:2,tri:2:zmod:2,zmod:2,zmod:2",
+    "product:cdtri:2:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
+]
+Z2_POWER_NINE = "product:" + ",".join(["zmod:2"] * 9)
+
 
 def _assert_cross_checks_match_per_cell_loops(ring):
     n = ring.order
@@ -104,6 +113,23 @@ def _assert_ring_property_is_the_element_sweep(ring):
             ring.name,
             prop,
         )
+    # The exchange mask is read off principal masks, so it is also held to the
+    # per-element oracle sweeps.  Both masks are full on every finite ring: it
+    # is semiperfect, hence an exchange ring (Nicholson, "Lifting idempotents
+    # and exchange rings", Trans. AMS 229 (1977)), and artinian, hence strongly
+    # pi-regular.  A ring on which either fails shows a bug in the masks.  A
+    # full mask cannot tell a right computation from a constant one, so the
+    # idempotents that make each a exchange are compared as well.
+    exchange = properties._exchange_idempotents(ring)
+    for a in range(ring.order):
+        assert exchange[a] == oracles.exchange_idempotents(ring, a), (ring.name, a)
+    full = (1 << ring.order) - 1
+    for prop, finder in (
+        (PropertyName.EXCHANGE, oracles.find_exchange),
+        (PropertyName.STRONGLY_PI_REGULAR, oracles.find_strongly_pi_regular),
+    ):
+        swept = sum(1 << a for a in range(ring.order) if finder(ring, a) is not None)
+        assert property_mask(ring, prop).bits == swept == full, (ring.name, prop)
 
 
 @pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
@@ -142,7 +168,7 @@ def test_principal_bits_builds_one_mask_per_unit_orbit(monkeypatch):
     assert len(calls) == 7
 
 
-@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS)
+@pytest.mark.parametrize("preset", DIFFERENTIAL_PRESETS + LATTICE_SURVEY_RINGS + [Z2_POWER_NINE])
 def test_ring_property_is_the_element_sweep(preset):
     _assert_ring_property_is_the_element_sweep(build_preset(preset))
 

@@ -47,7 +47,7 @@ from ringlab.ideals import (
     two_sided_closure,
     two_sided_ideals,
 )
-from test_cross_checks import DIFFERENTIAL_PRESETS
+from test_cross_checks import DIFFERENTIAL_PRESETS, LATTICE_SURVEY_RINGS, Z2_POWER_NINE
 
 
 def _sets(ideals):
@@ -100,14 +100,6 @@ LARGER_RINGS = [
     ("T2(Z2)xZ2^3", "product:tri:2:zmod:2,zmod:2,zmod:2,zmod:2"),
     ("Z4xZ2^4", "product:zmod:4,zmod:2,zmod:2,zmod:2,zmod:2"),
     ("CT4(Z2)", "cdtri:4:zmod:2"),
-]
-
-# The order-256 products of the lattice benchmark, 192-224 right ideals each.
-LATTICE_SURVEY_RINGS = [
-    "product:zmod:4,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
-    "product:tri:2:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
-    "product:tri:2:zmod:2,tri:2:zmod:2,zmod:2,zmod:2",
-    "product:cdtri:2:zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2,zmod:2",
 ]
 
 
@@ -284,9 +276,6 @@ def test_lattice_matches_seed_closure_oracle_on_catalog(catalog_rings):
 )
 def test_lattice_matches_seed_closure_oracle(preset):
     _assert_lattice_matches_seed_closure(build_preset(preset))
-
-
-Z2_POWER_NINE = "product:" + ",".join(["zmod:2"] * 9)
 
 
 def test_lattice_order_is_sort_key_order(catalog_rings):
