@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import asdict
+from functools import cache
 from itertools import repeat
 
 from ringlab.catalog import (
@@ -212,7 +213,11 @@ def _cmd_search(args) -> int:
     return 0
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.  It holds no handler:
+    :func:`main` looks up ``_cmd_<command>`` when it runs, so a replaced
+    module global is seen."""
     parser = argparse.ArgumentParser(
         prog="ringlab",
         description="Finite-ring construction, delta computations, and claim checking.",
@@ -222,29 +227,24 @@ def _parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="build a ring from a preset or a spec file")
     p_build.add_argument("source", help="preset text such as zmod:4, or a JSON spec file")
     p_build.add_argument("-o", "--output", required=True, help="where to write the ring")
-    p_build.set_defaults(func=_cmd_build)
 
     p_report = sub.add_parser("report", help="full survey of one ring")
     p_report.add_argument("ring", help="ring JSON file")
     p_report.add_argument("--format", choices=("json", "text"), default="json")
-    p_report.set_defaults(func=_cmd_report)
 
     p_check = sub.add_parser("check", help="decide one property, with certificate")
     p_check.add_argument("ring", help="ring JSON file")
     p_check.add_argument("property", help="property name, e.g. delta-quasipolar")
     p_check.add_argument("--element", type=int, default=None)
-    p_check.set_defaults(func=_cmd_check)
 
     p_delta = sub.add_parser("delta", help="run all five delta characterizations")
     p_delta.add_argument("ring", help="ring JSON file")
-    p_delta.set_defaults(func=_cmd_delta)
 
     p_verify = sub.add_parser(
         "verify-paper", help="re-verify the claim registry over a catalog"
     )
     p_verify.add_argument("--catalog", default=None, help="catalog manifest JSON file")
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
-    p_verify.set_defaults(func=_cmd_verify_paper)
 
     p_search = sub.add_parser(
         "search", help="search the catalog for an implication counterexample"
@@ -254,15 +254,15 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("--concl", required=True, help="conclusion property")
     p_search.add_argument("--catalog", default=None, help="catalog manifest JSON file")
-    p_search.set_defaults(func=_cmd_search)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    command = globals()["_cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except (RinglabError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -256,7 +256,9 @@ def verify_axioms(ring: FiniteRing) -> list[str]:
 
     Table shape and range (a row at a time in C, a failing row cell by
     cell), the additive identity on both sides, inverses and the unit are
-    checked per element.  Everything else is checked along one
+    checked per element.  An entry that is not an ``int`` is a violation;
+    ``True`` and ``False`` are ints to Python and pass here, and ring files
+    refuse them in :func:`_int_rows`.  Everything else is checked along one
     walk of (R,+), :func:`_normal_form`: greedy generators g_1..g_k, and a
     tree edge p -> p + g into every x != 0 plus one wrap edge per generator.
 
@@ -307,7 +309,10 @@ def verify_axioms(ring: FiniteRing) -> list[str]:
             except (TypeError, IndexError):
                 pass
             for j, value in enumerate(row):
-                if not 0 <= value < n:
+                if not isinstance(value, int):
+                    if push(f"{table_name} entry at ({i},{j}) is not an int"):
+                        return out
+                elif not 0 <= value < n:
                     if push(f"{table_name} entry at ({i},{j}) is out of range"):
                         return out
     if out:

@@ -53,6 +53,20 @@ def _principal_bits(ring: FiniteRing) -> tuple[int, ...]:
     return tuple(out)
 
 
+@memo
+def _principal_classes(ring: FiniteRing) -> dict[int, int]:
+    """Each distinct principal right ideal ``xR`` mapped to the mask of the
+    ``x`` that generate it; cached.  The masks partition R.
+
+    A property of ``x`` that depends on ``x`` only through ``xR`` is decided
+    once per key, and the value of the key holds every ``x`` it settles.
+    """
+    classes: dict[int, int] = {}
+    for x, p in enumerate(_principal_bits(ring)):
+        classes[p] = classes.get(p, 0) | 1 << x
+    return classes
+
+
 def _coset_union(add, bits: int, members, other: int) -> int:
     """The span of the subgroups ``bits``, whose members are ``members``,
     and ``other``.
@@ -227,13 +241,11 @@ def _join_irreducible_principals(ring: FiniteRing) -> list[int]:
     generate the lattice.  Cached.
     """
     pb = _principal_bits(ring)
+    classes = _principal_classes(ring)
     zero_bit = 1 << ring.zero
-    generators: dict[int, int] = {}
-    for x, p in enumerate(pb):
-        generators[p] = generators.get(p, 0) | 1 << x
     seeds = []
-    for p in sorted(generators):
-        below = p & ~generators[p]
+    for p in sorted(classes):
+        below = p & ~classes[p]
         if p == zero_bit or below.bit_count() * 2 > p.bit_count():
             continue
         join = zero_bit
@@ -387,12 +399,15 @@ def _preimage_bits(ring: FiniteRing, bits: int, rows) -> int:
 
 
 def _one_plus_bits(ring: FiniteRing, bits: int) -> int:
-    """The coset ``1 + K`` of an additive subgroup ``K``: the ``y`` with
-    ``y - 1`` in ``K``.
+    """The translate ``1 + S`` of a mask ``S``: the ``y`` with ``y - 1`` in
+    ``S``.
 
-    It decides sums: ``I + K = R`` exactly when 1 = u + k for some u in I
-    and k in K, that is when I meets ``1 - K``, which is ``1 + K`` since
-    ``K = -K``.  So ``I + K = R`` is ``I & _one_plus_bits(ring, K) != 0``.
+    It decides sums: for an additive subgroup ``K``, ``I + K = R`` exactly
+    when 1 = u + k for some u in I and k in K, that is when I meets
+    ``1 - K``, which is the coset ``1 + K`` since ``K = -K``.  So ``I + K =
+    R`` is ``I & _one_plus_bits(ring, K) != 0``.  Translation is a
+    bijection, so ``1 + (K_1 | K_2 | ...)`` is the union of the cosets, and
+    one AND with it asks whether ``I + K_j = R`` for some j.
     """
     return _preimage_bits(ring, bits, (ring.add[ring._neg_table()[ring.one]],))
 
@@ -409,13 +424,20 @@ def is_delta_small(ring: FiniteRing, subset: ElementSet) -> bool:
 
 
 @memo
-def _essential_maximal_cosets(ring: FiniteRing) -> tuple[int, ...]:
-    return tuple(_one_plus_bits(ring, m.bits) for m in _essential_maximals(ring))
+def _essential_maximal_cosets(ring: FiniteRing) -> int:
+    """The union of the cosets ``1 + M`` of the essential maximal right
+    ideals ``M``, as one mask; cached."""
+    union = 0
+    for m in _essential_maximals(ring):
+        union |= m.bits
+    return _one_plus_bits(ring, union)
 
 
 def _is_delta_small_bits(ring: FiniteRing, bits: int) -> bool:
-    """:func:`is_delta_small` on a mask already known to be a right ideal."""
-    return not any(bits & coset for coset in _essential_maximal_cosets(ring))
+    """:func:`is_delta_small` on a mask already known to be a right ideal:
+    one AND, since ``I + M = R`` for some ``M`` exactly when ``I`` meets
+    the union of the cosets ``1 + M``."""
+    return not bits & _essential_maximal_cosets(ring)
 
 
 def is_direct_summand(ring: FiniteRing, subset: ElementSet) -> int | None:

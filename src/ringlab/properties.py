@@ -27,6 +27,7 @@ from ringlab.core import (
 )
 from ringlab.ideals import (
     _principal_bits,
+    _principal_classes,
     _summand_witnesses,
     maximal_right_ideals,
     socle,
@@ -298,7 +299,7 @@ def _exchange_idempotents(ring: FiniteRing) -> tuple[int, ...]:
     """
     pb, plus_one = _principal_bits(ring), ring.add[ring.one]
     translates = {}
-    for bits in set(pb):
+    for bits in _principal_classes(ring):
         flags = bytearray(ring.order)
         for x in bit_members(bits):
             flags[plus_one[x]] = 1

@@ -21,7 +21,8 @@ from ringlab.ideals import (
     _ideal_core_bits,
     _is_delta_small_bits,
     _one_plus_bits,
-    _principal_bits,
+    _preimage_bits,
+    _principal_classes,
     _span_bits,
     _summand_witness,
     all_right_ideals,
@@ -177,23 +178,22 @@ def delta_r2(ring: FiniteRing) -> ElementSet:
 
 def delta_r3(ring: FiniteRing) -> ElementSet:
     """Elements ``x`` such that whenever ``x R + K`` is everything, ``K`` is
-    already a direct summand.  The condition depends on ``x`` only through
-    ``x R``, so it is decided once per distinct principal ideal."""
-    pb = _principal_bits(ring)
-    # x R + K = R exactly when x R meets the coset 1 + K
-    cosets = [
-        _one_plus_bits(ring, ideal.bits)
-        for ideal in all_right_ideals(ring)
-        if _summand_witness(ring, ideal.bits) is None
-    ]
-    decided: dict[int, bool] = {}
+    already a direct summand.
+
+    ``x R + K = R`` exactly when ``x R`` meets the coset ``1 + K``, so ``x``
+    qualifies when ``x R`` misses the union of the cosets of the
+    non-summands, one mask.  The condition depends on ``x`` only through
+    ``x R``, so it is decided once per distinct principal ideal.
+    """
+    non_summands = 0
+    for ideal in all_right_ideals(ring):
+        if _summand_witness(ring, ideal.bits) is None:
+            non_summands |= ideal.bits
+    cosets = _one_plus_bits(ring, non_summands)
     bits = 0
-    for x in range(ring.order):
-        xr = pb[x]
-        if xr not in decided:
-            decided[xr] = not any(xr & coset for coset in cosets)
-        if decided[xr]:
-            bits |= 1 << x
+    for xr, generators in _principal_classes(ring).items():
+        if not xr & cosets:
+            bits |= generators
     return ElementSet(bits, ring.order)
 
 
@@ -209,8 +209,13 @@ def delta_r4(ring: FiniteRing) -> ElementSet:
 
 def delta_r5(ring: FiniteRing) -> ElementSet:
     """Elements ``x`` such that for every ``y`` the principal right ideal of
-    ``1 + x y`` is complemented by a right ideal inside the socle."""
-    pb = _principal_bits(ring)
+    ``1 + x y`` is complemented by a right ideal inside the socle.
+
+    Whether ``z R`` is complemented depends on ``z`` only through ``z R``,
+    so the search runs once per distinct principal ideal, and the ``z``
+    that pass form one mask C.  Then ``x`` qualifies when every ``x y`` lies
+    in C - 1, that is when ``x R``, which is the set of the ``x y``, does.
+    """
     soc = socle(ring).bits
     # a complement Y of Z has |Z| |Y| = |R|, so parts are grouped by size
     parts_of_size: dict[int, list[int]] = {}
@@ -219,20 +224,21 @@ def delta_r5(ring: FiniteRing) -> ElementSet:
             parts_of_size.setdefault(len(ideal), []).append(ideal.bits)
     zero_bit = 1 << ring.zero
     order = ring.order
-    decided: dict[int, bool] = {}
-
-    def complemented(zbits: int) -> bool:
-        if zbits not in decided:
-            size, rest = divmod(order, zbits.bit_count())
-            decided[zbits] = not rest and any(
-                zbits & ybits == zero_bit for ybits in parts_of_size.get(size, ())
-            )
-        return decided[zbits]
-
-    # one_plus_ok[z] is 1 when (1 + z)R is complemented inside the socle
-    one_plus_ok = bytes(map(complemented, map(pb.__getitem__, ring.add[ring.one])))
-    flags = bytes(all(map(one_plus_ok.__getitem__, row)) for row in ring.mul)
-    return ElementSet(mask_from_flags(flags), order)
+    classes = _principal_classes(ring)
+    complemented = 0
+    for zbits, generators in classes.items():
+        size, rest = divmod(order, zbits.bit_count())
+        if not rest and any(
+            zbits & ybits == zero_bit for ybits in parts_of_size.get(size, ())
+        ):
+            complemented |= generators
+    # the w with 1 + w in C
+    allowed = _preimage_bits(ring, complemented, (ring.add[ring.one],))
+    bits = 0
+    for xr, generators in classes.items():
+        if not xr & ~allowed:
+            bits |= generators
+    return ElementSet(bits, order)
 
 
 @memo

@@ -35,6 +35,8 @@ from ringlab.core import (
     units_map,
 )
 from ringlab.ideals import (
+    _essential_maximals,
+    _one_plus_bits,
     _principal_bits,
     _span_bits,
     _summand_witness,
@@ -1333,7 +1335,9 @@ def column_scan_ideal_core_bits(ring: FiniteRing, bits: int) -> int:
 # The member loop that decided I + K = R, the pairwise maximal and minimal
 # filters and the idempotent scan for summand witnesses, kept verbatim
 # (leading underscores and the memos dropped) as references for the mask
-# code in `ringlab.ideals`.
+# code in `ringlab.ideals`.  Route 3 and the delta-small test with one coset
+# per ideal, before each became one AND with a translated union, are kept
+# the same way.
 
 
 def member_sum_is_full(ring: FiniteRing, ideal_bits: int, other_bits: int) -> bool:
@@ -1378,6 +1382,34 @@ def scan_summand_witness(ring: FiniteRing, bits: int) -> int | None:
     pb = _principal_bits(ring)
     _, idempotents, _ = element_sets(ring)
     return next((e for e in idempotents.indices() if pb[e] == bits), None)
+
+
+def coset_delta_r3(ring: FiniteRing) -> int:
+    """Route 3 with one coset ``1 + K`` per non-summand ``K``: each distinct
+    ``xR`` is ANDed with every coset in turn."""
+    pb = _principal_bits(ring)
+    # x R + K = R exactly when x R meets the coset 1 + K
+    cosets = [
+        _one_plus_bits(ring, ideal.bits)
+        for ideal in all_right_ideals(ring)
+        if _summand_witness(ring, ideal.bits) is None
+    ]
+    decided: dict[int, bool] = {}
+    bits = 0
+    for x in range(ring.order):
+        xr = pb[x]
+        if xr not in decided:
+            decided[xr] = not any(xr & coset for coset in cosets)
+        if decided[xr]:
+            bits |= 1 << x
+    return bits
+
+
+def coset_is_delta_small_bits(ring: FiniteRing, bits: int) -> bool:
+    """The delta-small test with one coset ``1 + M`` per essential maximal
+    right ideal ``M``."""
+    cosets = [_one_plus_bits(ring, m.bits) for m in _essential_maximals(ring)]
+    return not any(bits & coset for coset in cosets)
 
 
 # The ring-level right-pp and boolean loops from before they read von Neumann

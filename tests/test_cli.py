@@ -552,6 +552,19 @@ def test_delta_disagreement_exits_1_with_every_route(z4_file, capsys, monkeypatc
     assert payload["agree"] is False and payload["consensus"] is None
 
 
+def test_parser_is_built_once_and_handlers_are_read_per_call(z4_file, capsys, monkeypatch):
+    """The parser is cached, yet a handler replaced after a first call is the
+    one a later call runs."""
+    from ringlab import cli
+
+    assert cli._parser() is cli._parser()
+    assert run(capsys, "delta", str(z4_file))[0] == 0
+    calls = []
+    monkeypatch.setattr(cli, "_cmd_delta", lambda args: calls.append(args.ring) or 7)
+    assert run(capsys, "delta", str(z4_file))[0] == 7
+    assert calls == [str(z4_file)]
+
+
 # ------------------------------------------------------------------ search
 
 def test_search_found(capsys):

@@ -1021,19 +1021,38 @@ def test_range_check_matches_the_per_cell_loop(entry, which, rows):
         z5, **{key: rows(map(rows, table)) for key, table in tables.items()}
     )
     fast = _outcome(verify_axioms, bad)
-    # the per-row min/max range loop, verbatim, ahead of another axiom check
-    assert fast == _outcome(oracles.generator_verify_axioms, bad)
+    table_name = "addition" if which == "add" else "multiplication"
+    column = z5.add[2].index(1) if which == "add" else z5.mul[2].index(1)
+    if isinstance(entry, int):
+        # the per-row min/max range loop, verbatim, ahead of another axiom check
+        assert fast == _outcome(oracles.generator_verify_axioms, bad)
     if type(entry) is int:
-        table_name = "addition" if which == "add" else "multiplication"
-        column = z5.add[2].index(1) if which == "add" else z5.mul[2].index(1)
         expected = [f"{table_name} entry at (2,{column}) is out of range"]
         # the n^3 oracle stops at its first violation, the range one
         assert fast == oracles.brute_verify_axioms(bad, 1) == expected
     elif entry is True:
         assert fast == oracles.brute_verify_axioms(bad, math.inf) == []
     else:
-        # 1.0 lies in range for both; the n^3 oracle then indexes with it
+        # 1.0 lies in range and equals the 1 it replaces, so the per-row loop
+        # passes it; an entry that is not an int is a violation of its own
+        assert fast == [f"{table_name} entry at (2,{column}) is not an int"]
+        # the n^3 oracle indexes with it
         assert _outcome(oracles.brute_verify_axioms, bad) is TypeError
+
+
+@pytest.mark.parametrize("which", ["add", "mul"])
+@pytest.mark.parametrize("cell", [(2, 2), (0, 1)])
+def test_verify_axioms_reports_non_int_entries(cell, which):
+    """A float in a hand-built table is a violation, not a silent pass nor a
+    TypeError from the additive walk; in Z3, add[2][2] and add[0][1] are 1."""
+    z3 = build_zmod(3)
+    tables = {"add": z3.add, "mul": z3.mul}
+    cells = [list(row) for row in tables[which]]
+    i, j = cell
+    cells[i][j] = float(cells[i][j])
+    bad = dataclasses.replace(z3, **{which: tuple(map(tuple, cells))})
+    table_name = "addition" if which == "add" else "multiplication"
+    assert verify_axioms(bad) == [f"{table_name} entry at ({i},{j}) is not an int"]
 
 
 def test_range_check_lists_every_out_of_range_entry():

@@ -6,6 +6,9 @@ the additive generators' rows, the maximal and minimal right ideals come from
 one sorted pass, and summand witnesses from one dict per ring.  Each is
 compared with its reference in ``oracles`` on the catalog, on the
 differential presets and on relabelled rings whose zero and one move.
+Routes 3 and 5 and the delta-small test, decided once per distinct
+principal right ideal against one union of cosets, are compared with the
+per-coset and per-cell loops on relabelled and decomposable rings.
 """
 from __future__ import annotations
 
@@ -19,7 +22,10 @@ from ringlab.catalog import build_entry, build_preset, default_catalog
 from ringlab.core import ComputationFault
 from ringlab.ideals import (
     _ideal_core_bits,
+    _is_delta_small_bits,
     _one_plus_bits,
+    _principal_bits,
+    _principal_classes,
     _summand_witness,
     all_right_ideals,
     maximal_right_ideals,
@@ -76,6 +82,48 @@ def test_lattice_predicates_match_oracles_relabelled(preset):
     relabelled = oracles.permuted_ring(ring, perm)
     assert (relabelled.zero, relabelled.one) != (0, 1)
     _assert_lattice_predicates_match_oracles(relabelled)
+
+
+# rings with a nontrivial central idempotent, so that right ideals, summands
+# and socle complements split across the factors
+DECOMPOSABLE_PRESETS = [
+    "tri:2:zmod:6",
+    "product:zmod:4,tri:2:zmod:2",
+    "product:cdtri:3:zmod:2,zmod:3",
+]
+
+
+def _assert_delta_masks_match_oracles(ring):
+    pb = _principal_bits(ring)
+    assert pb == oracles.percell_principal_bits(ring), ring.name
+    # the classes partition R: each holds exactly the x with that xR
+    classes = _principal_classes(ring)
+    assert set(classes) == set(pb), ring.name
+    for xr, generators in classes.items():
+        assert generators == sum(1 << x for x in range(ring.order) if pb[x] == xr)
+    r3 = radicals.delta_r3(ring).bits
+    assert r3 == oracles.coset_delta_r3(ring), ring.name
+    if ring.order <= 16:
+        assert r3 == sum(1 << x for x in oracles.brute_delta_r3(ring)), ring.name
+    assert radicals.delta_r5(ring).bits == oracles.percell_delta_r5(ring), ring.name
+    for ideal in all_right_ideals(ring):
+        assert _is_delta_small_bits(ring, ideal.bits) == (
+            oracles.coset_is_delta_small_bits(ring, ideal.bits)
+        ), (ring.name, ideal.indices())
+
+
+@pytest.mark.parametrize("preset", RELABELLED_PRESETS + DECOMPOSABLE_PRESETS)
+def test_delta_masks_match_oracles_relabelled(preset):
+    ring = build_preset(preset)
+    perm = oracles.moving_permutation(ring, random.Random(f"delta:{preset}"))
+    relabelled = oracles.permuted_ring(ring, perm)
+    assert (relabelled.zero, relabelled.one) != (0, 1)
+    _assert_delta_masks_match_oracles(relabelled)
+
+
+@pytest.mark.parametrize("preset", DECOMPOSABLE_PRESETS)
+def test_delta_masks_match_oracles_on_decomposable_rings(preset):
+    _assert_delta_masks_match_oracles(build_preset(preset))
 
 
 def _delta_faults(monkeypatch, modules) -> list[ComputationFault]:
