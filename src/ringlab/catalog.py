@@ -184,6 +184,13 @@ def _generated_ideal(generators: list[int], ring: FiniteRing) -> ElementSet:
     return two_sided_closure(ring, generators)
 
 
+def dorroh_base(recipe: str | None) -> FiniteRing | None:
+    """The base ring ``P`` of a ``dorroh:P`` recipe, built; ``None`` for any
+    other recipe."""
+    head, _, rest = (recipe or "").partition(":")
+    return build_preset(rest) if head == "dorroh" else None
+
+
 def dorroh_of_ring(base: FiniteRing) -> DorrohData:
     """Extension data for a ring acting on itself by multiplication."""
     return DorrohData(

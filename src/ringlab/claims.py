@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from ringlab.catalog import CatalogEntry, build_entry, build_preset, dorroh_of_ring
+from ringlab.catalog import CatalogEntry, build_entry, dorroh_base, dorroh_of_ring
 from ringlab.core import (
     FiniteRing,
     build_corner,
@@ -316,29 +316,23 @@ def _check_dorroh_transfer(ctx: SuiteContext) -> list[dict]:
     """Suite-level rather than per ring: it reads each entry's recipe."""
     out = []
     for entry in ctx.entries:
-        if not entry.recipe or not entry.recipe.startswith("dorroh:"):
+        if (base := dorroh_base(entry.recipe)) is None:
             continue
         extension = ctx.rings[entry.name]
-        base = build_preset(entry.recipe[len("dorroh:"):])
         data = dorroh_of_ring(base)
         ext_delta_qp = _holds(extension, PropertyName.DELTA_QUASIPOLAR)
         base_delta_qp = _holds(base, PropertyName.DELTA_QUASIPOLAR)
         if ext_delta_qp and not base_delta_qp:
             out.append(_witness(entry.name, detail="base ring fails to inherit"))
             continue
+        # e.v = v.e for every v: row e of the left action is column e of the right
         idempotents_commute = all(
-            data.left_action[e][v] == data.right_action[v][e]
+            data.left_action[e] == tuple(row[e] for row in data.right_action)
             for e in element_sets(base)[1].indices()
-            for v in range(data.bimodule.order)
         )
-        bim_full_delta = (
-            delta_mask(data.bimodule).bits == (1 << data.bimodule.order) - 1
-        )
-        if base_delta_qp and idempotents_commute and bim_full_delta:
-            if not ext_delta_qp:
-                out.append(
-                    _witness(entry.name, detail="extension fails despite hypotheses")
-                )
+        bim_full_delta = delta_mask(data.bimodule).bits == (1 << data.bimodule.order) - 1
+        if base_delta_qp and idempotents_commute and bim_full_delta and not ext_delta_qp:
+            out.append(_witness(entry.name, detail="extension fails despite hypotheses"))
     return out
 
 

@@ -711,29 +711,26 @@ def build_dorroh(data: DorrohData) -> FiniteRing:
     order = nr * nv
     check_size(order)
     _validate_dorroh(data)
-
-    def enc(r: int, v: int) -> int:
-        return nv * r + v
-
-    mul_rows = []
-    for r in range(nr):
+    # (r, v) has the pair index of a two-factor product, so + is base x bimodule
+    add = _pair_table(base.add, bim.add)
+    shift = nv * base.zero
+    mul = []
+    for r, r_row in enumerate(base.mul):
         for v in range(nv):
-            mul_row = []
-            for s in range(nr):
-                for w in range(nv):
-                    vw = bim.add[bim.add[la[r][w]][ra[v][s]]][bim.mul[v][w]]
-                    mul_row.append(enc(base.mul[r][s], vw))
-            mul_rows.append(tuple(mul_row))
+            # (r, v)(s, w) = (rs, v.s) + (0, r.w + vw), and x -> (r, v)x is
+            # additive, so the row folds two lists as in _pattern_ring
+            left = [nv * rs + vs for rs, vs in zip(r_row, ra[v])]
+            right = [shift + bim.add[rw][vw] for rw, vw in zip(la[r], bim.mul[v])]
+            mul.append(tuple([add[x][y] for x in left for y in right]))
     labels = tuple(
         f"({base.label(r)},{bim.label(v)})" for r in range(nr) for v in range(nv)
     )
     ring = FiniteRing(
         order=order,
-        # (r, v) has the pair index of a two-factor product, so + is base x bimodule
-        add=_pair_table(base.add, bim.add),
-        mul=tuple(mul_rows),
-        zero=enc(base.zero, bim.zero),
-        one=enc(base.one, bim.zero),
+        add=add,
+        mul=tuple(mul),
+        zero=shift + bim.zero,
+        one=nv * base.one + bim.zero,
         name=f"D({base.name},{bim.name})",
         labels=labels,
     )

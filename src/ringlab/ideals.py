@@ -371,15 +371,12 @@ def is_essential(ring: FiniteRing, subset: ElementSet) -> bool:
 
 
 def _is_essential_bits(ring: FiniteRing, bits: int) -> bool:
-    """:func:`is_essential` on a mask already known to be a right ideal."""
+    """:func:`is_essential` on a mask already known to be a right ideal: it
+    meets every ``aR`` with ``a != 0``, asked once per principal class."""
     zero_bit = 1 << ring.zero
-    pb = _principal_bits(ring)
-    for a in range(ring.order):
-        if a == ring.zero:
-            continue
-        if pb[a] & bits == zero_bit:
-            return False
-    return True
+    return all(
+        xr & bits != zero_bit for xr in _principal_classes(ring) if xr != zero_bit
+    )
 
 
 @memo

@@ -1,0 +1,189 @@
+"""Mutants of ``src/ringlab`` and the tests that kill them.
+
+Each row is one small change to one file: the exact old text, the text that
+replaces it, and the tests to run on it.  A mutant is expected to make one
+of them fail, unless it carries ``equivalent``, the reason it cannot change
+any answer; an equivalent mutant is run on the same tests and is expected to
+pass them.
+
+    python tests/mutants.py [ID ...]
+
+copies ``src/`` to a temporary directory once per mutant, applies the
+mutant there, and runs ``pytest -x`` on its tests with ``PYTHONPATH`` at the
+copy, one child process at a time.  It prints ``killed``, ``survived`` or
+``stale`` (the old text no longer occurs exactly once) for each mutant, then
+the tally and the wall time.  It first runs the same tests on an unmutated
+copy and exits 2 if they fail there, since no kill would then mean
+anything.  It exits 1 when a verdict is not the expected one: a survivor
+not marked equivalent, a killed equivalent, or a stale mutant.  The tree
+itself is never written.  ``tests/test_mutants.py`` checks in tier-1 that
+every old text still occurs exactly once.
+"""
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from collections import Counter
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    id: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    tests: tuple[str, ...]
+    equivalent: str = ""
+
+
+_DELTA_MASKS = (
+    "tests/test_lattice_masks.py::test_delta_masks_match_oracles_relabelled",
+    "tests/test_lattice_masks.py::test_delta_masks_match_oracles_on_decomposable_rings",
+)
+_DORROH = (
+    "tests/test_core.py::test_dorroh_on_relabelled_rings",
+    "tests/test_core.py::test_dorroh_matches_oracle_validator",
+)
+
+MUTANTS = (
+    # δ routes 3 and 5 and the δ-small test on principal classes
+    Mutant(
+        id="r5-no-translate",
+        file="ringlab/radicals.py",
+        old="    allowed = _preimage_bits(ring, complemented, (ring.add[ring.one],))",
+        new="    allowed = complemented",
+        tests=_DELTA_MASKS,
+    ),
+    Mutant(
+        id="r5-meets-instead-of-inside",
+        file="ringlab/radicals.py",
+        old="        if not xr & ~allowed:",
+        new="        if xr & allowed:",
+        tests=_DELTA_MASKS,
+    ),
+    Mutant(
+        id="r5-translate-to-one-plus",
+        file="ringlab/radicals.py",
+        old="    allowed = _preimage_bits(ring, complemented, (ring.add[ring.one],))",
+        new="    allowed = _preimage_bits(ring, complemented, (ring.add[ring.neg(ring.one)],))",
+        tests=_DELTA_MASKS,
+        equivalent=(
+            "1 + C replaces C - 1.  C is a union of classes zR and (-z)R = zR, so"
+            " C = -C; xR = -xR likewise, so xR lies in C - 1 exactly when it"
+            " lies in -(C - 1) = 1 - C = 1 + C"
+        ),
+    ),
+    Mutant(
+        id="r3-first-non-summand-only",
+        file="ringlab/radicals.py",
+        old="            non_summands |= ideal.bits",
+        new="            non_summands = non_summands or ideal.bits",
+        tests=_DELTA_MASKS,
+    ),
+    Mutant(
+        id="delta-small-first-essential-maximal-only",
+        file="ringlab/ideals.py",
+        old="        union |= m.bits",
+        new="        union = union or m.bits",
+        tests=_DELTA_MASKS,
+    ),
+    Mutant(
+        id="classes-drop-last-element",
+        file="ringlab/ideals.py",
+        old="    for x, p in enumerate(_principal_bits(ring)):",
+        new="    for x, p in enumerate(_principal_bits(ring)[:-1]):",
+        tests=_DELTA_MASKS,
+    ),
+    # the essential test once per principal class
+    Mutant(
+        id="essential-keeps-zero-class",
+        file="ringlab/ideals.py",
+        old="xr & bits != zero_bit for xr in _principal_classes(ring) if xr != zero_bit",
+        new="xr & bits != zero_bit for xr in _principal_classes(ring)",
+        tests=("tests/test_ideals.py::test_essential_z4", *_DELTA_MASKS),
+    ),
+    # the Dorroh row fold
+    Mutant(
+        id="dorroh-right-offset-by-extension-zero",
+        file="ringlab/core.py",
+        old="            right = [shift + bim.add[rw][vw]",
+        new="            right = [shift + bim.zero + bim.add[rw][vw]",
+        tests=_DORROH,
+    ),
+    Mutant(
+        id="dorroh-left-right-swapped",
+        file="ringlab/core.py",
+        old="            mul.append(tuple([add[x][y] for x in left for y in right]))",
+        new="            mul.append(tuple([add[x][y] for x in right for y in left]))",
+        tests=_DORROH,
+    ),
+)
+
+
+def _pytest(tests, mutant: Mutant | None = None) -> int | None:
+    """The exit code of ``pytest -x`` on ``tests`` over a copy of ``src/``
+    with ``mutant`` applied; ``None`` when its old text is not there once."""
+    with tempfile.TemporaryDirectory(prefix="ringlab-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+        if mutant is not None:
+            target = src / mutant.file
+            text = target.read_text(encoding="utf-8")
+            if text.count(mutant.old) != 1:
+                return None
+            target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+            cwd=ROOT, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+
+
+def run(mutant: Mutant) -> str:
+    """The verdict on one mutant."""
+    code = _pytest(mutant.tests, mutant)
+    if code is None:
+        return "stale"
+    # 1: a test failed; 2: collection failed, as when the mutant breaks an import
+    if code in (1, 2):
+        return "killed"
+    return "survived" if code == 0 else f"error (pytest exit {code})"
+
+
+def main(argv: list[str]) -> int:
+    by_id = {mutant.id: mutant for mutant in MUTANTS}
+    unknown = [ident for ident in argv if ident not in by_id]
+    if unknown:
+        print(f"unknown mutant: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    start = time.perf_counter()
+    chosen = [by_id[ident] for ident in argv or by_id]
+    # a kill counts only if the same tests pass on the tree as it is
+    if _pytest(sorted({node for mutant in chosen for node in mutant.tests})) != 0:
+        print("the mutants' tests fail on the unmutated tree", file=sys.stderr)
+        return 2
+    tally: Counter[str] = Counter()
+    unexpected = 0
+    for mutant in chosen:
+        verdict = run(mutant)
+        expected = "survived" if mutant.equivalent else "killed"
+        tally[verdict] += 1
+        unexpected += verdict != expected
+        note = "" if verdict == expected else f"  (expected {expected})"
+        print(f"{verdict:9} {mutant.id}{note}", flush=True)
+    counts = ", ".join(f"{count} {verdict}" for verdict, count in sorted(tally.items()))
+    print(f"{counts}; {unexpected} unexpected; {time.perf_counter() - start:.1f} s")
+    return 1 if unexpected else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

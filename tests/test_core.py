@@ -520,6 +520,59 @@ def test_dorroh_matches_oracle_validator():
     assert min(verdicts.values()) >= 20, verdicts
 
 
+def _relabelled_dorroh_cases(preset):
+    """R acting on itself, with zero and one moved: the base and the
+    bimodule both renamed by one permutation, then each by its own."""
+    ring = build_preset(preset)
+    rng = random.Random(f"dorroh:relabelled:{preset}")
+    p, q = (oracles.moving_permutation(ring, rng) for _ in range(2))
+    base, bim = oracles.permuted_ring(ring, p), oracles.permuted_ring(ring, q)
+    assert (base.zero, base.one) != (ring.zero, ring.one) != (bim.zero, bim.one)
+    back_p, back_q = ([0] * ring.order for _ in range(2))
+    for a in range(ring.order):
+        back_p[p[a]], back_q[q[a]] = a, a
+    elements = range(ring.order)
+    # base element r and bimodule element v stand for back_p[r] and back_q[v]
+    la = tuple(tuple(q[ring.mul[back_p[r]][back_q[v]]] for v in elements) for r in elements)
+    ra = tuple(tuple(q[ring.mul[back_q[v]][back_p[r]]] for r in elements) for v in elements)
+    exact = DorrohData(base=base, bimodule=bim, left_action=la, right_action=ra)
+    yield dorroh_of_ring(base)
+    yield exact
+    for _ in range(10):
+        yield _perturbed_action(rng, exact)
+
+
+@pytest.mark.parametrize(
+    "preset", ["zmod:4", "zmod:6", "tri:2:zmod:2", "cdtri:2:zmod:2", "product:zmod:2,zmod:3"]
+)
+def test_dorroh_on_relabelled_rings(preset):
+    """The row fold reads the base's zero where it is, not at index 0: the
+    table is the cell-by-cell one, and zero and one are packed pairs."""
+    built = 0
+    for data in _relabelled_dorroh_cases(preset):
+        try:
+            oracles.brute_validate_dorroh(data)
+        except BimoduleError:
+            with pytest.raises(BimoduleError):
+                build_dorroh(data)
+            continue
+        ring = build_dorroh(data)
+        nv = data.bimodule.order
+        assert ring.mul == _dorroh_cells(data)
+        assert ring.zero == nv * data.base.zero + data.bimodule.zero
+        assert ring.one == nv * data.base.one + data.bimodule.zero
+        built += 1
+    assert built >= 2
+
+
+@pytest.mark.parametrize("preset", ["dorroh:zmod:17", "dorroh:tri:2:zmod:3"])
+def test_dorroh_cells_are_shared(preset):
+    # above order 256, where CPython no longer shares small ints by itself
+    ring = build_preset(preset)
+    assert ring.order > 256
+    _assert_cells_shared(ring)
+
+
 # ---------------------------------------------------------------- quotient
 
 def test_quotient_z4_by_two():

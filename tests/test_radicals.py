@@ -38,6 +38,7 @@ from ringlab.radicals import (
 from ringlab.core import _subgroup_generators, build_quotient, element_sets
 from ringlab.catalog import build_preset
 from ringlab.report import build_report
+from test_cross_checks import DIFFERENTIAL_PRESETS
 
 
 def _primes(n):
@@ -195,6 +196,17 @@ def test_structural_containments(catalog_rings):
         assert j.is_subset(d), name
         assert j.is_subset(q), name
         assert nil.is_subset(q), name
+
+
+def test_quasinilpotents_are_the_nilpotents(catalog_rings):
+    """In a finite ring qnil = nil.  Fitting gives an idempotent e in
+    comm^2(a) with ae a unit of eRe and a(1 - e) nilpotent.  The inverse of
+    ae in eRe is a power of ae, so x = -(ae)^-1 commutes with a, and
+    1 + ax = 1 - e is a unit only when e = 0.  So a quasinilpotent a is
+    nilpotent."""
+    rings = [*catalog_rings.values(), *map(build_preset, DIFFERENTIAL_PRESETS)]
+    for ring in rings:
+        assert qnil_set(ring) == element_sets(ring)[2], ring.name
 
 
 def test_delta_is_two_sided(catalog_rings):
