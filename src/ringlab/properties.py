@@ -196,14 +196,32 @@ def _shifted_preimages(ring: FiniteRing, sign: int, target: str) -> tuple[int, .
     return tuple(out)
 
 
-def _double_commuting(ring: FiniteRing, p: int, candidates: int) -> int:
-    """The candidates a with p in comm2(a), that is with comm(a) inside comm(p)."""
+@memo
+def _commutant_classes(ring: FiniteRing) -> dict[int, int]:
+    """Each distinct commutant mapped to the mask of the ``a`` that have it;
+    cached.  The masks partition R."""
+    classes: dict[int, int] = {}
+    for a in range(ring.order):
+        bits = commutant_bits(ring, a)
+        classes[bits] = classes.get(bits, 0) | 1 << a
+    return classes
+
+
+@memo
+def _double_commuters(ring: FiniteRing, p: int) -> int:
+    """The a with p in comm2(a), that is with comm(a) inside comm(p): the
+    union of the commutant classes whose commutant lies inside comm(p)."""
     outside = ~commutant_bits(ring, p)
     kept = 0
-    for a in bit_members(candidates):
-        if not commutant_bits(ring, a) & outside:
-            kept |= 1 << a
+    for comm, members in _commutant_classes(ring).items():
+        if not comm & outside:
+            kept |= members
     return kept
+
+
+def _double_commuting(ring: FiniteRing, p: int, candidates: int) -> int:
+    """The candidates a with p in comm2(a)."""
+    return candidates & _double_commuters(ring, p)
 
 
 @memo

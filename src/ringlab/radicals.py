@@ -3,7 +3,7 @@ delta ideal computed by five independent characterizations that must agree."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, repeat
+from itertools import compress
 from operator import eq, itemgetter
 
 from ringlab.core import (
@@ -116,10 +116,32 @@ def center_bits(ring: FiniteRing) -> int:
     return centraliser_bits(ring, (1 << ring.order) - 1)
 
 
+@memo
+def _coset_leaders(ring: FiniteRing) -> tuple[int, ...]:
+    """The least member of ``a + Z(R)`` for each ``a``; cached.
+
+    Row ``a`` of ``add`` read at the centre lists the coset, and ``a`` is
+    its least member when no smaller element has listed it.
+    """
+    centre = flags_from_mask(center_bits(ring))
+    leaders = [None] * ring.order
+    for a, row in enumerate(ring.add):
+        if leaders[a] is None:
+            for b in compress(row, centre):
+                leaders[b] = a
+    return tuple(leaders)
+
+
 def commutant_bits(ring: FiniteRing, a: int) -> int:
-    """The commutant of ``a``; all of the ring when ``a`` is central."""
+    """The commutant of ``a``; all of the ring when ``a`` is central.
+
+    For central ``z``, ``(a + z)x = ax + zx`` and ``x(a + z) = xa + xz``, so
+    ``a`` shares its commutant with the leader of ``a + Z(R)``.
+    """
     full = (1 << ring.order) - 1
-    return full if (centraliser_bits(ring, full) >> a) & 1 else _row_commutant(ring, a)
+    if (centraliser_bits(ring, full) >> a) & 1:
+        return full
+    return _row_commutant(ring, _coset_leaders(ring)[a])
 
 
 @memo
@@ -127,22 +149,21 @@ def qnil_set(ring: FiniteRing) -> ElementSet:
     """Quasinilpotents: ``a`` with ``1 + a x`` a unit for every ``x``
     commuting with ``a``.
 
-    The columns of ``mul`` are walked once, lazily, and each non-central
-    row is compressed by its own flags ``a x == x a``.  A central row is
-    read whole, so a commutative ring builds no column.
+    Each row of ``mul`` is compressed by the flags of its commutant, which
+    is cached once per coset of the centre; a central row is read whole.
     """
-    n, mul = ring.order, ring.mul
-    # one_plus_unit[z] is 1 when 1 + z is a unit
-    one_plus_unit = bytes(map(units_map(ring).__contains__, ring.add[ring.one]))
+    n, units = ring.order, units_map(ring)
+    # the z with 1 + z not a unit
+    blocked = {z for z, w in enumerate(ring.add[ring.one]) if w not in units}
     central = flags_from_mask(center_bits(ring)).ljust(n, b"\0")
 
-    def quasinilpotent(a: int, row, column) -> bool:
+    def quasinilpotent(a: int, row) -> bool:
         # the ax over the x commuting with a
-        products = row if central[a] else compress(row, map(eq, row, column))
-        return all(map(one_plus_unit.__getitem__, products))
+        if not central[a]:
+            row = compress(row, flags_from_mask(commutant_bits(ring, a)))
+        return blocked.isdisjoint(row)
 
-    columns = repeat(None) if all(central) else zip(*mul)
-    flags = bytes(map(quasinilpotent, range(n), mul, columns))
+    flags = bytes(map(quasinilpotent, range(n), ring.mul))
     return ElementSet(mask_from_flags(flags), n)
 
 

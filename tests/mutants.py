@@ -49,6 +49,11 @@ _DELTA_MASKS = (
     "tests/test_lattice_masks.py::test_delta_masks_match_oracles_relabelled",
     "tests/test_lattice_masks.py::test_delta_masks_match_oracles_on_decomposable_rings",
 )
+_COSETS = ("tests/test_cross_checks.py::test_coset_and_class_paths_match_oracles",)
+_LATTICE = (
+    "tests/test_ideals.py::test_fast_close_by_one_skips_joins_bound_to_fail",
+    *_COSETS,
+)
 _DORROH = (
     "tests/test_core.py::test_dorroh_on_relabelled_rings",
     "tests/test_core.py::test_dorroh_matches_oracle_validator",
@@ -109,7 +114,55 @@ MUTANTS = (
         file="ringlab/ideals.py",
         old="xr & bits != zero_bit for xr in _principal_classes(ring) if xr != zero_bit",
         new="xr & bits != zero_bit for xr in _principal_classes(ring)",
-        tests=("tests/test_ideals.py::test_essential_z4", *_DELTA_MASKS),
+        tests=_DELTA_MASKS,
+    ),
+    # commutants once per coset of the centre, comm2 once per commutant class
+    Mutant(
+        id="coset-leaders-from-mul",
+        file="ringlab/radicals.py",
+        old="    for a, row in enumerate(ring.add):",
+        new="    for a, row in enumerate(ring.mul):",
+        tests=_COSETS,
+    ),
+    Mutant(
+        id="coset-leader-is-itself",
+        file="ringlab/radicals.py",
+        old="            for b in compress(row, centre):",
+        new="            for b in (a,):",
+        tests=_COSETS,
+        equivalent=(
+            "every element leads its own coset, so its commutant is read off its"
+            " own row; any member of a + Z(R) has the commutant of a"
+        ),
+    ),
+    Mutant(
+        id="double-commuters-subset-inverted",
+        file="ringlab/properties.py",
+        old="        if not comm & outside:",
+        new="        if not ~comm & ~outside:",
+        tests=_COSETS,
+    ),
+    Mutant(
+        id="qnil-compressed-by-the-centre",
+        file="ringlab/radicals.py",
+        old="            row = compress(row, flags_from_mask(commutant_bits(ring, a)))",
+        new="            row = compress(row, flags_from_mask(center_bits(ring)))",
+        tests=_COSETS,
+    ),
+    # Fast Close-by-One
+    Mutant(
+        id="fcbo-skip-without-current",
+        file="ringlab/ideals.py",
+        old="inherited.get(j, 0) & earlier[j] & ~current",
+        new="inherited.get(j, 0) & earlier[j]",
+        tests=_LATTICE,
+    ),
+    Mutant(
+        id="fcbo-failures-not-handed-down",
+        file="ringlab/ideals.py",
+        old="                stack.append((join, j + 1, failed))",
+        new="                stack.append((join, j + 1, inherited))",
+        tests=_LATTICE,
     ),
     # the Dorroh row fold
     Mutant(

@@ -35,7 +35,6 @@ from ringlab.core import (
     units_map,
 )
 from ringlab.ideals import (
-    _essential_maximals,
     _one_plus_bits,
     _principal_bits,
     _span_bits,
@@ -1407,8 +1406,14 @@ def coset_delta_r3(ring: FiniteRing) -> int:
 
 def coset_is_delta_small_bits(ring: FiniteRing, bits: int) -> bool:
     """The delta-small test with one coset ``1 + M`` per essential maximal
-    right ideal ``M``."""
-    cosets = [_one_plus_bits(ring, m.bits) for m in _essential_maximals(ring)]
+    right ideal ``M``, each maximal ideal found pairwise and judged essential
+    by :func:`brute_is_essential`."""
+    lattice = [frozenset(ideal.indices()) for ideal in all_right_ideals(ring)]
+    cosets = [
+        _one_plus_bits(ring, m.bits)
+        for m in pairwise_maximal_right_ideals(ring)
+        if brute_is_essential(ring, m.indices(), lattice)
+    ]
     return not any(bits & coset for coset in cosets)
 
 

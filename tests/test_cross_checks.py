@@ -29,6 +29,7 @@ from ringlab.properties import (
     _COMPANION_SPECS,
     _SPECTRAL_FLAVORS,
     PropertyName,
+    double_commutant,
     element_property,
     property_mask,
     ring_property,
@@ -63,6 +64,38 @@ DIFFERENTIAL_PRESETS = NON_CATALOG_PRESETS + [
     "dorroh:tri:2:zmod:2",
     "quot:gen:2:tri:2:zmod:4",
     "quot:delta:zmod:8",
+]
+
+# rings whose zero and one move under relabelling in the lattice, delta and
+# commutant tests
+RELABELLED_PRESETS = [
+    "zmod:12",
+    "tri:2:zmod:3",
+    "mat:2:zmod:2",
+    "cdtri:3:zmod:2",
+    "product:zmod:2,zmod:4",
+    "product:tri:2:zmod:2,zmod:3",
+    "dorroh:zmod:3",
+    "quot:gen:2:tri:2:zmod:4",
+]
+
+# the non-commutative rings of DIFFERENTIAL_PRESETS, and M2(Z2) x Z2 x Z2,
+# whose centre of 8 elements leaves 7 non-central cosets
+NON_COMMUTATIVE_PRESETS = [
+    "mat:2:zmod:2",
+    "tri:2:zmod:3",
+    "cdtri:3:zmod:2",
+    "product:tri:2:zmod:2,zmod:2",
+    "tri:2:zmod:4",
+    "tri:3:zmod:2",
+    "cdtri:3:zmod:3",
+    "cdtri:4:zmod:2",
+    "product:tri:2:zmod:2,zmod:3",
+    "product:mat:2:zmod:2,zmod:2",
+    "product:cdtri:3:zmod:2,zmod:2",
+    "dorroh:tri:2:zmod:2",
+    "quot:gen:2:tri:2:zmod:4",
+    "product:mat:2:zmod:2,zmod:2,zmod:2",
 ]
 
 ELEMENT_PROPERTIES = [p for p in PropertyName if p not in PropertyName.ring_only()]
@@ -140,6 +173,41 @@ def test_cross_checks_match_per_cell_loops(preset):
 def test_cross_checks_match_per_cell_loops_on_catalog(catalog_rings):
     for ring in catalog_rings.values():
         _assert_cross_checks_match_per_cell_loops(ring)
+
+
+def _assert_coset_and_class_paths_match_oracles(ring):
+    """Commutants read once per coset of the centre, the double commutants
+    taken per commutant class, the quasinilpotents compressed by those
+    commutants and the Fast Close-by-One lattice, each against its oracle."""
+    n = ring.order
+    double = [oracles.brute_double_commutant(ring, a) for a in range(n)]
+    for a in range(n):
+        assert commutant_bits(ring, a) == oracles.percell_commutant_bits(ring, a), (
+            ring.name,
+            a,
+        )
+        assert set(double_commutant(ring, a).indices()) == double[a], (ring.name, a)
+        holders = sum(1 << b for b in range(n) if a in double[b])
+        assert properties._double_commuters(ring, a) == holders, (ring.name, a)
+    assert qnil_set(ring).bits == oracles.percell_qnil_bits(ring), ring.name
+    brute = oracles.brute_right_ideals if n <= 16 else oracles.brute_join_closure_right_ideals
+    assert [frozenset(i.indices()) for i in all_right_ideals(ring)] == brute(ring), ring.name
+
+
+@pytest.mark.parametrize(
+    "preset", list(dict.fromkeys(NON_COMMUTATIVE_PRESETS + RELABELLED_PRESETS))
+)
+def test_coset_and_class_paths_match_oracles(preset):
+    """As built and relabelled so that zero and one move, which changes the
+    least member of each coset of the centre."""
+    ring = build_preset(preset)
+    perm = oracles.moving_permutation(ring, random.Random(f"cosets:{preset}"))
+    relabelled = oracles.permuted_ring(ring, perm)
+    assert (relabelled.zero, relabelled.one) != (0, 1)
+    for each in (ring, relabelled):
+        _assert_coset_and_class_paths_match_oracles(each)
+    if preset in NON_COMMUTATIVE_PRESETS:
+        assert center_bits(ring) != (1 << ring.order) - 1, preset
 
 
 @pytest.mark.parametrize(

@@ -317,11 +317,9 @@ def test_two_sided_ideals_match_oracle_on_seeds(preset):
         assert is_two_sided_ideal(ring, ideal) == (frozenset(ideal.indices()) in want)
 
 
-def test_lattice_of_z2_power_nine_takes_one_join_per_ideal(monkeypatch):
-    """Close-by-One joins 511 times for the 512 right ideals of Z2^9; joining
-    every ideal found with every seed took 2,295 joins.  Joins made while
-    finding the seeds are not counted."""
-    ring = build_product([build_zmod(2)] * 9)
+def _lattice_joins(monkeypatch, ring) -> tuple[int, int]:
+    """The size of the lattice and the joins taken to list it, not counting
+    those made while finding the seeds."""
     seeds = _join_irreducible_principals(ring)
     joins = []
     coset_union = ideals._coset_union
@@ -332,9 +330,26 @@ def test_lattice_of_z2_power_nine_takes_one_join_per_ideal(monkeypatch):
 
     monkeypatch.setattr(ideals, "_join_irreducible_principals", lambda _: seeds)
     monkeypatch.setattr(ideals, "_coset_union", counted)
-    lattice = all_right_ideals(ring)
-    assert len(lattice) == 512
-    assert len(joins) < 2 * len(lattice)
+    return len(all_right_ideals(ring)), len(joins)
+
+
+def test_lattice_of_z2_power_nine_takes_one_join_per_ideal(monkeypatch):
+    """Close-by-One joins 511 times for the 512 right ideals of Z2^9; joining
+    every ideal found with every seed took 2,295 joins."""
+    size, joins = _lattice_joins(monkeypatch, build_product([build_zmod(2)] * 9))
+    assert size == 512
+    assert joins < 2 * size
+
+
+@pytest.mark.parametrize(
+    "preset,size,joins",
+    [("cdtri:4:zmod:2", 74, 228), ("cdtri:5:zmod:2", 1542, 9376)],
+)
+def test_fast_close_by_one_skips_joins_bound_to_fail(monkeypatch, preset, size, joins):
+    """Handing failed joins down to the children leaves 228 joins for the 74
+    right ideals of CT4(Z2) and 9,376 for the 1,542 of CT5(Z2), where
+    Close-by-One took 858 and 115,154."""
+    assert _lattice_joins(monkeypatch, build_preset(preset)) == (size, joins)
 
 
 def _m3z2():

@@ -32,18 +32,7 @@ from ringlab.ideals import (
     minimal_right_ideals,
 )
 from ringlab.radicals import DeltaDisagreement, delta
-from test_cross_checks import DIFFERENTIAL_PRESETS
-
-RELABELLED_PRESETS = [
-    "zmod:12",
-    "tri:2:zmod:3",
-    "mat:2:zmod:2",
-    "cdtri:3:zmod:2",
-    "product:zmod:2,zmod:4",
-    "product:tri:2:zmod:2,zmod:3",
-    "dorroh:zmod:3",
-    "quot:gen:2:tri:2:zmod:4",
-]
+from test_cross_checks import DIFFERENTIAL_PRESETS, RELABELLED_PRESETS
 
 
 def _assert_lattice_predicates_match_oracles(ring):
