@@ -7,6 +7,7 @@ pathological input fails fast instead of filling memory.
 """
 from __future__ import annotations
 
+from itertools import compress
 from operator import itemgetter
 
 from ringlab.core import (
@@ -169,11 +170,11 @@ def _seed_columns(ring: FiniteRing) -> tuple[tuple[int, int], ...]:
     ``R x_j`` as a group, and an additive subgroup holds ``R x_j`` exactly
     when it holds ``G x_j``.
     """
-    pb = _principal_bits(ring)
+    classes = _principal_classes(ring)
     rows = [ring.mul[g] for g in _subgroup_generators(ring, (1 << ring.order) - 1)]
     out = []
     for seed in _join_irreducible_principals(ring):
-        x = pb.index(seed)
+        x = (classes[seed] & -classes[seed]).bit_length() - 1
         column = 0
         for row in rows:
             column |= 1 << row[x]
@@ -283,10 +284,9 @@ def all_right_ideals(ring: FiniteRing) -> tuple[ElementSet, ...]:
     """
     limit = DEFAULT_LATTICE_LIMIT
     seeds = _join_irreducible_principals(ring)
-    pb = _principal_bits(ring)
     add = ring.add
     # the bit of x_j, and the bits of x_0 .. x_(j-1)
-    marks = [1 << pb.index(seed) for seed in seeds]
+    marks = [mark for mark, _ in _seed_columns(ring)]
     earlier = [sum(marks[:j]) for j in range(len(seeds))]
     seed_members = [bit_members(seed) for seed in seeds]
     zero_bit = 1 << ring.zero
@@ -404,9 +404,23 @@ def _preimage_bits(ring: FiniteRing, bits: int, rows) -> int:
     return out
 
 
+def _translate_bits(ring: FiniteRing, bits: int, t: int) -> int:
+    """The translate ``t + S`` of a mask ``S``: row ``t`` of ``add`` read at
+    the members.  Translation is a bijection, so ``t + ~S = ~(t + S)``, and
+    the smaller of ``S`` and its complement is walked."""
+    flip = (1 << ring.order) - 1 if 2 * bits.bit_count() > ring.order else 0
+    walked, row = bits ^ flip, ring.add[t]
+    # as in bit_members, a dense side is read through its flags in C
+    if walked.bit_count() << 4 > walked.bit_length() + 64:
+        flags = bytearray(ring.order)
+        for y in compress(row, flags_from_mask(walked)):
+            flags[y] = 1
+        return mask_from_flags(flags) ^ flip
+    return sum(1 << row[x] for x in bit_members(walked)) ^ flip
+
+
 def _one_plus_bits(ring: FiniteRing, bits: int) -> int:
-    """The translate ``1 + S`` of a mask ``S``: the ``y`` with ``y - 1`` in
-    ``S``.
+    """The translate ``1 + S`` of a mask ``S``.
 
     It decides sums: for an additive subgroup ``K``, ``I + K = R`` exactly
     when 1 = u + k for some u in I and k in K, that is when I meets
@@ -415,7 +429,7 @@ def _one_plus_bits(ring: FiniteRing, bits: int) -> int:
     bijection, so ``1 + (K_1 | K_2 | ...)`` is the union of the cosets, and
     one AND with it asks whether ``I + K_j = R`` for some j.
     """
-    return _preimage_bits(ring, bits, (ring.add[ring._neg_table()[ring.one]],))
+    return _translate_bits(ring, bits, ring.one)
 
 
 def is_delta_small(ring: FiniteRing, subset: ElementSet) -> bool:

@@ -26,9 +26,11 @@ from ringlab.core import (
     memo,
 )
 from ringlab.ideals import (
+    _one_plus_bits,
     _principal_bits,
     _principal_classes,
     _summand_witnesses,
+    _translate_bits,
     maximal_right_ideals,
     socle,
 )
@@ -178,22 +180,12 @@ def _shifted_preimages(ring: FiniteRing, sign: int, target: str) -> tuple[int, .
     or a - p (sign -1) in the target.
 
     a + q lies in the target T exactly when a lies in T - q, so each mask is
-    the translate of T by -q, and row -q of ``add`` is that translation.
-    The smaller of T and its complement is translated, member by member.
-    The properties that share a shift share these masks.
+    the translate of T by -q.  The properties that share a shift share these
+    masks.
     """
-    n, add, neg = ring.order, ring.add, ring._neg_table()
-    goal = _TARGETS[target](ring).bits
-    flip = (1 << n) - 1 if 2 * goal.bit_count() > n else 0
-    members = bit_members(goal ^ flip)
-    out = []
-    for p in element_sets(ring)[1].indices():
-        row = add[neg[p] if sign > 0 else p]
-        flags = bytearray(n)
-        for g in members:
-            flags[row[g]] = 1
-        out.append(mask_from_flags(flags) ^ flip)
-    return tuple(out)
+    neg, goal = ring._neg_table(), _TARGETS[target](ring).bits
+    shifts = (neg[p] if sign > 0 else p for p in element_sets(ring)[1].indices())
+    return tuple(_translate_bits(ring, goal, q) for q in shifts)
 
 
 @memo
@@ -219,11 +211,6 @@ def _double_commuters(ring: FiniteRing, p: int) -> int:
     return kept
 
 
-def _double_commuting(ring: FiniteRing, p: int, candidates: int) -> int:
-    """The candidates a with p in comm2(a)."""
-    return candidates & _double_commuters(ring, p)
-
-
 @memo
 def _companion_masks(ring: FiniteRing, prop: PropertyName) -> tuple[int, ...]:
     """A_p for each idempotent p in ascending order: the elements that have
@@ -244,7 +231,7 @@ def _companion_masks(ring: FiniteRing, prop: PropertyName) -> tuple[int, ...]:
         if not (centre >> p) & 1:
             mask &= commutant_bits(ring, p)
             if centraliser == "dcomm":
-                mask = _double_commuting(ring, p, mask)
+                mask &= _double_commuters(ring, p)
         out.append(mask)
     return tuple(out)
 
@@ -313,17 +300,12 @@ def _exchange_idempotents(ring: FiniteRing) -> tuple[int, ...]:
     make a an exchange element: idempotents & aR & (1 - (1 - a)R); cached.
 
     1 - X = 1 + X for a right ideal X, as X = -X, and each translate is
-    built once per distinct principal mask, walking its members.
+    built once per distinct principal mask.
     """
-    pb, plus_one = _principal_bits(ring), ring.add[ring.one]
-    translates = {}
-    for bits in _principal_classes(ring):
-        flags = bytearray(ring.order)
-        for x in bit_members(bits):
-            flags[plus_one[x]] = 1
-        translates[bits] = mask_from_flags(flags)
+    pb = _principal_bits(ring)
+    translates = {bits: _one_plus_bits(ring, bits) for bits in _principal_classes(ring)}
     idempotents = element_sets(ring)[1].bits
-    one_minus = map(plus_one.__getitem__, ring._neg_table())
+    one_minus = map(ring.add[ring.one].__getitem__, ring._neg_table())
     return tuple(idempotents & ar & translates[pb[b]] for ar, b in zip(pb, one_minus))
 
 

@@ -21,10 +21,10 @@ from ringlab.ideals import (
     _ideal_core_bits,
     _is_delta_small_bits,
     _one_plus_bits,
-    _preimage_bits,
     _principal_classes,
     _span_bits,
     _summand_witness,
+    _translate_bits,
     all_right_ideals,
     is_delta_small,
     is_two_sided_ideal,
@@ -73,6 +73,13 @@ class DeltaDisagreement(ComputationFault):
 
 
 @memo
+def _one_plus_non_units(ring: FiniteRing) -> frozenset[int]:
+    """The ``z`` with ``1 + z`` not a unit; cached."""
+    units = units_map(ring)
+    return frozenset(z for z, w in enumerate(ring.add[ring.one]) if w not in units)
+
+
+@memo
 def jacobson(ring: FiniteRing) -> ElementSet:
     """Jacobson radical, computed two ways that must coincide:
     the intersection of the maximal right ideals, and the set of ``x`` such
@@ -80,12 +87,8 @@ def jacobson(ring: FiniteRing) -> ElementSet:
     route_a = (1 << ring.order) - 1
     for m in maximal_right_ideals(ring):
         route_a &= m.bits
-    # one_minus_unit[z] is 1 when 1 - z is a unit; row x of mul holds the xy
-    one_minus = map(ring.add[ring.one].__getitem__, ring._neg_table())
-    one_minus_unit = bytes(map(units_map(ring).__contains__, one_minus))
-    route_b = mask_from_flags(
-        bytes(all(map(one_minus_unit.__getitem__, row)) for row in ring.mul)
-    )
+    # row x of mul is the set xR = -xR, so it misses this set iff every 1 - xy is a unit
+    route_b = mask_from_flags(bytes(map(_one_plus_non_units(ring).isdisjoint, ring.mul)))
     if route_a != route_b:
         raise ComputationFault(f"Jacobson radical mismatch on {ring.name}")
     return ElementSet(route_a, ring.order)
@@ -152,9 +155,7 @@ def qnil_set(ring: FiniteRing) -> ElementSet:
     Each row of ``mul`` is compressed by the flags of its commutant, which
     is cached once per coset of the centre; a central row is read whole.
     """
-    n, units = ring.order, units_map(ring)
-    # the z with 1 + z not a unit
-    blocked = {z for z, w in enumerate(ring.add[ring.one]) if w not in units}
+    n, blocked = ring.order, _one_plus_non_units(ring)
     central = flags_from_mask(center_bits(ring)).ljust(n, b"\0")
 
     def quasinilpotent(a: int, row) -> bool:
@@ -254,7 +255,7 @@ def delta_r5(ring: FiniteRing) -> ElementSet:
         ):
             complemented |= generators
     # the w with 1 + w in C
-    allowed = _preimage_bits(ring, complemented, (ring.add[ring.one],))
+    allowed = _translate_bits(ring, complemented, ring.neg(ring.one))
     bits = 0
     for xr, generators in classes.items():
         if not xr & ~allowed:

@@ -54,17 +54,56 @@ _LATTICE = (
     "tests/test_ideals.py::test_fast_close_by_one_skips_joins_bound_to_fail",
     *_COSETS,
 )
+_TRANSLATE = (
+    "tests/test_lattice_masks.py::test_translate_is_row_t_of_add_at_every_member",
+    *_DELTA_MASKS,
+)
+_JACOBSON = ("tests/test_radicals.py::test_jacobson_frozen_masks",)
 _DORROH = (
     "tests/test_core.py::test_dorroh_on_relabelled_rings",
     "tests/test_core.py::test_dorroh_matches_oracle_validator",
 )
 
 MUTANTS = (
+    # the one translate t + S
+    Mutant(
+        id="translate-dense-flip-dropped",
+        file="ringlab/ideals.py",
+        old="        return mask_from_flags(flags) ^ flip",
+        new="        return mask_from_flags(flags)",
+        tests=_TRANSLATE,
+    ),
+    Mutant(
+        id="translate-sparse-flip-dropped",
+        file="ringlab/ideals.py",
+        old="    return sum(1 << row[x] for x in bit_members(walked)) ^ flip",
+        new="    return sum(1 << row[x] for x in bit_members(walked))",
+        tests=_TRANSLATE,
+    ),
+    Mutant(
+        id="translate-never-flips",
+        file="ringlab/ideals.py",
+        old="    flip = (1 << ring.order) - 1 if 2 * bits.bit_count() > ring.order else 0",
+        new="    flip = 0",
+        tests=_TRANSLATE,
+        equivalent=(
+            "t + S is walked over S itself instead of over its complement; the"
+            " mask is the same, only the walk is longer"
+        ),
+    ),
+    # Jacobson route b, a raw scan of the rows against the shared non-unit set
+    Mutant(
+        id="jacobson-route-b-over-add-rows",
+        file="ringlab/radicals.py",
+        old="map(_one_plus_non_units(ring).isdisjoint, ring.mul)",
+        new="map(_one_plus_non_units(ring).isdisjoint, ring.add)",
+        tests=_JACOBSON,
+    ),
     # δ routes 3 and 5 and the δ-small test on principal classes
     Mutant(
         id="r5-no-translate",
         file="ringlab/radicals.py",
-        old="    allowed = _preimage_bits(ring, complemented, (ring.add[ring.one],))",
+        old="    allowed = _translate_bits(ring, complemented, ring.neg(ring.one))",
         new="    allowed = complemented",
         tests=_DELTA_MASKS,
     ),
@@ -78,8 +117,8 @@ MUTANTS = (
     Mutant(
         id="r5-translate-to-one-plus",
         file="ringlab/radicals.py",
-        old="    allowed = _preimage_bits(ring, complemented, (ring.add[ring.one],))",
-        new="    allowed = _preimage_bits(ring, complemented, (ring.add[ring.neg(ring.one)],))",
+        old="    allowed = _translate_bits(ring, complemented, ring.neg(ring.one))",
+        new="    allowed = _translate_bits(ring, complemented, ring.one)",
         tests=_DELTA_MASKS,
         equivalent=(
             "1 + C replaces C - 1.  C is a union of classes zR and (-z)R = zR, so"

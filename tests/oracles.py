@@ -35,7 +35,6 @@ from ringlab.core import (
     units_map,
 )
 from ringlab.ideals import (
-    _one_plus_bits,
     _principal_bits,
     _span_bits,
     _summand_witness,
@@ -1383,13 +1382,19 @@ def scan_summand_witness(ring: FiniteRing, bits: int) -> int | None:
     return next((e for e in idempotents.indices() if pb[e] == bits), None)
 
 
+def member_one_plus_bits(ring: FiniteRing, bits: int) -> int:
+    """The coset ``1 + K``: row 1 of ``add`` read at each member of ``K``."""
+    row = ring.add[ring.one]
+    return sum(1 << row[k] for k in bit_members(bits))
+
+
 def coset_delta_r3(ring: FiniteRing) -> int:
     """Route 3 with one coset ``1 + K`` per non-summand ``K``: each distinct
     ``xR`` is ANDed with every coset in turn."""
     pb = _principal_bits(ring)
     # x R + K = R exactly when x R meets the coset 1 + K
     cosets = [
-        _one_plus_bits(ring, ideal.bits)
+        member_one_plus_bits(ring, ideal.bits)
         for ideal in all_right_ideals(ring)
         if _summand_witness(ring, ideal.bits) is None
     ]
@@ -1410,7 +1415,7 @@ def coset_is_delta_small_bits(ring: FiniteRing, bits: int) -> bool:
     by :func:`brute_is_essential`."""
     lattice = [frozenset(ideal.indices()) for ideal in all_right_ideals(ring)]
     cosets = [
-        _one_plus_bits(ring, m.bits)
+        member_one_plus_bits(ring, m.bits)
         for m in pairwise_maximal_right_ideals(ring)
         if brute_is_essential(ring, m.indices(), lattice)
     ]

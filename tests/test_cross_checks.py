@@ -281,19 +281,20 @@ def test_companion_masks_match_the_per_element_walk_on_relabelled_rings(
     preset, monkeypatch
 ):
     """Relabelled non-commutative rings.  M2(Z2) and T2(Z3) have non-central
-    idempotents, so they reach the comm2 test with candidates to test; every
-    idempotent of CT3(Z2) is central, so it never does."""
+    idempotents, so they reach the comm2 test; every idempotent of CT3(Z2)
+    is central, so it never does."""
     ring = build_preset(preset)
     perm = oracles.moving_permutation(ring, random.Random(f"companions:{preset}"))
     relabelled = oracles.permuted_ring(ring, perm)
     tested = []
-    double_commuting = properties._double_commuting
+    double_commuters = properties._double_commuters
 
-    def recorded(ring, p, candidates):
-        tested.append(candidates)
-        return double_commuting(ring, p, candidates)
+    def recorded(ring, p):
+        kept = double_commuters(ring, p)
+        tested.append(kept)  # never 0: p double-commutes with itself
+        return kept
 
-    monkeypatch.setattr(properties, "_double_commuting", recorded)
+    monkeypatch.setattr(properties, "_double_commuters", recorded)
     _assert_companion_masks_match_the_per_element_walk(relabelled)
     non_central = element_sets(relabelled)[1].bits & ~center_bits(relabelled)
     assert bool(non_central) == (preset != "cdtri:3:zmod:2"), preset

@@ -1,11 +1,13 @@
 """The lattice predicates behind the delta routes, as whole-mask operations,
 against the member loops and pairwise filters they replaced.
 
-``I + K = R`` is one AND with the coset ``1 + K``, the ideal core is read off
-the additive generators' rows, the maximal and minimal right ideals come from
-one sorted pass, and summand witnesses from one dict per ring.  Each is
-compared with its reference in ``oracles`` on the catalog, on the
-differential presets and on relabelled rings whose zero and one move.
+Every translate ``t + S`` is one walk along row ``t`` of ``add``, over the
+smaller of ``S`` and its complement.  ``I + K = R`` is one AND with the
+coset ``1 + K``, the ideal core is read off the additive generators' rows,
+the maximal and minimal right ideals come from one sorted pass, and summand
+witnesses from one dict per ring.  Each is compared with its reference in
+``oracles`` on the catalog, on the differential presets and on relabelled
+rings whose zero and one move.
 Routes 3 and 5 and the delta-small test, decided once per distinct
 principal right ideal against one union of cosets, are compared with the
 per-coset and per-cell loops on relabelled and decomposable rings.
@@ -27,6 +29,7 @@ from ringlab.ideals import (
     _principal_bits,
     _principal_classes,
     _summand_witness,
+    _translate_bits,
     all_right_ideals,
     maximal_right_ideals,
     minimal_right_ideals,
@@ -35,11 +38,32 @@ from ringlab.radicals import DeltaDisagreement, delta
 from test_cross_checks import DIFFERENTIAL_PRESETS, RELABELLED_PRESETS
 
 
+@pytest.mark.parametrize("preset", ["zmod:12", "tri:2:zmod:2", "mat:2:zmod:2"])
+def test_translate_is_row_t_of_add_at_every_member(preset):
+    """``t + S`` for every ``t``, with ``S`` sparse, exactly half of the ring
+    (the tie, where ``S`` itself is walked) and dense (where its complement
+    is), on rings whose zero and one move.  The walked side is read through
+    its flags on Z12 at sizes 6 and 7 and on M2(Z2) at sizes 8 and 9, and
+    bit by bit at the other sizes."""
+    ring = build_preset(preset)
+    rng = random.Random(f"translate:{preset}")
+    relabelled = oracles.permuted_ring(ring, oracles.moving_permutation(ring, rng))
+    assert (relabelled.zero, relabelled.one) != (0, 1)
+    n = relabelled.order
+    for size in (0, 1, n // 4, n // 2, n // 2 + 1, 3 * n // 4, n - 1, n):
+        members = rng.sample(range(n), size)
+        bits = sum(1 << x for x in members)
+        for t, row in enumerate(relabelled.add):
+            assert _translate_bits(relabelled, bits, t) == sum(
+                1 << row[x] for x in members
+            ), (preset, sorted(members), t)
+
+
 def _assert_lattice_predicates_match_oracles(ring):
     lattice = all_right_ideals(ring)
     for ideal in lattice:
         coset = _one_plus_bits(ring, ideal.bits)
-        assert coset == sum({1 << ring.add[ring.one][k] for k in ideal.indices()})
+        assert coset == oracles.member_one_plus_bits(ring, ideal.bits)
         for other in lattice:
             assert (other.bits & coset != 0) == oracles.member_sum_is_full(
                 ring, other.bits, ideal.bits
