@@ -11,6 +11,7 @@ checker and are reported ``out-of-scope``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Iterable, Sequence
 
 from ringlab.catalog import CatalogEntry, build_entry, dorroh_base, dorroh_of_ring
@@ -28,7 +29,7 @@ from ringlab.radicals import DeltaDisagreement, delta, delta_mask, jacobson, qni
 from ringlab.properties import (
     PropertyName,
     _coerce,
-    _spectral_lists,
+    _companions_of,
     center,
     idempotents_lift,
     property_mask,
@@ -155,13 +156,11 @@ def _check_conjugation_invariance(ring: FiniteRing) -> tuple | None:
 
 @_per_ring
 def _check_unit_spectral_identity(ring: FiniteRing) -> tuple | None:
-    if delta_mask(ring).bits != jacobson(ring).bits or not _holds(
-        ring, PropertyName.DELTA_QUASIPOLAR
-    ):
+    prop = PropertyName.DELTA_QUASIPOLAR
+    if delta_mask(ring).bits != jacobson(ring).bits or not _holds(ring, prop):
         return None
-    companions = _spectral_lists(ring, PropertyName.DELTA_QUASIPOLAR)
     for u in units_map(ring):
-        if companions[u] != [ring.one]:
+        if tuple(islice(_companions_of(ring, prop, u), 2)) != (ring.one,):
             return (u,)
     return None
 

@@ -404,19 +404,24 @@ def _preimage_bits(ring: FiniteRing, bits: int, rows) -> int:
     return out
 
 
-def _translate_bits(ring: FiniteRing, bits: int, t: int) -> int:
-    """The translate ``t + S`` of a mask ``S``: row ``t`` of ``add`` read at
-    the members.  Translation is a bijection, so ``t + ~S = ~(t + S)``, and
-    the smaller of ``S`` and its complement is walked."""
+def _translate_bits(ring: FiniteRing, bits: int, shifts) -> tuple[int, ...]:
+    """The translates ``t + S`` of a mask ``S``, one per shift ``t``: row
+    ``t`` of ``add`` read at the members.  Translation is a bijection, so
+    ``t + ~S = ~(t + S)``, and the smaller of ``S`` and its complement is
+    walked; its members or flags are read once for all the shifts."""
     flip = (1 << ring.order) - 1 if 2 * bits.bit_count() > ring.order else 0
-    walked, row = bits ^ flip, ring.add[t]
+    walked, add = bits ^ flip, ring.add
     # as in bit_members, a dense side is read through its flags in C
     if walked.bit_count() << 4 > walked.bit_length() + 64:
-        flags = bytearray(ring.order)
-        for y in compress(row, flags_from_mask(walked)):
-            flags[y] = 1
-        return mask_from_flags(flags) ^ flip
-    return sum(1 << row[x] for x in bit_members(walked)) ^ flip
+        inside, out = flags_from_mask(walked), []
+        for t in shifts:
+            flags = bytearray(ring.order)
+            for y in compress(add[t], inside):
+                flags[y] = 1
+            out.append(mask_from_flags(flags) ^ flip)
+        return tuple(out)
+    members = bit_members(walked)
+    return tuple(sum(1 << add[t][x] for x in members) ^ flip for t in shifts)
 
 
 def _one_plus_bits(ring: FiniteRing, bits: int) -> int:
@@ -429,7 +434,7 @@ def _one_plus_bits(ring: FiniteRing, bits: int) -> int:
     bijection, so ``1 + (K_1 | K_2 | ...)`` is the union of the cosets, and
     one AND with it asks whether ``I + K_j = R`` for some j.
     """
-    return _translate_bits(ring, bits, ring.one)
+    return _translate_bits(ring, bits, (ring.one,))[0]
 
 
 def is_delta_small(ring: FiniteRing, subset: ElementSet) -> bool:

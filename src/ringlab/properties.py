@@ -9,6 +9,7 @@ element (or idempotent) exhibiting the failure.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import compress, islice, repeat
@@ -180,12 +181,12 @@ def _shifted_preimages(ring: FiniteRing, sign: int, target: str) -> tuple[int, .
     or a - p (sign -1) in the target.
 
     a + q lies in the target T exactly when a lies in T - q, so each mask is
-    the translate of T by -q.  The properties that share a shift share these
-    masks.
+    the translate of T by -q, and T is read once for all the idempotents.
+    The properties that share a shift share these masks.
     """
     neg, goal = ring._neg_table(), _TARGETS[target](ring).bits
     shifts = (neg[p] if sign > 0 else p for p in element_sets(ring)[1].indices())
-    return tuple(_translate_bits(ring, goal, q) for q in shifts)
+    return _translate_bits(ring, goal, shifts)
 
 
 @memo
@@ -236,16 +237,17 @@ def _companion_masks(ring: FiniteRing, prop: PropertyName) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _companions_of(ring: FiniteRing, prop: PropertyName, a: int) -> Iterator[int]:
+    """The companions of ``a`` for ``prop`` in ascending order: the
+    idempotents p whose A_p holds ``a``, yielded as they are found."""
+    masks = _companion_masks(ring, prop)
+    return (p for p, mask in zip(element_sets(ring)[1].indices(), masks) if mask >> a & 1)
+
+
 def _companion_witnesses(ring: FiniteRing, a: int, prop: PropertyName) -> dict | None:
     """The named witnesses of ``prop`` at ``a`` from its least companion p,
     or ``None`` when ``a`` has none (or, for uniquely-*, more than one)."""
-    masks = _companion_masks(ring, prop)
-    hits = (
-        p
-        for p, mask in zip(element_sets(ring)[1].indices(), masks)
-        if (mask >> a) & 1
-    )
-    found = tuple(islice(hits, 1 + (prop in _UNIQUE)))
+    found = tuple(islice(_companions_of(ring, prop, a), 1 + (prop in _UNIQUE)))
     if len(found) != 1:
         return None
     _, sign, target = _COMPANION_SPECS[prop]
@@ -542,12 +544,11 @@ def _ring_property(ring: FiniteRing, prop: PropertyName) -> tuple[bool, int | No
 # spectral candidates and idempotent lifting
 
 
+# each companion property of sign +1 by its flavor: "delta" for delta-quasipolar
 _SPECTRAL_FLAVORS = {
-    "delta": PropertyName.DELTA_QUASIPOLAR,
-    "j": PropertyName.J_QUASIPOLAR,
-    "nil": PropertyName.NIL_QUASIPOLAR,
-    "quasipolar": PropertyName.QUASIPOLAR,
-    "weakly-delta": PropertyName.WEAKLY_DELTA_QUASIPOLAR,
+    prop.value.removesuffix("-quasipolar"): prop
+    for prop, (_, sign, _) in _COMPANION_SPECS.items()
+    if sign > 0
 }
 
 
@@ -556,13 +557,12 @@ def spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tuple[int, ...
     if not isinstance(flavor, str) or flavor not in _SPECTRAL_FLAVORS:
         raise ValueError(f"unknown spectral flavor: {flavor!r}")
     _check_element(ring, a)
-    return tuple(_spectral_lists(ring, _SPECTRAL_FLAVORS[flavor])[a])
+    return tuple(_companions_of(ring, _SPECTRAL_FLAVORS[flavor], a))
 
 
-@memo
 def _spectral_lists(ring: FiniteRing, prop: PropertyName) -> list[list[int]]:
-    """Each element's companions for ``prop`` in ascending order, built by
-    appending p to the list of every member of A_p."""
+    """Each element's companions for ``prop`` in ascending order, in fresh
+    lists: p is appended to the list of every member of A_p."""
     lists = [[] for _ in range(ring.order)]
     for p, mask in zip(element_sets(ring)[1].indices(), _companion_masks(ring, prop)):
         # list.append(lst, p) for each selected list, all in C

@@ -255,7 +255,7 @@ def delta_r5(ring: FiniteRing) -> ElementSet:
         ):
             complemented |= generators
     # the w with 1 + w in C
-    allowed = _translate_bits(ring, complemented, ring.neg(ring.one))
+    allowed = _translate_bits(ring, complemented, (ring.neg(ring.one),))[0]
     bits = 0
     for xr, generators in classes.items():
         if not xr & ~allowed:

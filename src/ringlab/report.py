@@ -11,7 +11,6 @@ def build_report(ring: FiniteRing) -> dict:
     """Full survey of one ring as a JSON-ready, insertion-ordered dict."""
     units, idempotents, nilpotents = element_sets(ring)
     computation = delta(ring)
-    spectral = _spectral_lists(ring, PropertyName.DELTA_QUASIPOLAR)
     report: dict = {
         "name": ring.name,
         "order": ring.order,
@@ -30,7 +29,7 @@ def build_report(ring: FiniteRing) -> dict:
         "properties": {
             prop.value: ring_property(ring, prop)[0] for prop in PropertyName
         },
-        "delta_spectral": list(map(list, spectral)),  # copies; the cache keeps its own
+        "delta_spectral": _spectral_lists(ring, PropertyName.DELTA_QUASIPOLAR),
     }
     return report
 

@@ -59,6 +59,11 @@ _TRANSLATE = (
     *_DELTA_MASKS,
 )
 _JACOBSON = ("tests/test_radicals.py::test_jacobson_frozen_masks",)
+_LATTICE_PREDICATES = ("tests/test_lattice_masks.py::test_lattice_predicates_match_oracles",)
+_COMPANIONS = (
+    "tests/test_properties.py::test_spectral_candidates_frozen",
+    "tests/test_properties.py::test_companion_search_matches_reference",
+)
 _DORROH = (
     "tests/test_core.py::test_dorroh_on_relabelled_rings",
     "tests/test_core.py::test_dorroh_matches_oracle_validator",
@@ -69,15 +74,15 @@ MUTANTS = (
     Mutant(
         id="translate-dense-flip-dropped",
         file="ringlab/ideals.py",
-        old="        return mask_from_flags(flags) ^ flip",
-        new="        return mask_from_flags(flags)",
+        old="            out.append(mask_from_flags(flags) ^ flip)",
+        new="            out.append(mask_from_flags(flags))",
         tests=_TRANSLATE,
     ),
     Mutant(
         id="translate-sparse-flip-dropped",
         file="ringlab/ideals.py",
-        old="    return sum(1 << row[x] for x in bit_members(walked)) ^ flip",
-        new="    return sum(1 << row[x] for x in bit_members(walked))",
+        old="    return tuple(sum(1 << add[t][x] for x in members) ^ flip for t in shifts)",
+        new="    return tuple(sum(1 << add[t][x] for x in members) for t in shifts)",
         tests=_TRANSLATE,
     ),
     Mutant(
@@ -91,7 +96,52 @@ MUTANTS = (
             " mask is the same, only the walk is longer"
         ),
     ),
+    # one reader for an element's companions
+    Mutant(
+        id="companions-of-without-low-bit",
+        file="ringlab/properties.py",
+        old="if mask >> a & 1)",
+        new="if mask >> a)",
+        tests=_COMPANIONS,
+    ),
+    Mutant(
+        id="spectral-flavors-from-clean-rows",
+        file="ringlab/properties.py",
+        old="    if sign > 0\n}",
+        new="    if sign < 0\n}",
+        tests=_COMPANIONS,
+    ),
+    # exchange idempotents: idempotents & aR & (1 + (1 - a)R)
+    Mutant(
+        id="exchange-without-one-plus-translate",
+        file="ringlab/properties.py",
+        old="translates = {bits: _one_plus_bits(ring, bits) for bits in _principal_classes(ring)}",
+        new="translates = {bits: bits for bits in _principal_classes(ring)}",
+        tests=("tests/test_cross_checks.py::test_ring_property_is_the_element_sweep_on_catalog",),
+    ),
+    # the maximal right ideals and the ideal core
+    Mutant(
+        id="maximal-walk-ascending",
+        file="ringlab/ideals.py",
+        old="    for ideal in reversed(all_right_ideals(ring)):",
+        new="    for ideal in all_right_ideals(ring):",
+        tests=_LATTICE_PREDICATES,
+    ),
+    Mutant(
+        id="core-reads-x-times-g",
+        file="ringlab/ideals.py",
+        old="    return bits & _preimage_bits(ring, bits, (ring.mul[g] for g in gens))",
+        new="    return bits & _preimage_bits(ring, bits, ([r[g] for r in ring.mul] for g in gens))",
+        tests=_LATTICE_PREDICATES,
+    ),
     # Jacobson route b, a raw scan of the rows against the shared non-unit set
+    Mutant(
+        id="non-units-from-minus-z",
+        file="ringlab/radicals.py",
+        old="    return frozenset(z for z, w in enumerate(ring.add[ring.one]) if w not in units)",
+        new="    return frozenset(z for z, w in enumerate(ring._neg_table()) if w not in units)",
+        tests=_JACOBSON,
+    ),
     Mutant(
         id="jacobson-route-b-over-add-rows",
         file="ringlab/radicals.py",
@@ -103,7 +153,7 @@ MUTANTS = (
     Mutant(
         id="r5-no-translate",
         file="ringlab/radicals.py",
-        old="    allowed = _translate_bits(ring, complemented, ring.neg(ring.one))",
+        old="    allowed = _translate_bits(ring, complemented, (ring.neg(ring.one),))[0]",
         new="    allowed = complemented",
         tests=_DELTA_MASKS,
     ),
@@ -117,8 +167,8 @@ MUTANTS = (
     Mutant(
         id="r5-translate-to-one-plus",
         file="ringlab/radicals.py",
-        old="    allowed = _translate_bits(ring, complemented, ring.neg(ring.one))",
-        new="    allowed = _translate_bits(ring, complemented, ring.one)",
+        old="    allowed = _translate_bits(ring, complemented, (ring.neg(ring.one),))[0]",
+        new="    allowed = _translate_bits(ring, complemented, (ring.one,))[0]",
         tests=_DELTA_MASKS,
         equivalent=(
             "1 + C replaces C - 1.  C is a union of classes zR and (-z)R = zR, so"

@@ -57,7 +57,6 @@ from ringlab.properties import (
     element_property,
     idempotents_lift,
     ring_property,
-    spectral_candidates,
 )
 from ringlab.radicals import (
     DeltaDisagreement,
@@ -1673,7 +1672,7 @@ def check_unit_spectral_identity(ctx: SuiteContext) -> list[dict]:
         if not _holds(ring, PropertyName.DELTA_QUASIPOLAR):
             continue
         for u in units_map(ring):
-            if spectral_candidates(ring, u, "delta") != (ring.one,):
+            if reference_spectral_candidates(ring, u, "delta") != (ring.one,):
                 out.append(_witness(name, u))
                 break
     return out

@@ -29,7 +29,6 @@ from ringlab.properties import (
     _certificate_checks,
     element_property,
     ring_property,
-    spectral_candidates,
 )
 from ringlab.radicals import DeltaComputation, qnil_set
 from test_cross_checks import DIFFERENTIAL_PRESETS, ELEMENT_PROPERTIES
@@ -309,11 +308,16 @@ def _split_delta_r5(monkeypatch, ring):
     )
 
 
-def _spectral_of_unit(unit, candidates):
+def _delta_and_radical(*members):
+    """delta and the Jacobson radical are both ``members``.  The companion
+    masks are built from them, and so are the independent oracle's
+    companions."""
+
     def force(monkeypatch, ring):
-        lists = [list(spectral_candidates(ring, a, "delta")) for a in range(ring.order)]
-        lists[unit] = list(candidates)
-        _force(monkeypatch, ring, properties._spectral_lists, DQP, value=lists)
+        forced = ElementSet.from_indices(ring.order, members)
+        computation = DeltaComputation(*[forced] * 5, agree=True, consensus=forced)
+        _force(monkeypatch, ring, radicals.delta, value=computation)
+        _force(monkeypatch, ring, radicals.jacobson, value=forced)
 
     return force
 
@@ -349,7 +353,9 @@ FORCED_BRANCHES = [
     ),
     ("conjugation-preserves-delta-quasipolar", "mat:2:zmod:2", _companions(DQP, 4)),
     ("minus-one-shift-preserves-delta-quasipolar", "zmod:4", _companions(DQP, 1)),
-    ("unit-spectral-idempotent-is-identity", "zmod:4", _spectral_of_unit(3, (0, 1))),
+    # the unit 3 of Z4 has companions (0, 1), as 3 + 0 and 3 + 1 = 0 lie in
+    # {0, 2, 3}; the unit 1 keeps (1,), as 1 does not and 1 + 1 = 2 does
+    ("unit-spectral-idempotent-is-identity", "zmod:4", _delta_and_radical(0, 2, 3)),
     ("delta-quasipolar-ring-has-two-in-delta", "zmod:9", _property(DQP, True)),
     ("local-quasipolar-implies-delta-quasipolar", "zmod:2", _property(DQP, False, 1)),
     ("delta-quasipolar-implies-right-pp", "zmod:2", _property(P.RIGHT_PP, False, 1)),

@@ -381,7 +381,8 @@ def test_regularity_is_decided_without_a_finder(preset, monkeypatch):
 @pytest.mark.parametrize("preset", ["zmod:4", "tri:2:zmod:3", "mat:2:zmod:2"])
 def test_report_and_unit_spectral_claim_read_the_spectral_lists(preset, monkeypatch):
     """Neither the report nor the unit-spectral claim calls the validating
-    spectral_candidates; the report's lists are fresh copies of the same."""
+    spectral_candidates, and the report owns its lists: appending to them
+    changes neither spectral_candidates nor a second report."""
     reference = build_preset(preset)
     spectral = [list(spectral_candidates(reference, a, "delta")) for a in range(reference.order)]
     entry = CatalogEntry(name=preset, recipe=preset)
@@ -398,9 +399,11 @@ def test_report_and_unit_spectral_claim_read_the_spectral_lists(preset, monkeypa
     ring = build_preset(preset)
     built = build_report(ring)
     assert built["delta_spectral"] == spectral, preset
-    cached = properties._spectral_lists(ring, PropertyName.DELTA_QUASIPOLAR)
-    assert set(map(id, built["delta_spectral"])).isdisjoint(map(id, cached)), preset
     assert claim.check(SuiteContext(entries=(entry,), rings={preset: ring})) == expected
+    for companions in built["delta_spectral"]:
+        companions.append(ring.order)
+    assert [list(spectral_candidates(ring, a, "delta")) for a in range(ring.order)] == spectral
+    assert build_report(ring)["delta_spectral"] == spectral, preset
 
 
 def _permuted_report(report: dict, perm) -> dict:

@@ -40,11 +40,11 @@ from test_cross_checks import DIFFERENTIAL_PRESETS, RELABELLED_PRESETS
 
 @pytest.mark.parametrize("preset", ["zmod:12", "tri:2:zmod:2", "mat:2:zmod:2"])
 def test_translate_is_row_t_of_add_at_every_member(preset):
-    """``t + S`` for every ``t``, with ``S`` sparse, exactly half of the ring
-    (the tie, where ``S`` itself is walked) and dense (where its complement
-    is), on rings whose zero and one move.  The walked side is read through
-    its flags on Z12 at sizes 6 and 7 and on M2(Z2) at sizes 8 and 9, and
-    bit by bit at the other sizes."""
+    """``t + S`` for every ``t``, all from one call, with ``S`` sparse,
+    exactly half of the ring (the tie, where ``S`` itself is walked) and
+    dense (where its complement is), on rings whose zero and one move.  The
+    walked side is read through its flags on Z12 at sizes 6 and 7 and on
+    M2(Z2) at sizes 8 and 9, and bit by bit at the other sizes."""
     ring = build_preset(preset)
     rng = random.Random(f"translate:{preset}")
     relabelled = oracles.permuted_ring(ring, oracles.moving_permutation(ring, rng))
@@ -53,10 +53,10 @@ def test_translate_is_row_t_of_add_at_every_member(preset):
     for size in (0, 1, n // 4, n // 2, n // 2 + 1, 3 * n // 4, n - 1, n):
         members = rng.sample(range(n), size)
         bits = sum(1 << x for x in members)
-        for t, row in enumerate(relabelled.add):
-            assert _translate_bits(relabelled, bits, t) == sum(
-                1 << row[x] for x in members
-            ), (preset, sorted(members), t)
+        masks = _translate_bits(relabelled, bits, range(n))
+        assert len(masks) == n, (preset, sorted(members))
+        for t, (row, mask) in enumerate(zip(relabelled.add, masks)):
+            assert mask == sum(1 << row[x] for x in members), (preset, sorted(members), t)
 
 
 def _assert_lattice_predicates_match_oracles(ring):
