@@ -450,6 +450,30 @@ def _subgroup_generators(ring: FiniteRing, bits: int) -> list[int]:
     return _normal_form(ring, bits)[0]
 
 
+def _is_subgroup(ring: FiniteRing, bits: int) -> bool:
+    """Whether the mask is an additive subgroup.  The walk of
+    :func:`_normal_form` reaches zero, every member of the mask and the rest
+    of the subgroup they generate, one element per edge but the wrap edges,
+    so the mask is that subgroup exactly when it has as many members."""
+    edges = _normal_form(ring, bits)[1]
+    return edges is not None and 1 + sum(len(p) - 1 for _, p, _ in edges) == bits.bit_count()
+
+
+@memo
+def _coset_leaders(ring: FiniteRing, bits: int) -> tuple[int, ...]:
+    """The least member of ``a + S`` for each ``a``, for the additive
+    subgroup ``S`` of the mask; cached.  Row ``a`` of ``add`` read at the
+    members of ``S`` lists ``a + S``, and ``a`` leads it when no smaller
+    element has listed it: n table reads in all."""
+    members = bit_members(bits)
+    leaders = [None] * ring.order
+    for a, row in enumerate(ring.add):
+        if leaders[a] is None:
+            for b in map(row.__getitem__, members):
+                leaders[b] = a
+    return tuple(leaders)
+
+
 # --------------------------------------------------------------------------
 # constructors
 
@@ -755,14 +779,10 @@ def build_quotient(
         raise IdealError(
             f"subset {list(members)} is not a two-sided ideal of {ring.name}"
         )
-    coset_of: list = [None] * ring.order
-    reps: list[int] = []
-    for a in range(ring.order):
-        if coset_of[a] is None:  # so a is the least member of its coset
-            for m in map(ring.add[a].__getitem__, members):
-                coset_of[m] = len(reps)
-            reps.append(a)
-    proj = tuple(coset_of)
+    leaders = _coset_leaders(ring, ideal.bits)
+    reps = sorted(set(leaders))
+    position = {r: i for i, r in enumerate(reps)}
+    proj = tuple(map(position.__getitem__, leaders))
     labels = tuple(f"[{ring.label(r)}]" for r in reps)
     name = f"{ring.name}/I{len(members)}"
     return _induced_ring(ring, reps, proj, ring.one, name, labels), proj

@@ -16,6 +16,7 @@ from ringlab.core import (
     IdealError,
     LatticeLimitError,
     _check_element,
+    _is_subgroup,
     _subgroup_generators,
     bit_members,
     element_sets,
@@ -98,28 +99,15 @@ def _span_bits(ring: FiniteRing, b1: int, b2: int) -> int:
     return _coset_union(ring.add, b1, bit_members(b1), b2)
 
 
-def _maps_into(bits: int, rows) -> bool:
-    """Whether each table row maps every member of the mask into the mask."""
-    members = bit_members(bits)
-    inside = set(members)
-    return all(inside.issuperset(map(row.__getitem__, members)) for row in rows)
-
-
 def _is_right_ideal_bits(ring: FiniteRing, bits: int) -> bool:
-    """Whether the mask is a right ideal, tested on its greedy generators.
-
-    The generators lie in the mask and generate a subgroup that contains it.
-    A mask holding zero that each generator translates into itself contains
-    that subgroup too, so it is the subgroup.  Then ``x r`` is a sum of the
-    ``g r``, and right closure needs testing on the generators only.
+    """Whether the mask is a right ideal: an additive subgroup whose greedy
+    generators ``g`` each have ``g R`` inside it.  Then ``x r`` is a sum of
+    the ``g r``, so right closure needs testing on the generators only.
     """
-    if not (bits >> ring.zero) & 1:
+    if not _is_subgroup(ring, bits):
         return False
     pb = _principal_bits(ring)
-    gens = _subgroup_generators(ring, bits)
-    return not any(pb[g] & ~bits for g in gens) and _maps_into(
-        bits, (ring.add[g] for g in gens)
-    )
+    return not any(pb[g] & ~bits for g in _subgroup_generators(ring, bits))
 
 
 def _require_right_ideal(ring: FiniteRing, subset: ElementSet) -> int:
@@ -237,11 +225,9 @@ def _join_irreducible_principals(ring: FiniteRing) -> list[int]:
     right ideals strictly inside ``aR`` is the additive span of ``N``, and
     every proper right ideal inside ``aR`` lies in ``N``.  So ``aR`` is a
     seed exactly when ``N`` is closed under addition, and then ``N`` is a
-    proper subgroup, at most half of ``aR``.  The joins stop as soon as one
-    leaves ``N``.  Every principal right ideal is a join of seeds, so they
-    generate the lattice.  Cached.
+    proper subgroup, at most half of ``aR``.  Every principal right ideal
+    is a join of seeds, so they generate the lattice.  Cached.
     """
-    pb = _principal_bits(ring)
     classes = _principal_classes(ring)
     zero_bit = 1 << ring.zero
     seeds = []
@@ -249,13 +235,7 @@ def _join_irreducible_principals(ring: FiniteRing) -> list[int]:
         below = p & ~classes[p]
         if p == zero_bit or below.bit_count() * 2 > p.bit_count():
             continue
-        join = zero_bit
-        for x in bit_members(below):
-            if pb[x] & ~join:
-                join = _span_bits(ring, join, pb[x])
-                if join & ~below:
-                    break
-        else:
+        if _is_subgroup(ring, below):
             seeds.append(p)
     return seeds
 

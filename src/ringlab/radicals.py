@@ -10,6 +10,7 @@ from ringlab.core import (
     ComputationFault,
     ElementSet,
     FiniteRing,
+    _coset_leaders,
     _subgroup_generators,
     flags_from_mask,
     mask_from_flags,
@@ -24,7 +25,6 @@ from ringlab.ideals import (
     _principal_classes,
     _span_bits,
     _summand_witness,
-    _translate_bits,
     all_right_ideals,
     is_delta_small,
     is_two_sided_ideal,
@@ -119,22 +119,6 @@ def center_bits(ring: FiniteRing) -> int:
     return centraliser_bits(ring, (1 << ring.order) - 1)
 
 
-@memo
-def _coset_leaders(ring: FiniteRing) -> tuple[int, ...]:
-    """The least member of ``a + Z(R)`` for each ``a``; cached.
-
-    Row ``a`` of ``add`` read at the centre lists the coset, and ``a`` is
-    its least member when no smaller element has listed it.
-    """
-    centre = flags_from_mask(center_bits(ring))
-    leaders = [None] * ring.order
-    for a, row in enumerate(ring.add):
-        if leaders[a] is None:
-            for b in compress(row, centre):
-                leaders[b] = a
-    return tuple(leaders)
-
-
 def commutant_bits(ring: FiniteRing, a: int) -> int:
     """The commutant of ``a``; all of the ring when ``a`` is central.
 
@@ -142,9 +126,10 @@ def commutant_bits(ring: FiniteRing, a: int) -> int:
     ``a`` shares its commutant with the leader of ``a + Z(R)``.
     """
     full = (1 << ring.order) - 1
-    if (centraliser_bits(ring, full) >> a) & 1:
+    centre = centraliser_bits(ring, full)  # center_bits(ring), one frame fewer
+    if (centre >> a) & 1:
         return full
-    return _row_commutant(ring, _coset_leaders(ring)[a])
+    return _row_commutant(ring, _coset_leaders(ring, centre)[a])
 
 
 @memo
@@ -254,8 +239,9 @@ def delta_r5(ring: FiniteRing) -> ElementSet:
             zbits & ybits == zero_bit for ybits in parts_of_size.get(size, ())
         ):
             complemented |= generators
-    # the w with 1 + w in C
-    allowed = _translate_bits(ring, complemented, (ring.neg(ring.one),))[0]
+    # xR must lie in C - 1, the w with 1 + w in C.  zR = (-z)R gives C = -C,
+    # so C - 1 = -(1 + C), and xR = -xR lies in that exactly when in 1 + C
+    allowed = _one_plus_bits(ring, complemented)
     bits = 0
     for xr, generators in classes.items():
         if not xr & ~allowed:

@@ -64,6 +64,26 @@ _COMPANIONS = (
     "tests/test_properties.py::test_spectral_candidates_frozen",
     "tests/test_properties.py::test_companion_search_matches_reference",
 )
+_QUOTIENTS = (
+    "tests/test_cross_checks.py::test_quotients_and_corners_match_old_builders_relabelled",
+)
+_SUBGROUPS = (
+    "tests/test_ideals.py::test_right_ideal_test_matches_subset_scan",
+    "tests/test_core.py::test_normal_form_generators_match_bfs_oracle_on_catalog",
+)
+_SEEDS = (
+    "tests/test_ideals.py::test_seeds_are_the_join_irreducible_right_ideals",
+    "tests/test_ideals.py::test_lattice_matches_seed_closure_oracle_relabelled",
+)
+_ORBITS = (
+    "tests/test_cross_checks.py::test_principal_bits_per_unit_orbit_match_per_cell_loop",
+    "tests/test_cross_checks.py::test_principal_bits_builds_one_mask_per_unit_orbit",
+)
+_ZMOD = ("tests/test_core.py::test_zmod_matches_oracle",)
+_AXIOMS = (
+    "tests/test_core.py::test_verify_axioms_matches_brute_force",
+    "tests/test_core.py::test_verify_axioms_on_one_sided_near_rings",
+)
 _DORROH = (
     "tests/test_core.py::test_dorroh_on_relabelled_rings",
     "tests/test_core.py::test_dorroh_matches_oracle_validator",
@@ -153,7 +173,7 @@ MUTANTS = (
     Mutant(
         id="r5-no-translate",
         file="ringlab/radicals.py",
-        old="    allowed = _translate_bits(ring, complemented, (ring.neg(ring.one),))[0]",
+        old="    allowed = _one_plus_bits(ring, complemented)",
         new="    allowed = complemented",
         tests=_DELTA_MASKS,
     ),
@@ -163,18 +183,6 @@ MUTANTS = (
         old="        if not xr & ~allowed:",
         new="        if xr & allowed:",
         tests=_DELTA_MASKS,
-    ),
-    Mutant(
-        id="r5-translate-to-one-plus",
-        file="ringlab/radicals.py",
-        old="    allowed = _translate_bits(ring, complemented, (ring.neg(ring.one),))[0]",
-        new="    allowed = _translate_bits(ring, complemented, (ring.one,))[0]",
-        tests=_DELTA_MASKS,
-        equivalent=(
-            "1 + C replaces C - 1.  C is a union of classes zR and (-z)R = zR, so"
-            " C = -C; xR = -xR likewise, so xR lies in C - 1 exactly when it"
-            " lies in -(C - 1) = 1 - C = 1 + C"
-        ),
     ),
     Mutant(
         id="r3-first-non-summand-only",
@@ -205,24 +213,21 @@ MUTANTS = (
         new="xr & bits != zero_bit for xr in _principal_classes(ring)",
         tests=_DELTA_MASKS,
     ),
-    # commutants once per coset of the centre, comm2 once per commutant class
+    # the one coset walk, for quotients and the centre; comm2 once per
+    # commutant class
     Mutant(
         id="coset-leaders-from-mul",
-        file="ringlab/radicals.py",
+        file="ringlab/core.py",
         old="    for a, row in enumerate(ring.add):",
         new="    for a, row in enumerate(ring.mul):",
         tests=_COSETS,
     ),
     Mutant(
         id="coset-leader-is-itself",
-        file="ringlab/radicals.py",
-        old="            for b in compress(row, centre):",
+        file="ringlab/core.py",
+        old="            for b in map(row.__getitem__, members):",
         new="            for b in (a,):",
-        tests=_COSETS,
-        equivalent=(
-            "every element leads its own coset, so its commutant is read off its"
-            " own row; any member of a + Z(R) has the commutant of a"
-        ),
+        tests=_QUOTIENTS,
     ),
     Mutant(
         id="double-commuters-subset-inverted",
@@ -237,6 +242,105 @@ MUTANTS = (
         old="            row = compress(row, flags_from_mask(commutant_bits(ring, a)))",
         new="            row = compress(row, flags_from_mask(center_bits(ring)))",
         tests=_COSETS,
+    ),
+    # the subgroup test, counted off the generator walk
+    Mutant(
+        id="subgroup-count-without-wrap",
+        file="ringlab/core.py",
+        old="sum(len(p) - 1 for _, p, _ in edges)",
+        new="sum(len(p) for _, p, _ in edges)",
+        tests=_SUBGROUPS,
+    ),
+    Mutant(
+        id="subgroup-count-at-least",
+        file="ringlab/core.py",
+        old="in edges) == bits.bit_count()",
+        new="in edges) >= bits.bit_count()",
+        tests=_SUBGROUPS,
+    ),
+    Mutant(
+        id="seed-test-without-half-size",
+        file="ringlab/ideals.py",
+        old="        if p == zero_bit or below.bit_count() * 2 > p.bit_count():",
+        new="        if p == zero_bit:",
+        tests=_SEEDS,
+        equivalent=(
+            "the non-generators N of aR are tested for closure under addition"
+            " either way; a closed N is a proper subgroup of aR, which holds at"
+            " most half of it, so a larger N fails the subgroup test as well"
+        ),
+    ),
+    # the minimal right ideals and the summand witnesses
+    Mutant(
+        id="minimal-keeps-every-nonzero-ideal",
+        file="ringlab/ideals.py",
+        old="        if bits != zero_bit and not any(m.bits & ~bits == 0 for m in kept):",
+        new="        if bits != zero_bit:",
+        tests=_LATTICE_PREDICATES,
+    ),
+    Mutant(
+        id="summand-keeps-greatest-idempotent",
+        file="ringlab/ideals.py",
+        old="    return {pb[e]: e for e in reversed(element_sets(ring)[1].indices())}",
+        new="    return {pb[e]: e for e in element_sets(ring)[1].indices()}",
+        tests=_LATTICE_PREDICATES,
+    ),
+    # principal masks once per unit orbit
+    Mutant(
+        id="orbit-read-off-add-row",
+        file="ringlab/ideals.py",
+        old="            for b in orbit(row):",
+        new="            for b in orbit(ring.add[a]):",
+        tests=_ORBITS,
+    ),
+    Mutant(
+        id="orbit-missing-one-unit",
+        file="ringlab/ideals.py",
+        old="    orbit = itemgetter(ring.one, *units_map(ring))",
+        new="    orbit = itemgetter(ring.one, *list(units_map(ring))[:-1])",
+        tests=_ORBITS,
+    ),
+    # the write side: save_ring's texts and build_zmod's rows
+    Mutant(
+        id="save-texts-without-none-padding",
+        file="ringlab/core.py",
+        old="    texts = tuple(map(str, range(n))) + (None,) * n",
+        new="    texts = tuple(map(str, range(n)))",
+        tests=("tests/test_core.py::test_save_ring_refuses_non_index_entries",),
+    ),
+    Mutant(
+        id="zmod-wrong-cofactor-row",
+        file="ringlab/core.py",
+        old="            mul.append(itemgetter(*mul[p])(mul[a // p]))",
+        new="            mul.append(itemgetter(*mul[p])(mul[a - p]))",
+        tests=_ZMOD,
+    ),
+    Mutant(
+        id="zmod-greatest-sieve-factor-last",
+        file="ringlab/core.py",
+        old="    for p in range(math.isqrt(n - 1), 1, -1):",
+        new="    for p in range(2, math.isqrt(n - 1) + 1):",
+        tests=_ZMOD,
+        equivalent=(
+            "row a is read as row a // p at the cells of row p for the factor p"
+            " written last; any factor 1 < p < a gives a x = (a // p)(p x), and"
+            " rows p and a // p are built before row a"
+        ),
+    ),
+    # verify_axioms: distributivity along the walk's edges
+    Mutant(
+        id="axioms-skip-generator-rows",
+        file="ringlab/core.py",
+        old="    generator_rows = ((g, mul[g]) for g in gens)",
+        new="    generator_rows = ()",
+        tests=_AXIOMS,
+    ),
+    Mutant(
+        id="axioms-column-maps-of-generators-only",
+        file="ringlab/core.py",
+        old='("right", enumerate(zip(*mul)))',
+        new='("right", ((g, [row[g] for row in mul]) for g in gens))',
+        tests=_AXIOMS,
     ),
     # Fast Close-by-One
     Mutant(

@@ -30,6 +30,7 @@ from ringlab.core import (
     FiniteRing,
     IdealError,
     SizeCapError,
+    _is_subgroup,
     _normal_form,
     _subgroup_generators,
     bit_members,
@@ -880,8 +881,9 @@ def test_tree_axiom_check_needs_the_later_generator_pairs():
 
 def _assert_walk_matches_bfs(ring, rng):
     """The walk's generators are the BFS closure's on the full mask, every
-    right ideal, every row commutant and random masks holding zero; on the
-    full mask its tree reaches each element once."""
+    right ideal, every row commutant and random masks holding zero, and its
+    subgroup count agrees with a closure check on each; on the full mask
+    its tree reaches each element once."""
     n, full = ring.order, (1 << ring.order) - 1
     masks = {full}
     masks.update(ideal.bits for ideal in all_right_ideals(ring))
@@ -891,6 +893,11 @@ def _assert_walk_matches_bfs(ring, rng):
         gens, edges = _normal_form(ring, bits)
         assert edges is not None, (ring.name, bits)
         assert gens == oracles.bfs_subgroup_generators(ring, bits), (ring.name, bits)
+        # zero is in S, and a + b is in S for all a, b in S
+        closed = bool(bits >> ring.zero & 1) and not (
+            oracles.brute_pairwise_span(ring, bits, bits) & ~bits
+        )
+        assert _is_subgroup(ring, bits) == closed, (ring.name, bits)
     gens, edges = _normal_form(ring, full)
     # the last edge of each generator is its wrap edge, back into the
     # subgroup of the generators before it

@@ -355,6 +355,14 @@ def test_quotients_and_corners_match_old_builders_on_catalog(catalog_rings):
         _assert_quotients_and_corners_match_old_builders(ring)
 
 
+@pytest.mark.parametrize("preset", RELABELLED_PRESETS)
+def test_quotients_and_corners_match_old_builders_relabelled(preset):
+    """Relabelled so that zero and one move, as the coset walk sees them."""
+    ring = build_preset(preset)
+    perm = oracles.moving_permutation(ring, random.Random(f"quotients:{preset}"))
+    _assert_quotients_and_corners_match_old_builders(oracles.permuted_ring(ring, perm))
+
+
 REGULARITY = (PropertyName.VON_NEUMANN_REGULAR, PropertyName.STRONGLY_REGULAR)
 
 

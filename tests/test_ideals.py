@@ -47,7 +47,12 @@ from ringlab.ideals import (
     two_sided_closure,
     two_sided_ideals,
 )
-from test_cross_checks import DIFFERENTIAL_PRESETS, LATTICE_SURVEY_RINGS, Z2_POWER_NINE
+from test_cross_checks import (
+    DIFFERENTIAL_PRESETS,
+    LATTICE_SURVEY_RINGS,
+    RELABELLED_PRESETS,
+    Z2_POWER_NINE,
+)
 
 
 def _sets(ideals):
@@ -202,15 +207,22 @@ def test_right_ideal_lattice_matches_subset_scan(name, make):
 
 @pytest.mark.parametrize("name,make", SMALL_RINGS)
 def test_right_ideal_test_matches_subset_scan(name, make):
-    """Random masks, and each right ideal with one element toggled."""
+    """Random masks with zero and without it, and each right ideal with one
+    element toggled, on the ring and relabelled so that zero and one move."""
     ring = make()
-    n = ring.order
-    ideals = {sum(1 << i for i in ideal) for ideal in oracles.brute_right_ideals(ring)}
+    perm = oracles.moving_permutation(ring, random.Random(f"relabel:{name}"))
     rng = random.Random(f"is-right-ideal:{name}")
-    masks = {rng.getrandbits(n) | 1 << ring.zero for _ in range(200)}
-    masks |= {bits ^ 1 << i for bits in ideals for i in range(n)} | ideals
-    for bits in masks:
-        assert is_right_ideal(ring, ElementSet(bits, n)) == (bits in ideals), bits
+    for each in (ring, oracles.permuted_ring(ring, perm)):
+        n, zero_bit = each.order, 1 << each.zero
+        ideals = {sum(1 << i for i in ideal) for ideal in oracles.brute_right_ideals(each)}
+        masks = {rng.getrandbits(n) | zero_bit for _ in range(200)}
+        masks |= {rng.getrandbits(n) & ~zero_bit for _ in range(200)}
+        masks |= {bits ^ 1 << i for bits in ideals for i in range(n)} | ideals
+        for bits in masks:
+            assert is_right_ideal(each, ElementSet(bits, n)) == (bits in ideals), (
+                each.zero,
+                bits,
+            )
 
 
 @pytest.mark.parametrize("name,make", SMALL_RINGS)
@@ -276,6 +288,14 @@ def test_lattice_matches_seed_closure_oracle_on_catalog(catalog_rings):
 )
 def test_lattice_matches_seed_closure_oracle(preset):
     _assert_lattice_matches_seed_closure(build_preset(preset))
+
+
+@pytest.mark.parametrize("preset", RELABELLED_PRESETS)
+def test_lattice_matches_seed_closure_oracle_relabelled(preset):
+    """Relabelled so that zero and one move, as the seed test sees them."""
+    ring = build_preset(preset)
+    perm = oracles.moving_permutation(ring, random.Random(f"seeds:{preset}"))
+    _assert_lattice_matches_seed_closure(oracles.permuted_ring(ring, perm))
 
 
 def test_lattice_order_is_sort_key_order(catalog_rings):

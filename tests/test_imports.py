@@ -190,6 +190,39 @@ def test_only_read_json_parses_json():
     assert found == []
 
 
+def _identifier_lines(source: str, name: str) -> list[int]:
+    """The lines at which ``name`` is an identifier: a name, an attribute, a
+    function, an imported name or an argument; strings do not count."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        field = _IDENTIFIER_FIELDS.get(type(node))
+        if field is not None and getattr(node, field) == name:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_identifier_scan_sees_names_attributes_imports_and_arguments():
+    source = (
+        "from ringlab.core import _normal_form as walk\n"
+        "def f(ring, _normal_form=None):\n"
+        "    return core._normal_form(ring, 1), '_normal_form'\n"
+        "def _normal_form(ring):\n"
+        "    return _normal_form\n"
+    )
+    assert _identifier_lines(source, "_normal_form") == [1, 2, 3, 4, 5]
+
+
+def test_only_core_reads_the_normal_form_walk():
+    """The layout of the walk's edges is read in core.py alone."""
+    found = [
+        f"{path.name}: line {line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "core.py"
+        for line in _identifier_lines(path.read_text(), "_normal_form")
+    ]
+    assert found == []
+
+
 # the functions of core.py that may call FiniteRing(...)
 _RING_BUILDERS = {
     "build_zmod",
