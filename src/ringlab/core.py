@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, product
+from itertools import chain, compress, product, repeat, starmap
 from operator import eq, getitem, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -565,10 +565,18 @@ def _pair_table(
     return tuple(rows)
 
 
-def _matrix_label(rows: Sequence[Sequence[int]], base: FiniteRing) -> str:
-    return "[" + ",".join(
-        "[" + ",".join(base.label(v) for v in row) + "]" for row in rows
-    ) + "]"
+def _sum_row(add: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The row whose entry at the packed index of ``(i_1, ..., i_d)``, first
+    digit most significant, is ``columns[0][i_1] + ... + columns[-1][i_d]``.
+    It folds from the right, as :func:`build_product` does: the wide row so
+    far is read through one ``itemgetter`` at row x of ``add`` for each x of
+    the next column, so each cell is a cell of ``add``."""
+    row = columns[-1]
+    for column in reversed(columns[:-1]):
+        # itemgetter of one index returns the entry, not a 1-tuple
+        pick = itemgetter(*row) if len(row) > 1 else lambda sums, y=row[0]: (sums[y],)
+        row = tuple(chain.from_iterable(map(pick, map(add.__getitem__, column))))
+    return tuple(row)
 
 
 # the k x k pattern rings by preset head: the name prefix, the number of
@@ -589,64 +597,58 @@ def _pattern_ring(base: FiniteRing, k: int, head: str) -> FiniteRing:
 
     ``cells[i]`` lists the positions ``(r, c)`` that share stored digit i;
     positions in no cell hold zero.  The pattern must hold the identity and be
-    closed under products.  Digits are packed in cell order, the last fastest,
-    so (R,+) is base^d for d cells and its table folds as in
-    :func:`build_product`.  b -> ab is additive, so row a of the product table
-    folds the d lists of ``a E_j(v)`` over v, where ``E_j(v)`` holds v on
-    cell j and zero elsewhere.
+    closed under products, so digit t of a product is read at cells[t][0].
+    Digits are packed in cell order, the last fastest, so (R,+) is base^d for
+    d cells and its table folds as in :func:`build_product`.  b -> ab is
+    additive, so row a of the product table is :func:`_sum_row` of the d lists
+    of ``a E_j(v)`` over v, read off a's digits, where ``E_j(v)`` holds v on
+    cell j and zero elsewhere.  Every label fills one template.
     """
     prefix, digit_count, cells_for = _PATTERNS[head]
     d = digit_count(k)
     _check_pattern_digits(k, d)
-    n, zero, badd, bmul = base.order, base.zero, base.add, base.mul
+    n, zero = base.order, base.zero
     order = n**d
     check_size(order)
     cells = cells_for(k)
-    add = badd
+    add = base.add
     for _ in cells[1:]:
-        add = _pair_table(badd, add)
+        add = _pair_table(base.add, add)
     first = [cell[0] for cell in cells]
-
-    def encode(entries: Sequence[Sequence[int]]) -> int:
-        index = 0
-        for r, c in first:
-            index = index * n + entries[r][c]
-        return index
-
-    def times(a: Sequence[Sequence[int]], cell: Sequence[tuple[int, int]], v: int) -> int:
-        # entry (r, c) of a E_j(v) sums a[r][m] v over the (m, c) in cell j
-        index = 0
-        for r, c in first:
-            acc = zero
-            for m, col in cell:
-                if col == c:
-                    acc = badd[acc][bmul[a[r][m]][v]]
-            index = index * n + acc
-        return index
-
-    matrices = []
-    for digits in product(range(n), repeat=len(cells)):
-        entries = [[zero] * k for _ in range(k)]
-        for cell, v in zip(cells, digits):
-            for r, c in cell:
-                entries[r][c] = v
-        matrices.append(entries)
-    zero_index = encode([[zero] * k] * k)
+    digit_at = {position: i for i, cell in enumerate(cells) for position in cell}
+    # Entry (r, c) of a E_j(v) sums a[r][m] v over the (m, c) in cell j.  In
+    # mat, tri and cdtri a cell has at most one position in any column, so it
+    # is a's digit at (r, m) times v, or zero.  sources[j] lists the pairs
+    # (t, s) where digit t of a E_j(v) is a's digit s times v.
+    sources = [[] for _ in cells]
+    for j, cell in enumerate(cells):
+        for m, c in cell:
+            for t, (r, col) in enumerate(first):
+                if col == c and (r, m) in digit_at:
+                    sources[j].append((t, digit_at[r, m]))
+    # steps[t][y] moves digit t of a packed index from zero to y
+    steps = [[n ** (d - 1 - t) * (y - zero) for y in range(n)] for t in range(d)]
+    zero_index = zero * sum(n**t for t in range(d))
+    ints = add[zero_index]  # the list entries are read out of the shared ints
     mul = []
-    for a in matrices:
-        row = [zero_index]
-        for cell in cells:
-            column = [times(a, cell, v) for v in range(n)]
-            row = [add[x][y] for x in row for y in column]
-        mul.append(tuple(row))
+    for digits in product(range(n), repeat=d):
+        columns = []
+        for pairs in sources:
+            moved = zip(*[map(steps[t].__getitem__, base.mul[digits[s]]) for t, s in pairs])
+            columns.append(list(map(ints.__getitem__, map(sum, moved, repeat(zero_index)))))
+        mul.append(_sum_row(add, columns))
+    # one label template; a position in no cell shows the base's zero, z
+    rows = [["{%s}" % digit_at.get((r, c), "z") for c in range(k)] for r in range(k)]
+    template = "[" + ",".join("[" + ",".join(row) + "]" for row in rows) + "]"
+    fill = functools.partial(template.format, z=base.label(zero))
     return FiniteRing(
         order=order,
         add=add,
         mul=tuple(mul),
         zero=zero_index,
-        one=encode([[base.one if r == c else zero for c in range(k)] for r in range(k)]),
+        one=zero_index + sum(steps[t][base.one] for t, (r, c) in enumerate(first) if r == c),
         name=f"{prefix}{k}({base.name})",
-        labels=tuple(_matrix_label(entries, base) for entries in matrices),
+        labels=tuple(starmap(fill, product(map(base.label, range(n)), repeat=d))),
     )
 
 
@@ -742,10 +744,10 @@ def build_dorroh(data: DorrohData) -> FiniteRing:
     for r, r_row in enumerate(base.mul):
         for v in range(nv):
             # (r, v)(s, w) = (rs, v.s) + (0, r.w + vw), and x -> (r, v)x is
-            # additive, so the row folds two lists as in _pattern_ring
+            # additive, so the row sums two lists as in _pattern_ring
             left = [nv * rs + vs for rs, vs in zip(r_row, ra[v])]
             right = [shift + bim.add[rw][vw] for rw, vw in zip(la[r], bim.mul[v])]
-            mul.append(tuple([add[x][y] for x in left for y in right]))
+            mul.append(_sum_row(add, [left, right]))
     labels = tuple(
         f"({base.label(r)},{bim.label(v)})" for r in range(nr) for v in range(nv)
     )

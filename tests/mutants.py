@@ -88,6 +88,11 @@ _DORROH = (
     "tests/test_core.py::test_dorroh_on_relabelled_rings",
     "tests/test_core.py::test_dorroh_matches_oracle_validator",
 )
+_PATTERNS = (
+    "tests/test_core.py::test_pattern_builders_match_brute_force",
+    "tests/test_core.py::test_pattern_and_dorroh_tables_above_the_oracles_are_pinned",
+)
+_CROSS_CHECKS = ("tests/test_cross_checks.py::test_cross_checks_match_per_cell_loops_on_catalog",)
 
 MUTANTS = (
     # the one translate t + S
@@ -145,6 +150,13 @@ MUTANTS = (
         file="ringlab/ideals.py",
         old="    for ideal in reversed(all_right_ideals(ring)):",
         new="    for ideal in all_right_ideals(ring):",
+        tests=_LATTICE_PREDICATES,
+    ),
+    Mutant(
+        id="core-first-generator-only",
+        file="ringlab/ideals.py",
+        old="(ring.mul[g] for g in gens))",
+        new="(ring.mul[g] for g in gens[:1]))",
         tests=_LATTICE_PREDICATES,
     ),
     Mutant(
@@ -235,6 +247,29 @@ MUTANTS = (
         old="        if not comm & outside:",
         new="        if not ~comm & ~outside:",
         tests=_COSETS,
+    ),
+    Mutant(
+        id="centre-first-generator-only",
+        file="ringlab/radicals.py",
+        old="    for g in _subgroup_generators(ring, subgroup):",
+        new="    for g in _subgroup_generators(ring, subgroup)[:1]:",
+        tests=_CROSS_CHECKS,
+    ),
+    Mutant(
+        id="commutant-without-central-shortcut",
+        file="ringlab/radicals.py",
+        old="    if (centre >> a) & 1:\n        return full\n",
+        new="",
+        tests=(
+            "tests/test_radicals.py::test_report_on_commutative_ring_compares_one_row_per_generator",
+            *_CROSS_CHECKS,
+        ),
+        equivalent=(
+            "for central a the coset a + Z(R) is Z(R), whose least member is"
+            " central, so its row commutant is the whole ring as well, at one"
+            " cached row compare; a report on a commutative ring never asks a"
+            " central element's commutant, so the count guard sees no change"
+        ),
     ),
     Mutant(
         id="qnil-compressed-by-the-centre",
@@ -342,6 +377,16 @@ MUTANTS = (
         new='("right", ((g, [row[g] for row in mul]) for g in gens))',
         tests=_AXIOMS,
     ),
+    Mutant(
+        id="axioms-wrap-edges-replaced",
+        file="ringlab/core.py",
+        old="    groups = [(g, itemgetter(*ps), itemgetter(*xs)) for g, ps, xs in edges]",
+        new=(
+            "    groups = [(g, itemgetter(*ps[:-1], ps[0]), itemgetter(*xs[:-1], xs[0]))"
+            " for g, ps, xs in edges]"
+        ),
+        tests=("tests/test_core.py::test_tree_axiom_check_needs_the_wrap_edges",),
+    ),
     # Fast Close-by-One
     Mutant(
         id="fcbo-skip-without-current",
@@ -357,7 +402,28 @@ MUTANTS = (
         new="                stack.append((join, j + 1, inherited))",
         tests=_LATTICE,
     ),
-    # the Dorroh row fold
+    # the one row fold, and the pattern rings' lists read off the digits
+    Mutant(
+        id="row-fold-left-to-right",
+        file="ringlab/core.py",
+        old="    row = columns[-1]\n    for column in reversed(columns[:-1]):",
+        new="    row = columns[0]\n    for column in columns[1:]:",
+        tests=(*_PATTERNS, *_DORROH),
+    ),
+    Mutant(
+        id="pattern-digit-keyed-on-column-row",
+        file="ringlab/core.py",
+        old="(r, m) in digit_at:\n                    sources[j].append((t, digit_at[r, m]))",
+        new="(m, r) in digit_at:\n                    sources[j].append((t, digit_at[m, r]))",
+        tests=_PATTERNS,
+    ),
+    Mutant(
+        id="pattern-lists-not-read-from-shared-ints",
+        file="ringlab/core.py",
+        old="list(map(ints.__getitem__, map(sum, moved, repeat(zero_index))))",
+        new="list(map(sum, moved, repeat(zero_index)))",
+        tests=("tests/test_core.py::test_pattern_addition_is_base_power_addition",),
+    ),
     Mutant(
         id="dorroh-right-offset-by-extension-zero",
         file="ringlab/core.py",
@@ -368,8 +434,8 @@ MUTANTS = (
     Mutant(
         id="dorroh-left-right-swapped",
         file="ringlab/core.py",
-        old="            mul.append(tuple([add[x][y] for x in left for y in right]))",
-        new="            mul.append(tuple([add[x][y] for x in right for y in left]))",
+        old="            mul.append(_sum_row(add, [left, right]))",
+        new="            mul.append(_sum_row(add, [right, left]))",
         tests=_DORROH,
     ),
 )

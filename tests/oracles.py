@@ -22,7 +22,6 @@ from ringlab.core import (
     ElementSet,
     FiniteRing,
     IdealError,
-    _matrix_label,
     bit_members,
     build_corner,
     build_quotient,
@@ -611,6 +610,13 @@ def brute_build_product(factors):
 # table cell at a time.
 
 
+def grid_label(rows: Sequence[Sequence[int]], base: FiniteRing) -> str:
+    """The label of the matrix with these rows of base elements, formatted
+    here and not by the library: each row's entry labels in brackets,
+    inside one more pair of brackets."""
+    return "[%s]" % ",".join("[%s]" % ",".join(map(base.label, row)) for row in rows)
+
+
 def brute_matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
     """The full ``k x k`` matrix ring, entries packed row-major."""
     if k < 1:
@@ -643,7 +649,7 @@ def brute_matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
     mul = tuple(tuple(mat_mul(da, db) for db in decode) for da in decode)
     identity = [base.one if r == c else base.zero for r in range(k) for c in range(k)]
     labels = tuple(
-        _matrix_label([d[r * k:(r + 1) * k] for r in range(k)], base) for d in decode
+        grid_label([d[r * k:(r + 1) * k] for r in range(k)], base) for d in decode
     )
     return FiniteRing(
         order=order,
@@ -692,7 +698,7 @@ def brute_upper_triangular(base: FiniteRing, k: int) -> FiniteRing:
             for r in range(k)
         ]
 
-    labels = tuple(_matrix_label(tri_rows(d), base) for d in decode)
+    labels = tuple(grid_label(tri_rows(d), base) for d in decode)
     return FiniteRing(
         order=order,
         add=add,
@@ -744,7 +750,7 @@ def brute_constant_diagonal_triangular(base: FiniteRing, k: int) -> FiniteRing:
     def cd_rows(d):
         return [[entry(d, r, c) if r <= c else base.zero for c in range(k)] for r in range(k)]
 
-    labels = tuple(_matrix_label(cd_rows(d), base) for d in decode)
+    labels = tuple(grid_label(cd_rows(d), base) for d in decode)
     one_digits = [base.one] + [base.zero] * len(uppers)
     return FiniteRing(
         order=order,

@@ -8,10 +8,13 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import hashlib
 import itertools
 import json
 import math
 import random
+import sys
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -256,7 +259,9 @@ def test_right_folded_product_matches_brute_force(preset):
     _assert_cells_shared(got)
 
 
-@pytest.mark.parametrize("preset", ["mat:2:zmod:4", "tri:2:zmod:8", "cdtri:3:zmod:4"])
+@pytest.mark.parametrize(
+    "preset", ["mat:2:zmod:4", "tri:2:zmod:8", "cdtri:3:zmod:4", "mat:1:zmod:300"]
+)
 def test_pattern_addition_is_base_power_addition(preset):
     ring = build_preset(preset)
     base = build_preset(preset.split(":", 2)[2])
@@ -342,6 +347,35 @@ def test_pattern_builders_match_brute_force(kind, base_name, k):
         assert getattr(got, field) == getattr(want, field), field
     with pytest.raises(ValueError, match="matrix size must be positive"):
         build(base, 0)
+
+
+# sha256 of _table_sha256 on rings above the pattern oracles' reach (order
+# 256); frozen, so any change to these tables, indices or labels fails here
+PINNED_TABLE_SHA256 = {
+    "tri:2:zmod:8": "47eb1d090794e0b7f032484783a620fc1a1e791e0d2436245c603ec09852a4ac",
+    "mat:2:zmod:5": "694da0a747134ae06dcab1e1975fa7f754db58e686deaec094162809b8fe0cff",
+    "cdtri:5:zmod:2": "cb1a889fa0608a5440e68ea0c678fa037f7c19eaf62e1aeecd06e8fffdee42fa",
+    "dorroh:zmod:32": "b49f068f6013872662d71ded54ec7695ed08a5d759e69fb3222c88a6badcb7c2",
+}
+
+
+def _table_sha256(ring):
+    """sha256 of ``add`` then ``mul`` as little-endian 16-bit cells, then
+    ``zero``, ``one`` and the labels."""
+    digest = hashlib.sha256()
+    for table in (ring.add, ring.mul):
+        cells = array("H", itertools.chain.from_iterable(table))
+        if sys.byteorder == "big":
+            cells.byteswap()
+        digest.update(cells.tobytes())
+    digest.update(f"{ring.zero},{ring.one}\0".encode())
+    digest.update("\0".join(ring.labels).encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_TABLE_SHA256))
+def test_pattern_and_dorroh_tables_above_the_oracles_are_pinned(preset):
+    assert _table_sha256(build_preset(preset)) == PINNED_TABLE_SHA256[preset]
 
 
 # -------------------------------------------------------------- triangular
