@@ -60,16 +60,17 @@ class CatalogEntry:
 # preset grammar
 
 
-def _ascii_int(token: str) -> int | None:
-    """The value of a token of ASCII digits; ``None`` for any other token."""
+def _ascii_int(token: str, what: str) -> int | None:
+    """The value of a token of ASCII digits; ``None`` for any other token.
+    One too long for ``int()`` is over every cap and range: too large."""
     try:
         return int(token) if token.isascii() and token.isdigit() else None
     except ValueError:  # more digits than int() converts
-        return None
+        raise PresetError(f"{what} {token[:10]}... ({len(token)} digits) is too large") from None
 
 
 def _parse_positive_int(token: str, what: str) -> int:
-    value = _ascii_int(token)
+    value = _ascii_int(token, what)
     if value is None:
         raise PresetError(f"{what} must be written in ASCII digits, got {token!r}")
     if value < 1:
@@ -166,7 +167,7 @@ def _checked(order: int | None) -> int | None:
 
 
 def _generator(piece: str, text: str) -> int:
-    value = _ascii_int(piece)
+    value = _ascii_int(piece, "generator")
     if value is None:
         raise PresetError(f"bad generator {piece!r} in {text!r}")
     return value

@@ -171,6 +171,14 @@ def flags_from_mask(bits: int) -> bytes:
     return bin(bits)[:1:-1].encode().translate(_DIGIT_TO_FLAG)
 
 
+def _picker(indices: Iterable[int]):
+    """``itemgetter(*indices)``, but a tuple also for one index."""
+    indices = tuple(indices)
+    if len(indices) == 1:
+        return lambda seq, i=indices[0]: (seq[i],)
+    return itemgetter(*indices)
+
+
 # --------------------------------------------------------------------------
 # rings
 
@@ -303,8 +311,7 @@ def verify_axioms(ring: FiniteRing) -> list[str]:
             return [f"{table_name} table is not {n} x {n}"]
         for i, row in enumerate(table):
             try:
-                # itemgetter of one index returns the entry, not a 1-tuple
-                if n > 1 and itemgetter(*row)(shared) == tuple(row):
+                if _picker(row)(shared) == tuple(row):
                     continue
             except (TypeError, IndexError):
                 pass
@@ -556,9 +563,8 @@ def _pair_table(
         # left[i][k] = a, so each row is a concatenation of these blocks.  The
         # blocks are read out of the shared ints, so every cell is one of the
         # len(left) * m ints, as in build_zmod.  A wide right operand makes
-        # each row a few long blocks.  When m is 1 the one block is the span
-        # itself, where itemgetter would return an int.
-        shifted = spans if m == 1 else list(map(itemgetter(*right_row), spans))
+        # each row a few long blocks.
+        shifted = list(map(_picker(right_row), spans))
         for i, left_row in enumerate(left):
             blocks = map(shifted.__getitem__, left_row)
             rows[i * m + j] = tuple(chain.from_iterable(blocks))
@@ -573,9 +579,7 @@ def _sum_row(add: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> 
     the next column, so each cell is a cell of ``add``."""
     row = columns[-1]
     for column in reversed(columns[:-1]):
-        # itemgetter of one index returns the entry, not a 1-tuple
-        pick = itemgetter(*row) if len(row) > 1 else lambda sums, y=row[0]: (sums[y],)
-        row = tuple(chain.from_iterable(map(pick, map(add.__getitem__, column))))
+        row = tuple(chain.from_iterable(map(_picker(row), map(add.__getitem__, column))))
     return tuple(row)
 
 
@@ -947,9 +951,7 @@ def save_ring(ring: FiniteRing, path: str | Path) -> None:
                 continue
             row_sep = "[\n    "
             for row in value:
-                # itemgetter of one index returns the text, not a 1-tuple
-                cells = itemgetter(*row)(texts) if n > 1 else (texts[row[0]],)
-                out.write(row_sep + _int_list_text(cells, 2))
+                out.write(row_sep + _int_list_text(_picker(row)(texts), 2))
                 row_sep = ",\n    "
             out.write("\n  ]")
         out.write("\n}\n")

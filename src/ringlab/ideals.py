@@ -8,7 +8,6 @@ pathological input fails fast instead of filling memory.
 from __future__ import annotations
 
 from itertools import compress
-from operator import itemgetter
 
 from ringlab.core import (
     ElementSet,
@@ -17,6 +16,7 @@ from ringlab.core import (
     LatticeLimitError,
     _check_element,
     _is_subgroup,
+    _picker,
     _subgroup_generators,
     bit_members,
     element_sets,
@@ -41,8 +41,7 @@ def _principal_bits(ring: FiniteRing) -> tuple[int, ...]:
     ``(au)R = aR`` for a unit ``u``, so one mask serves the orbit ``aU``,
     which is row ``a`` of ``mul`` read at the units.
     """
-    # one is listed twice so that itemgetter always returns a tuple
-    orbit = itemgetter(ring.one, *units_map(ring))
+    orbit = _picker(units_map(ring))
     out = [None] * ring.order
     for a, row in enumerate(ring.mul):
         if out[a] is None:
@@ -447,7 +446,7 @@ def _is_delta_small_bits(ring: FiniteRing, bits: int) -> bool:
 
 def is_direct_summand(ring: FiniteRing, subset: ElementSet) -> int | None:
     """Least idempotent ``e`` with ``e R`` equal to the ideal, else ``None``."""
-    return _summand_witness(ring, _require_right_ideal(ring, subset))
+    return _summand_witnesses(ring).get(_require_right_ideal(ring, subset))
 
 
 @memo
@@ -456,11 +455,6 @@ def _summand_witnesses(ring: FiniteRing) -> dict[int, int]:
     pb = _principal_bits(ring)
     # idempotents descending, so the least e with eR = I is written last
     return {pb[e]: e for e in reversed(element_sets(ring)[1].indices())}
-
-
-def _summand_witness(ring: FiniteRing, bits: int) -> int | None:
-    """:func:`is_direct_summand` on a mask already known to be a right ideal."""
-    return _summand_witnesses(ring).get(bits)
 
 
 def ideal_core(ring: FiniteRing, subset: ElementSet) -> ElementSet:

@@ -12,7 +12,7 @@ from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress, islice, repeat
+from itertools import compress, repeat
 
 from ringlab.core import (
     ComputationFault,
@@ -244,37 +244,22 @@ def _companions_of(ring: FiniteRing, prop: PropertyName, a: int) -> Iterator[int
     return (p for p, mask in zip(element_sets(ring)[1].indices(), masks) if mask >> a & 1)
 
 
-def _companion_witnesses(ring: FiniteRing, a: int, prop: PropertyName) -> dict | None:
-    """The named witnesses of ``prop`` at ``a`` from its least companion p,
-    or ``None`` when ``a`` has none (or, for uniquely-*, more than one)."""
-    found = tuple(islice(_companions_of(ring, prop, a), 1 + (prop in _UNIQUE)))
-    if len(found) != 1:
-        return None
-    _, sign, target = _COMPANION_SPECS[prop]
-    p = found[0]
-    return {"p": p} if sign > 0 else {"e": p, _DIFFERENCE[target]: ring.sub(a, p)}
-
-
 # --------------------------------------------------------------------------
-# witness finders of other shapes (return a dict of named witnesses, or None)
+# witness finders of other shapes: each returns the named witnesses of an
+# element that its property's mask holds
 
 
-def _find_von_neumann_regular(ring: FiniteRing, a: int) -> dict | None:
-    mul = ring.mul
-    for b in range(ring.order):
-        if mul[mul[a][b]][a] == a:
-            return {"b": b}
-    return None
+def _find_von_neumann_regular(ring: FiniteRing, a: int) -> dict:
+    return {"b": next(b for b, ab in enumerate(ring.mul[a]) if ring.mul[ab][a] == a)}
 
 
-def _find_strongly_regular(ring: FiniteRing, a: int) -> dict | None:
-    aa = ring.mul[a][a]
-    if (_principal_bits(ring)[aa] >> a) & 1:
-        return {"b": ring.mul[aa].index(a)}
-    return None
+def _find_strongly_regular(ring: FiniteRing, a: int) -> dict:
+    return {"b": ring.mul[ring.mul[a][a]].index(a)}
 
 
 def _find_strongly_pi_regular(ring: FiniteRing, a: int) -> dict | None:
+    """The least n with a^n = a^(n+1)x and its least x, or ``None``: the one
+    finder that decides, as the ``else`` branch of ``_property_mask``."""
     mul = ring.mul
     pb = _principal_bits(ring)
     power = a
@@ -286,10 +271,8 @@ def _find_strongly_pi_regular(ring: FiniteRing, a: int) -> dict | None:
     return None
 
 
-def _find_exchange(ring: FiniteRing, a: int) -> dict | None:
+def _find_exchange(ring: FiniteRing, a: int) -> dict:
     found = _exchange_idempotents(ring)[a]
-    if not found:
-        return None
     # the least e; row.index gives the least r and s
     e, one = (found & -found).bit_length() - 1, ring.one
     s = ring.mul[ring.sub(one, a)].index(ring.sub(one, e))
@@ -397,11 +380,18 @@ def element_property(ring: FiniteRing, a: int, prop) -> Certificate | None:
 
 @memo
 def _certificate(ring: FiniteRing, a: int, prop: PropertyName) -> Certificate | None:
+    """Membership is read off the mask ``ring_property`` reads; a member's
+    witnesses come from its least companion (a uniquely-* member has one)
+    or from its property's finder."""
+    if a not in _property_mask(ring, prop):
+        return None
     if prop in _COMPANION_SPECS:
-        witnesses = _companion_witnesses(ring, a, prop)
+        _, sign, target = _COMPANION_SPECS[prop]
+        p = next(_companions_of(ring, prop, a))
+        witnesses = {"p": p} if sign > 0 else {"e": p, _DIFFERENCE[target]: ring.sub(a, p)}
     else:
         witnesses = _FINDERS[prop](ring, a)
-    return None if witnesses is None else Certificate(
+    return Certificate(
         property=prop,
         element=a,
         witnesses=tuple(sorted(witnesses.items())),
@@ -459,8 +449,7 @@ def _property_mask(ring: FiniteRing, prop: PropertyName) -> ElementSet:
     elif prop is PropertyName.EXCHANGE:
         found = map(bool, _exchange_idempotents(ring))
     else:
-        finder = _FINDERS[prop]
-        found = (finder(ring, a) is not None for a in range(n))
+        found = (_FINDERS[prop](ring, a) is not None for a in range(n))
     return ElementSet(mask_from_flags(bytes(found)), n)
 
 

@@ -24,7 +24,7 @@ from ringlab.ideals import (
     _one_plus_bits,
     _principal_classes,
     _span_bits,
-    _summand_witness,
+    _summand_witnesses,
     all_right_ideals,
     is_delta_small,
     is_two_sided_ideal,
@@ -192,9 +192,9 @@ def delta_r3(ring: FiniteRing) -> ElementSet:
     non-summands, one mask.  The condition depends on ``x`` only through
     ``x R``, so it is decided once per distinct principal ideal.
     """
-    non_summands = 0
+    non_summands, summands = 0, _summand_witnesses(ring)
     for ideal in all_right_ideals(ring):
-        if _summand_witness(ring, ideal.bits) is None:
+        if ideal.bits not in summands:
             non_summands |= ideal.bits
     cosets = _one_plus_bits(ring, non_summands)
     bits = 0

@@ -92,6 +92,9 @@ _PATTERNS = (
     "tests/test_core.py::test_pattern_builders_match_brute_force",
     "tests/test_core.py::test_pattern_and_dorroh_tables_above_the_oracles_are_pinned",
 )
+_PRE_CHANGE_CLAIMS = (
+    "tests/test_claim_rows.py::test_per_ring_claims_match_their_pre_change_checkers",
+)
 _CROSS_CHECKS = ("tests/test_cross_checks.py::test_cross_checks_match_per_cell_loops_on_catalog",)
 
 MUTANTS = (
@@ -331,8 +334,8 @@ MUTANTS = (
     Mutant(
         id="orbit-missing-one-unit",
         file="ringlab/ideals.py",
-        old="    orbit = itemgetter(ring.one, *units_map(ring))",
-        new="    orbit = itemgetter(ring.one, *list(units_map(ring))[:-1])",
+        old="    orbit = _picker(units_map(ring))",
+        new="    orbit = _picker(tuple(units_map(ring))[:-1] or (ring.one,))",
         tests=_ORBITS,
     ),
     # the write side: save_ring's texts and build_zmod's rows
@@ -437,6 +440,57 @@ MUTANTS = (
         old="            mul.append(_sum_row(add, [left, right]))",
         new="            mul.append(_sum_row(add, [right, left]))",
         tests=_DORROH,
+    ),
+    # one decision per fact: certificates read the property masks, and the
+    # claims read residue sizes and the Dorroh hypotheses off decided facts
+    Mutant(
+        id="certificate-without-mask-test",
+        file="ringlab/properties.py",
+        old="    if a not in _property_mask(ring, prop):\n        return None\n",
+        new="",
+        tests=(
+            "tests/test_properties.py::test_uniquely_clean_counts",
+            "tests/test_cross_checks.py::test_companion_masks_match_the_per_element_walk_on_catalog",
+        ),
+    ),
+    Mutant(
+        id="dichotomy-residue-without-factor-two",
+        file="ringlab/claims.py",
+        old="    right = is_zmod2(ring) or 2 * len(delta_mask(ring)) == ring.order",
+        new="    right = is_zmod2(ring) or len(delta_mask(ring)) == ring.order",
+        tests=_PRE_CHANGE_CLAIMS,
+    ),
+    Mutant(
+        id="local-five-delta-residue-without-factor-two",
+        file="ringlab/claims.py",
+        old="        2 * len(delta_mask(ring)) == ring.order,",
+        new="        len(delta_mask(ring)) == ring.order,",
+        tests=_PRE_CHANGE_CLAIMS,
+    ),
+    Mutant(
+        id="local-five-radical-residue-without-factor-two",
+        file="ringlab/claims.py",
+        old="        2 * len(jacobson(ring)) == ring.order,",
+        new="        len(jacobson(ring)) == ring.order,",
+        tests=_PRE_CHANGE_CLAIMS,
+    ),
+    Mutant(
+        id="dorroh-transfer-idempotents-always-commute",
+        file="ringlab/claims.py",
+        old="        idempotents_commute = _holds(base, PropertyName.ABELIAN)",
+        new="        idempotents_commute = True",
+        tests=(
+            "tests/test_claim_rows.py::test_dorroh_transfer_matches_the_checker_that_read_the_actions",
+        ),
+    ),
+    Mutant(
+        id="dorroh-transfer-module-delta-always-full",
+        file="ringlab/claims.py",
+        old="        bim_full_delta = len(delta_mask(base)) == base.order",
+        new="        bim_full_delta = True",
+        tests=(
+            "tests/test_claim_rows.py::test_dorroh_transfer_matches_the_checker_that_read_the_actions",
+        ),
     ),
 )
 

@@ -15,7 +15,7 @@ from itertools import islice
 from operator import itemgetter
 from typing import Sequence
 
-from ringlab.catalog import CatalogEntry, build_entry
+from ringlab.catalog import CatalogEntry, build_entry, dorroh_base, dorroh_of_ring
 from ringlab.claims import Checker, SuiteContext, _holds, _mask, _witness
 from ringlab.core import (
     BimoduleError,
@@ -36,7 +36,6 @@ from ringlab.core import (
 from ringlab.ideals import (
     _principal_bits,
     _span_bits,
-    _summand_witness,
     all_right_ideals,
     is_two_sided_ideal,
     socle,
@@ -46,7 +45,6 @@ from ringlab.properties import (
     _CENTRALISERS,
     _COMPANION_SPECS,
     _DIFFERENCE,
-    _FINDERS,
     _TARGETS,
     _UNIQUE,
     PropertyName,
@@ -1032,7 +1030,14 @@ def search(ring: FiniteRing, a: int, prop: PropertyName) -> dict | None:
         _, sign, target = _COMPANION_SPECS[prop]
         p = found[0]
         return {"p": p} if sign > 0 else {"e": p, _DIFFERENCE[target]: ring.sub(a, p)}
-    return _FINDERS[prop](ring, a)
+    return SHAPE_FINDERS[prop](ring, a)
+
+
+def search_mask(ring: FiniteRing, prop: PropertyName) -> ElementSet:
+    """The elements that :func:`search` finds witnesses for: the property's
+    mask by the per-element walk and the reference finders."""
+    bits = sum(1 << a for a in range(ring.order) if search(ring, a, prop) is not None)
+    return ElementSet(bits, ring.order)
 
 
 # --------------------------------------------------------------------------
@@ -1040,7 +1045,15 @@ def search(ring: FiniteRing, a: int, prop: PropertyName) -> dict | None:
 #
 # The scans `ringlab.properties` used before it read aR from the principal
 # ideal masks, kept verbatim (leading underscores dropped): each walks every
-# candidate multiplier and returns the first hit.
+# candidate multiplier and returns the first hit, or ``None``.
+
+
+def find_von_neumann_regular(ring: FiniteRing, a: int) -> dict | None:
+    mul = ring.mul
+    for b in range(ring.order):
+        if mul[mul[a][b]][a] == a:
+            return {"b": b}
+    return None
 
 
 def find_strongly_regular(ring: FiniteRing, a: int) -> dict | None:
@@ -1091,6 +1104,14 @@ def find_exchange(ring: FiniteRing, a: int) -> dict | None:
             continue
         return {"e": e, "r": r_found, "s": s_found}
     return None
+
+
+SHAPE_FINDERS = {
+    PropertyName.VON_NEUMANN_REGULAR: find_von_neumann_regular,
+    PropertyName.STRONGLY_REGULAR: find_strongly_regular,
+    PropertyName.STRONGLY_PI_REGULAR: find_strongly_pi_regular,
+    PropertyName.EXCHANGE: find_exchange,
+}
 
 
 # --------------------------------------------------------------------------
@@ -1401,7 +1422,7 @@ def coset_delta_r3(ring: FiniteRing) -> int:
     cosets = [
         member_one_plus_bits(ring, ideal.bits)
         for ideal in all_right_ideals(ring)
-        if _summand_witness(ring, ideal.bits) is None
+        if scan_summand_witness(ring, ideal.bits) is None
     ]
     decided: dict[int, bool] = {}
     bits = 0
@@ -1436,7 +1457,7 @@ def ring_right_pp(ring: FiniteRing) -> tuple[bool, int | None]:
     """The least ``a`` whose ``aR`` is not a direct summand, if any."""
     pb = _principal_bits(ring)
     for a in range(ring.order):
-        if _summand_witness(ring, pb[a]) is None:
+        if scan_summand_witness(ring, pb[a]) is None:
             return False, a
     return True, None
 
@@ -1487,8 +1508,9 @@ def moving_permutation(ring: FiniteRing, rng) -> list[int]:
 # property masks, and the certificate checks before they were read off the
 # companion spec table, kept verbatim (leading underscores dropped).  The
 # mask below is the old one, one certificate decision per element, with its
-# memo dropped, so the two checkers that read it share nothing with the
-# library's witness-search masks.
+# memo dropped.  A certificate reads membership off the library's mask, so
+# a mask forced on a ring reaches the checkers that read this one; the
+# independent mask is :func:`search_mask`.
 
 
 def property_mask(ring: FiniteRing, prop) -> ElementSet:
@@ -1828,6 +1850,32 @@ def check_local_five_equivalences(ctx: SuiteContext) -> list[dict]:
         ]
         if len(set(values)) > 1:
             out.append(_witness(name, detail=f"equivalence chain breaks: {values}"))
+    return out
+
+
+def check_dorroh_transfer(ctx: SuiteContext) -> list[dict]:
+    """The Dorroh transfer checker from before it read the abelian decision
+    and delta(P): it builds each base's extension data and compares row e
+    of the left action with column e of the right one."""
+    out = []
+    for entry in ctx.entries:
+        if (base := dorroh_base(entry.recipe)) is None:
+            continue
+        extension = ctx.rings[entry.name]
+        data = dorroh_of_ring(base)
+        ext_delta_qp = _holds(extension, PropertyName.DELTA_QUASIPOLAR)
+        base_delta_qp = _holds(base, PropertyName.DELTA_QUASIPOLAR)
+        if ext_delta_qp and not base_delta_qp:
+            out.append(_witness(entry.name, detail="base ring fails to inherit"))
+            continue
+        # e.v = v.e for every v: row e of the left action is column e of the right
+        idempotents_commute = all(
+            data.left_action[e] == tuple(row[e] for row in data.right_action)
+            for e in element_sets(base)[1].indices()
+        )
+        bim_full_delta = delta_mask(data.bimodule).bits == (1 << data.bimodule.order) - 1
+        if base_delta_qp and idempotents_commute and bim_full_delta and not ext_delta_qp:
+            out.append(_witness(entry.name, detail="extension fails despite hypotheses"))
     return out
 
 

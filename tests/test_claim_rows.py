@@ -13,14 +13,16 @@ import random
 import pytest
 
 import oracles
-from ringlab import properties, radicals
-from ringlab.catalog import CatalogEntry, build_entry
+from ringlab import claims, properties, radicals
+from ringlab.catalog import CatalogEntry, build_entry, build_preset
 from ringlab.claims import (
+    STATUS_VIOLATED,
     SuiteContext,
     _elementwise,
     _transfer,
     registry,
     search_counterexample,
+    theorem_suite,
 )
 from ringlab.core import ElementSet, build_quotient, element_sets
 from ringlab.ideals import two_sided_ideals
@@ -443,3 +445,47 @@ def test_forced_witness_branches_match_the_old_checkers(monkeypatch, claim_id, p
     for old in (REPLACED_CHECKERS.get(claim_id), PRE_CHANGE_CHECKERS.get(claim_id)):
         if old is not None:
             assert found == old(ctx), claim_id
+
+
+def _claim(claim_id):
+    return next(c for c in registry() if c.id == claim_id)
+
+
+def test_dorroh_transfer_matches_the_checker_that_read_the_actions(suites):
+    """The transfer reads abelian and delta(P) where the old checker built
+    the extension data of P acting on itself; the two agree on the catalog,
+    the differential presets (three Dorroh entries) and on entries whose
+    rings stand in for their extensions.  Z2 for dorroh:zmod:9 leaves the
+    base Z9, which is not delta-quasipolar; Z9, which is not one either,
+    stands in for dorroh:zmod:2, whose base Z2 meets every hypothesis, and
+    for two bases that miss one: M2(Z2) is not abelian, and delta(Z4) is
+    not all of Z4."""
+    z9 = build_preset("zmod:9")
+    recipes = {"a": "dorroh:zmod:9", "b": "dorroh:zmod:2", "c": "dorroh:mat:2:zmod:2",
+               "d": "dorroh:zmod:4"}
+    forced = SuiteContext(
+        entries=tuple(CatalogEntry(name=name, recipe=r) for name, r in recipes.items()),
+        rings={"a": build_preset("zmod:2"), "b": z9, "c": z9, "d": z9},
+    )
+    check = _claim("dorroh-delta-quasipolar-transfer").check
+    for ctx in (*suites, forced):
+        assert check(ctx) == oracles.check_dorroh_transfer(ctx)
+    assert check(forced) == [
+        {"ring": "a", "element": None, "detail": "base ring fails to inherit"},
+        {"ring": "b", "element": None, "detail": "extension fails despite hypotheses"},
+    ]
+    results = {r.claim_id: r for r in theorem_suite(forced.entries, forced.rings)}
+    assert results["dorroh-delta-quasipolar-transfer"].status == STATUS_VIOLATED
+
+
+def test_weakly_finite_products_reports_a_product_that_disagrees(monkeypatch):
+    """A product of two weakly delta-quasipolar rings that is not one (Z9
+    stands in for Z2 x Z2) is a witness named after its factors."""
+    monkeypatch.setattr(claims, "build_product", lambda factors: build_preset("zmod:9"))
+    ctx = SuiteContext(
+        entries=(CatalogEntry(name="Z2", recipe="zmod:2"),), rings={"Z2": build_preset("zmod:2")}
+    )
+    assert _claim("weakly-delta-quasipolar-finite-products").check(ctx) == [
+        {"ring": "Z2xZ2", "element": None,
+         "detail": "product weakly False, factors weakly True"},
+    ]

@@ -167,6 +167,28 @@ def test_build_dorroh_spec_rejects_bad_action(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "preset, what",
+    [("zmod:" + "1" * 5000, "modulus"), ("quot:gen:" + "1" * 5000 + ":zmod:4", "generator")],
+    ids=["modulus", "generator"],
+)
+def test_build_refuses_a_number_too_long_to_convert_as_too_large(
+    tmp_path, capsys, preset, what
+):
+    """int() converts at most 4300 digits; a longer number is too large, not
+    badly written, and the one error line quotes only its first digits."""
+    code, stdout, stderr = run(capsys, "build", preset, "-o", str(tmp_path / "x.json"))
+    assert code == 2 and stdout == ""
+    assert stderr == f"error: {what} 1111111111... (5000 digits) is too large\n"
+
+
+def test_build_refuses_a_preset_nested_past_the_recursion_limit(tmp_path, capsys):
+    preset = "tri:1:" * 5000 + "zmod:2"
+    code, stdout, stderr = run(capsys, "build", preset, "-o", str(tmp_path / "x.json"))
+    assert code == 2 and stdout == ""
+    assert stderr == "error: preset is nested too deeply\n"
+
+
 # deeper than the JSON parser can recurse
 _DEEP_JSON = "[" * 100_000 + "]" * 100_000
 
@@ -192,14 +214,19 @@ def _dorroh_spec(left_action):
         _dorroh_spec([["0", 0], [0, 1]]),
         _dorroh_spec([[0, 0], [0, True]]),
         _dorroh_spec({"0": [0, 0]}),
+        _dorroh_spec([[0, 0]]),
+        {**_dorroh_spec([[0, 0], [0, 1]]), "right_action": [[0, 0], [0]]},
+        _dorroh_spec([[0, 2], [0, 1]]),
+        {**_dorroh_spec([[0, 0], [0, 1]]), "right_action": [[0, -1], [0, 1]]},
         {"kind": "dorrow", "preset": "zmod:2", "nmae": "x"},
         {"preset": "zmod:2", "nmae": "x"},
         '{"preset": "zmod:2", "preset": "zmod:4"}',
         _DEEP_JSON,
     ],
     ids=["preset-int", "name-int", "nested-preset-list", "action-flat", "action-str",
-         "action-str-first", "action-bool", "action-object", "unknown-kind", "unknown-key",
-         "repeated-key", "deep-nesting"],
+         "action-str-first", "action-bool", "action-object", "left-action-short",
+         "right-action-row-short", "left-action-out-of-range", "right-action-negative",
+         "unknown-kind", "unknown-key", "repeated-key", "deep-nesting"],
 )
 def test_build_rejects_malformed_spec(tmp_path, capsys, spec):
     """Each spec is a JSON value, or the file's text where JSON values cannot
@@ -676,7 +703,8 @@ def test_verify_paper_reports_each_expected_fact_mismatch(tmp_path, capsys):
     for label, expected in (
         ("plain", None),
         ("right", {"order": 2, "delta": "full", "properties": {"boolean": True}}),
-        ("wrong", {"order": 3, "jacobson": [1], "properties": {"boolean": False}}),
+        ("wrong", {"order": 3, "delta": [0], "jacobson": [1],
+                   "properties": {"boolean": False}}),
     ):
         entry = {"name": "a", "preset": "zmod:2"}
         if expected is not None:
@@ -692,6 +720,7 @@ def test_verify_paper_reports_each_expected_fact_mismatch(tmp_path, capsys):
     assert stdout == plain_stdout
     assert stderr.splitlines() == [
         "expected fact mismatch: a: order: expected 3, computed 2",
+        "expected fact mismatch: a: delta: expected [0], computed [0, 1]",
         "expected fact mismatch: a: jacobson: expected [1], computed [0]",
         "expected fact mismatch: a: property boolean: expected False, computed True",
     ]

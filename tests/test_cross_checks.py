@@ -136,16 +136,15 @@ def _assert_cross_checks_match_per_cell_loops(ring):
 
 
 def _assert_ring_property_is_the_element_sweep(ring):
+    # the expected mask is the oracle's search, since a certificate reads
+    # membership off the same mask as ring_property
     for prop in ELEMENT_PROPERTIES:
-        least = next(
-            (a for a in range(ring.order) if element_property(ring, a, prop) is None),
-            None,
-        )
+        expected = oracles.search_mask(ring, prop)
+        swept = [element_property(ring, a, prop) is not None for a in range(ring.order)]
+        assert swept == [a in expected for a in range(ring.order)], (ring.name, prop)
+        least = next((a for a in range(ring.order) if a not in expected), None)
         assert ring_property(ring, prop) == (least is None, least), (ring.name, prop)
-        assert property_mask(ring, prop) == oracles.property_mask(ring, prop), (
-            ring.name,
-            prop,
-        )
+        assert property_mask(ring, prop) == expected, (ring.name, prop)
     # The exchange mask is read off principal masks, so it is also held to the
     # per-element oracle sweeps.  Both masks are full on every finite ring: it
     # is semiperfect, hence an exchange ring (Nicholson, "Lifting idempotents
@@ -372,7 +371,7 @@ REGULARITY = (PropertyName.VON_NEUMANN_REGULAR, PropertyName.STRONGLY_REGULAR)
 def test_regularity_is_decided_without_a_finder(preset, monkeypatch):
     """Von Neumann and strong regularity are read off the principal masks:
     on a fresh ring, neither the ring decision nor the mask calls a finder."""
-    expected = {prop: oracles.property_mask(build_preset(preset), prop) for prop in REGULARITY}
+    expected = {prop: oracles.search_mask(build_preset(preset), prop) for prop in REGULARITY}
 
     def refuse(ring, a):
         raise AssertionError("a regularity finder was called")

@@ -465,6 +465,14 @@ def test_essential_requires_right_ideal(z4):
         is_essential(z4, ElementSet.from_indices(4, [0, 1]))
 
 
+def test_ideal_sum_requires_a_subset_of_the_ring(z4):
+    whole = ElementSet.full(4)
+    with pytest.raises(IdealError, match="does not match ring order 4"):
+        ideal_sum(z4, whole, ElementSet.full(8))
+    with pytest.raises(IdealError, match="does not match ring order 4"):
+        ideal_sum(z4, ElementSet.from_indices(2, [0]), whole)
+
+
 @pytest.mark.parametrize("predicate", [is_direct_summand, is_delta_small, ideal_core])
 def test_ideal_predicates_require_right_ideal(z4, predicate):
     with pytest.raises(IdealError):

@@ -275,3 +275,19 @@ def test_only_the_ring_builders_call_finite_ring():
         if path.name != "core.py" or owner not in _RING_BUILDERS
     ]
     assert found == []
+
+
+# library paths that tests/oracles.py must not read: each is a fast path
+# that the oracles check, so an oracle reading it would check it against
+# itself
+_ORACLE_DENIED = ("_FINDERS", "_summand_witnesses")
+
+
+def test_oracles_read_no_denied_library_path():
+    source = Path(__file__).with_name("oracles.py").read_text()
+    found = [
+        f"oracles.py: {name} at line {line}"
+        for name in _ORACLE_DENIED
+        for line in _identifier_lines(source, name)
+    ]
+    assert found == []

@@ -28,7 +28,7 @@ from ringlab.ideals import (
     _one_plus_bits,
     _principal_bits,
     _principal_classes,
-    _summand_witness,
+    _summand_witnesses,
     _translate_bits,
     all_right_ideals,
     maximal_right_ideals,
@@ -68,7 +68,7 @@ def _assert_lattice_predicates_match_oracles(ring):
             assert (other.bits & coset != 0) == oracles.member_sum_is_full(
                 ring, other.bits, ideal.bits
             ), (ring.name, other.indices(), ideal.indices())
-        assert _summand_witness(ring, ideal.bits) == oracles.scan_summand_witness(
+        assert _summand_witnesses(ring).get(ideal.bits) == oracles.scan_summand_witness(
             ring, ideal.bits
         ), (ring.name, ideal.indices())
         assert _ideal_core_bits(ring, ideal.bits) == (

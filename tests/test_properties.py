@@ -230,6 +230,7 @@ def test_companion_search_matches_reference_on_catalog(catalog_rings):
 
 
 REFERENCE_FINDERS = {
+    PropertyName.VON_NEUMANN_REGULAR: oracles.find_von_neumann_regular,
     PropertyName.EXCHANGE: oracles.find_exchange,
     PropertyName.STRONGLY_REGULAR: oracles.find_strongly_regular,
     PropertyName.STRONGLY_PI_REGULAR: oracles.find_strongly_pi_regular,
@@ -394,6 +395,20 @@ def test_ring_property_witnesses():
     assert not holds and witness in (1, 3, 4, 6)
 
 
+def test_recheck_refuses_ring_level_names_absent_elements_and_missing_keys(z4):
+    import dataclasses
+
+    cert = element_property(z4, 3, PropertyName.STRONGLY_J_CLEAN)
+    assert recheck_certificate(z4, cert)
+    for forged in (
+        dataclasses.replace(cert, property=PropertyName.LOCAL),
+        dataclasses.replace(cert, element=z4.order),
+        dataclasses.replace(cert, element=-1),
+        dataclasses.replace(cert, witnesses=(("e", 0),)),
+    ):
+        assert not recheck_certificate(z4, forged), forged
+
+
 def test_ring_property_accepts_element_level_names(z4):
     holds, witness = ring_property(z4, "clean")
     assert holds and witness is None
@@ -404,6 +419,13 @@ def test_element_property_rejects_ring_level_names(z4):
         element_property(z4, 0, PropertyName.BOOLEAN)
     with pytest.raises(ValueError):
         element_property(z4, 0, "local")
+
+
+def test_property_mask_rejects_ring_level_names(z4):
+    with pytest.raises(ValueError, match="has no element mask"):
+        property_mask(z4, PropertyName.BOOLEAN)
+    with pytest.raises(ValueError, match="has no element mask"):
+        property_mask(z4, "right-pp")
 
 
 def test_unknown_property_name(z4):
