@@ -22,6 +22,7 @@ from ringlab.core import (
     _check_fields,
     _check_pattern_digits,
     _pattern_ring,
+    _quoted,
     _read_json,
     build_dorroh,
     build_product,
@@ -62,11 +63,16 @@ class CatalogEntry:
 
 def _ascii_int(token: str, what: str) -> int | None:
     """The value of a token of ASCII digits; ``None`` for any other token.
-    One too long for ``int()`` is over every cap and range: too large."""
+    One with more significant digits than ``int()`` converts is over every
+    cap and range: too large, quoted by its leading digits and length."""
+    if not (token.isascii() and token.isdigit()):
+        return None
+    token = token.lstrip("0") or "0"
     try:
-        return int(token) if token.isascii() and token.isdigit() else None
-    except ValueError:  # more digits than int() converts
-        raise PresetError(f"{what} {token[:10]}... ({len(token)} digits) is too large") from None
+        return int(token)
+    except ValueError:  # a number with the token's leading digits and length
+        lead = int(token[:10]) * 10 ** (len(token) - 10)
+        raise PresetError(f"{what} {_quoted(lead)} is too large") from None
 
 
 def _parse_positive_int(token: str, what: str) -> int:
@@ -458,7 +464,7 @@ def verify_expected(entry: CatalogEntry, ring: FiniteRing) -> list[str]:
 def _check_expected(name: str, expected: dict) -> None:
     """Reject expected facts that :func:`verify_expected` cannot read."""
     facts = {"order": int, "delta": (str, list), "jacobson": list, "properties": dict}
-    _check_fields(expected, f"object 'expected' of catalog entry {name!r}", {}, facts)
+    _check_fields(expected, f"object 'expected' of catalog entry {_quoted(name)}", {}, facts)
     for key, value in expected.items():
         if key == "properties":
             ok = all(type(v) is bool for v in value.values())
@@ -470,7 +476,7 @@ def _check_expected(name: str, expected: dict) -> None:
             ok = key == "order" or all(type(v) is int for v in value)
         if not ok:
             raise ValueError(
-                f"catalog entry {name!r} has malformed expected {key}: {value!r}"
+                f"catalog entry {_quoted(name)} has malformed expected {key}: {_quoted(value)}"
             )
 
 

@@ -73,11 +73,25 @@ def _size_cap() -> int:
     return cap
 
 
+def _quoted(value) -> str:
+    """``value`` as an error message shows it, in about 40 characters: an int
+    past 20 digits as its first ten and its digit count, with no ``str()`` of
+    the whole int (refused past 4300 digits); anything else as its cut repr."""
+    size = abs(value) if type(value) is int else 0
+    if size < 10**20:
+        text = repr(value)
+        return text if len(text) <= 40 else text[:37] + "..."
+    digits = int(size.bit_length() * math.log10(2)) + 2  # at most 2 too many
+    while size < 10 ** (digits - 1):
+        digits -= 1
+    return f"{'-' * (value < 0)}{size // 10 ** (digits - 10)}... ({digits} digits)"
+
+
 def check_size(order: int) -> None:
     """Raise :class:`SizeCapError` if a ring of this order may not be built."""
     cap = _size_cap()
     if order > cap:
-        raise SizeCapError(f"ring order {order} exceeds the size cap {cap}")
+        raise SizeCapError(f"ring order {_quoted(order)} exceeds the size cap {cap}")
 
 
 # --------------------------------------------------------------------------
@@ -663,7 +677,7 @@ def _check_pattern_digits(k: int, digits: int) -> None:
         raise ValueError(f"matrix size must be positive, got {k}")
     cap = _size_cap()
     if digits > cap:
-        raise SizeCapError(f"{digits} matrix digits exceed the size cap {cap}")
+        raise SizeCapError(f"{_quoted(digits)} matrix digits exceed the size cap {cap}")
 
 
 def build_matrix_ring(base: FiniteRing, k: int) -> FiniteRing:
@@ -1020,11 +1034,11 @@ def _check_fields(obj, what: str, required: dict, optional: dict) -> None:
     for key, value in obj.items():
         want = required.get(key) or optional.get(key)
         if want is None:
-            raise ValueError(f"{what} has unknown field {key!r}")
+            raise ValueError(f"{what} has unknown field {_quoted(key)}")
         wants = want if isinstance(want, tuple) else (want,)
         if type(value) not in wants:
             names = " or ".join(_JSON_TYPE_NAMES[t] for t in wants)
-            raise ValueError(f"{what} field {key!r} must be {names}, got {value!r}")
+            raise ValueError(f"{what} field {key!r} must be {names}, got {_quoted(value)}")
     for key in required:
         if key not in obj:
             raise ValueError(f"{what} missing required field {key!r}")

@@ -37,7 +37,6 @@ from ringlab.ideals import (
 )
 from ringlab.radicals import (
     center_bits,
-    centraliser_bits,
     commutant_bits,
     delta_mask,
     jacobson,
@@ -105,14 +104,15 @@ def commutant(ring: FiniteRing, a: int) -> ElementSet:
     return ElementSet(commutant_bits(ring, a), ring.order)
 
 
-def _double_commutant_bits(ring: FiniteRing, a: int) -> int:
-    """comm2(a): the centraliser of comm(a), which is an additive subgroup."""
-    return centraliser_bits(ring, commutant_bits(ring, a))
-
-
 def double_commutant(ring: FiniteRing, a: int) -> ElementSet:
+    """comm2(a), the x with comm(a) inside comm(x): the union of the
+    commutant classes whose commutant holds comm(a)."""
     _check_element(ring, a)
-    return ElementSet(_double_commutant_bits(ring, a), ring.order)
+    comm, bits = commutant_bits(ring, a), 0
+    for above, members in _commutant_classes(ring).items():
+        if not comm & ~above:
+            bits |= members
+    return ElementSet(bits, ring.order)
 
 
 def center(ring: FiniteRing) -> ElementSet:
@@ -124,17 +124,11 @@ def center(ring: FiniteRing) -> ElementSet:
 #
 # Every quasipolar and clean property asks for an idempotent p in a
 # centraliser of a (all of R, comm(a) or comm2(a)) with a + p (sign +1) or
-# a - p (sign -1) in a target set.  "Strongly" needs no commutation test of
-# its own: for u = a - e, eu = ue exactly when ea = ae.  The search runs one
-# idempotent at a time: every decision reads the masks A_p of the elements
-# that have p as companion.
-
-
-_CENTRALISERS = {
-    "all": lambda ring, a: -1,
-    "comm": commutant_bits,
-    "dcomm": _double_commutant_bits,
-}
+# a - p (sign -1) in a target set.  p lies in comm2(a) exactly when comm(a)
+# lies inside comm(p), the one relation every comm2 test reads.  "Strongly"
+# needs no commutation test of its own: for u = a - e, eu = ue exactly when
+# ea = ae.  The search runs one idempotent at a time: every decision reads
+# the masks A_p of the elements that have p as companion.
 
 _TARGETS = {
     "units": lambda ring: element_sets(ring)[0],
@@ -310,18 +304,22 @@ def _certificate_checks(
     ring: FiniteRing, prop: PropertyName, a: int, witnesses: dict
 ) -> tuple[tuple[str, bool], ...]:
     """Re-check named witnesses from scratch; a companion property's checks
-    are read off its (centraliser, sign, target) spec."""
+    are read off its (centraliser, sign, target) spec.  p commutes with a
+    when it lies in comm(a), and double-commutes with a when comm(a) lies
+    inside comm(p): two commutants, and no comm2 set."""
     mul = ring.mul
     if prop in _COMPANION_SPECS:
         centraliser, sign, target = _COMPANION_SPECS[prop]
         goal, phrase = _TARGETS[target](ring), _PHRASES[target]
         idempotents = element_sets(ring)[1]
         if sign > 0:
-            p = witnesses["p"]
-            centre = ElementSet(_CENTRALISERS[centraliser](ring, a), ring.order)
+            p, comm = witnesses["p"], commutant_bits(ring, a)
+            commutes = 0 <= p < ring.order and (
+                bool(comm >> p & 1) if centraliser == "comm" else not comm & ~commutant_bits(ring, p)
+            )
             checks = [
                 ("p is idempotent", p in idempotents),
-                (f"p {_PHRASES[centraliser]}", p in centre),
+                (f"p {_PHRASES[centraliser]}", commutes),
                 (f"element plus p {phrase}", ring.add[a][p] in goal),
             ]
             if prop is PropertyName.QUASIPOLAR:

@@ -102,34 +102,24 @@ def _row_commutant(ring: FiniteRing, a: int) -> int:
 
 
 @memo
-def centraliser_bits(ring: FiniteRing, subgroup: int) -> int:
-    """The elements commuting with every member of an additive subgroup.
-
-    An element commuting with g and h commutes with g + h, so this is the
-    intersection of the commutants of the subgroup's greedy generators.
-    """
+def center_bits(ring: FiniteRing) -> int:
+    """The centre as a mask; cached.  An element commuting with g and h
+    commutes with g + h, so this is the intersection of the commutants of
+    the ring's additive generators."""
     bits = (1 << ring.order) - 1
-    for g in _subgroup_generators(ring, subgroup):
+    for g in _subgroup_generators(ring, bits):
         bits &= _row_commutant(ring, g)
     return bits
 
 
-def center_bits(ring: FiniteRing) -> int:
-    """The centre as a mask: the centraliser of the whole ring."""
-    return centraliser_bits(ring, (1 << ring.order) - 1)
-
-
 def commutant_bits(ring: FiniteRing, a: int) -> int:
-    """The commutant of ``a``; all of the ring when ``a`` is central.
+    """The commutant of ``a``, read at the leader of ``a + Z(R)``.
 
     For central ``z``, ``(a + z)x = ax + zx`` and ``x(a + z) = xa + xz``, so
-    ``a`` shares its commutant with the leader of ``a + Z(R)``.
+    ``a`` shares its commutant with every member of its coset.  A central
+    ``a`` lies in Z(R) itself, whose least member commutes with everything.
     """
-    full = (1 << ring.order) - 1
-    centre = centraliser_bits(ring, full)  # center_bits(ring), one frame fewer
-    if (centre >> a) & 1:
-        return full
-    return _row_commutant(ring, _coset_leaders(ring, centre)[a])
+    return _row_commutant(ring, _coset_leaders(ring, center_bits(ring))[a])
 
 
 @memo

@@ -96,6 +96,10 @@ _PRE_CHANGE_CLAIMS = (
     "tests/test_claim_rows.py::test_per_ring_claims_match_their_pre_change_checkers",
 )
 _CROSS_CHECKS = ("tests/test_cross_checks.py::test_cross_checks_match_per_cell_loops_on_catalog",)
+_CERTIFICATE_CHECKS = (
+    "tests/test_claim_rows.py::test_certificate_checks_match_the_per_property_checks",
+    "tests/test_claim_rows.py::test_certificate_checks_match_the_per_property_checks_on_catalog",
+)
 
 MUTANTS = (
     # the one translate t + S
@@ -254,24 +258,41 @@ MUTANTS = (
     Mutant(
         id="centre-first-generator-only",
         file="ringlab/radicals.py",
-        old="    for g in _subgroup_generators(ring, subgroup):",
-        new="    for g in _subgroup_generators(ring, subgroup)[:1]:",
+        old="    for g in _subgroup_generators(ring, bits):",
+        new="    for g in _subgroup_generators(ring, bits)[:1]:",
         tests=_CROSS_CHECKS,
     ),
+    # comm2 is one relation, comm(a) inside comm(p): read from above by
+    # double_commutant, and with two commutants by a certificate
     Mutant(
-        id="commutant-without-central-shortcut",
-        file="ringlab/radicals.py",
-        old="    if (centre >> a) & 1:\n        return full\n",
-        new="",
+        id="double-commutant-read-from-below",
+        file="ringlab/properties.py",
+        old="        if not comm & ~above:",
+        new="        if not above & ~comm:",
+        tests=_COSETS,
+    ),
+    Mutant(
+        id="certificate-comm2-read-the-other-way",
+        file="ringlab/properties.py",
+        old="not comm & ~commutant_bits(ring, p)",
+        new="not commutant_bits(ring, p) & ~comm",
+        tests=_CERTIFICATE_CHECKS,
+    ),
+    Mutant(
+        id="certificate-commutation-without-range-guard",
+        file="ringlab/properties.py",
+        old="            commutes = 0 <= p < ring.order and (",
+        new="            commutes = (",
+        tests=_CERTIFICATE_CHECKS,
+    ),
+    Mutant(
+        id="certificate-commutes-left-an-int",
+        file="ringlab/properties.py",
+        old="bool(comm >> p & 1)",
+        new="comm >> p & 1",
         tests=(
-            "tests/test_radicals.py::test_report_on_commutative_ring_compares_one_row_per_generator",
-            *_CROSS_CHECKS,
-        ),
-        equivalent=(
-            "for central a the coset a + Z(R) is Z(R), whose least member is"
-            " central, so its row commutant is the whole ring as well, at one"
-            " cached row compare; a report on a commutative ring never asks a"
-            " central element's commutant, so the count guard sees no change"
+            "tests/test_claim_rows.py::test_certificate_checks_are_named_exact_bools",
+            "tests/test_cli.py::test_check_element_prints_its_checks_as_json_true",
         ),
     ),
     Mutant(

@@ -42,22 +42,17 @@ from ringlab.ideals import (
     two_sided_ideals,
 )
 from ringlab.properties import (
-    _CENTRALISERS,
     _COMPANION_SPECS,
     _DIFFERENCE,
     _TARGETS,
     _UNIQUE,
     PropertyName,
-    center,
-    commutant,
-    double_commutant,
     element_property,
     idempotents_lift,
     ring_property,
 )
 from ringlab.radicals import (
     DeltaDisagreement,
-    commutant_bits,
     delta,
     delta_mask,
     jacobson,
@@ -895,7 +890,7 @@ def find_quasipolar_into(ring: FiniteRing, a: int, kind: str) -> dict | None:
 
 def find_weakly_delta_quasipolar(ring: FiniteRing, a: int) -> dict | None:
     target = delta_mask(ring).bits
-    comm = commutant_bits(ring, a)
+    comm = percell_commutant_bits(ring, a)
     for p in element_sets(ring)[1].indices():
         if (comm >> p) & 1 and (target >> ring.add[a][p]) & 1:
             return {"p": p}
@@ -975,11 +970,11 @@ def reference_companion(ring: FiniteRing, a: int, prop: str) -> tuple[dict | Non
 
 def reference_spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tuple[int, ...]:
     units, idempotents, _ = element_sets(ring)
-    dcomm = brute_double_commutant(ring, a)
+    comm, dcomm = brute_commutant(ring, a), brute_double_commutant(ring, a)
     out = []
     for p in idempotents.indices():
         if flavor == "weakly-delta":
-            if p not in commutant(ring, a):
+            if p not in comm:
                 continue
             if ring.add[a][p] in delta_mask(ring):
                 out.append(p)
@@ -1004,7 +999,7 @@ def reference_spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tupl
 def companions(ring: FiniteRing, a: int, prop: PropertyName):
     """Yield each idempotent companion of ``a`` for ``prop`` in ascending order."""
     centraliser, sign, target = _COMPANION_SPECS[prop]
-    candidates = element_sets(ring)[1].bits & _CENTRALISERS[centraliser](ring, a)
+    candidates = element_sets(ring)[1].bits & percell_centraliser(ring, centraliser, a)
     goal = _TARGETS[target](ring).bits
     # quasipolar also needs ap quasinilpotent; -1 has every bit set
     qnil = qnil_set(ring).bits if prop is PropertyName.QUASIPOLAR else -1
@@ -1273,6 +1268,32 @@ def percell_commutant_bits(ring: FiniteRing, a: int) -> int:
         if row[x] == mul[x][a]:
             bits |= 1 << x
     return bits
+
+
+# the ring last asked of percell_commutants, and its answers
+_LAST_COMMUTANTS: list = [None, None]
+
+
+def percell_commutants(ring: FiniteRing, a: int) -> tuple[int, int]:
+    """comm(a) by the per-cell loop, and comm2(a): the x that commute with
+    every member of comm(a), that is whose commutant holds comm(a).
+
+    Every element's pair is taken at once and kept for the last ring asked,
+    since the oracles that read them walk one ring element by element.
+    """
+    if _LAST_COMMUTANTS[0] is not ring:
+        comm = [percell_commutant_bits(ring, x) for x in range(ring.order)]
+        double = [sum(1 << x for x, cx in enumerate(comm) if not c & ~cx) for c in comm]
+        _LAST_COMMUTANTS[:] = ring, list(zip(comm, double))
+    return _LAST_COMMUTANTS[1][a]
+
+
+def percell_centraliser(ring: FiniteRing, centraliser: str, a: int) -> int:
+    """The mask of a companion spec's centraliser of ``a``: all of the ring,
+    comm(a) or comm2(a)."""
+    if centraliser == "all":
+        return (1 << ring.order) - 1
+    return percell_commutants(ring, a)[centraliser == "dcomm"]
 
 
 def percell_jacobson_route_b(ring: FiniteRing) -> int:
@@ -1620,8 +1641,8 @@ def check_weakly_corners(ctx: SuiteContext) -> list[dict]:
     for name, ring in ctx.items():
         if not _holds(ring, PropertyName.WEAKLY_DELTA_QUASIPOLAR):
             continue
-        central_idempotents = element_sets(ring)[1] & center(ring)
-        for e in central_idempotents.indices():
+        central_idempotents = set(element_sets(ring)[1].indices()) & brute_center(ring)
+        for e in sorted(central_idempotents):
             corner = build_corner(ring, e)
             holds, witness = ring_property(corner, PropertyName.WEAKLY_DELTA_QUASIPOLAR)
             if not holds:
@@ -1936,12 +1957,11 @@ def certificate_checks(
     ):
         p = witnesses["p"]
         idempotent_check("p", p)
+        comm, dcomm = (ElementSet(bits, ring.order) for bits in percell_commutants(ring, a))
         if prop is PropertyName.WEAKLY_DELTA_QUASIPOLAR:
-            checks.append(("p commutes with the element", p in commutant(ring, a)))
+            checks.append(("p commutes with the element", p in comm))
         else:
-            checks.append(
-                ("p double-commutes with the element", p in double_commutant(ring, a))
-            )
+            checks.append(("p double-commutes with the element", p in dcomm))
         shifted = ring.add[a][p]
         if prop is PropertyName.QUASIPOLAR:
             checks.append(("element plus p is a unit", shifted in units))

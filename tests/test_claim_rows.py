@@ -260,6 +260,20 @@ def test_certificate_checks_match_the_per_property_checks_on_catalog(catalog_rin
         _assert_certificate_checks_match(ring, random.Random(name))
 
 
+def test_certificate_checks_are_named_exact_bools(suites):
+    """1 == True, so an int check would pass every comparison above; it would
+    still change a certificate's repr and print 1 for true in JSON."""
+    for ctx in suites:
+        for ring in ctx.rings.values():
+            for prop in ELEMENT_PROPERTIES:
+                for a in range(ring.order):
+                    cert = element_property(ring, a, prop)
+                    for check in () if cert is None else cert.checks:
+                        assert len(check) == 2, (ring.name, prop, a, check)
+                        assert type(check[0]) is str, (ring.name, prop, a, check)
+                        assert type(check[1]) is bool, (ring.name, prop, a, check)
+
+
 # --------------------------------------------------------------------------
 # witness branches forced open
 #

@@ -182,6 +182,45 @@ def test_build_refuses_a_number_too_long_to_convert_as_too_large(
     assert stderr == f"error: {what} 1111111111... (5000 digits) is too large\n"
 
 
+def test_build_reads_leading_zeros_past_the_conversion_limit(tmp_path, capsys):
+    """Only significant digits count towards int()'s limit: zmod:05 is Z5
+    however many zeros lead."""
+    preset = "zmod:" + "0" * 5000 + "5"
+    code, stdout, _ = run(capsys, "build", preset, "-o", str(tmp_path / "x.json"))
+    assert code == 0 and "Z5 of order 5" in stdout
+
+
+@pytest.mark.parametrize(
+    "case, named",
+    [
+        ("order-digits", "exceeds the size cap 4096"),
+        ("matrix-digits", "exceed the size cap 4096"),
+        ("order-list", "field 'order'"),
+        ("expected-delta", "malformed expected delta"),
+    ],
+)
+def test_error_line_quotes_a_huge_input_in_short(tmp_path, capsys, case, named):
+    """An order of 4300 digits, k^2 matrix digits past int()'s 4300-digit
+    limit, a 100,000-int list where an int belongs and a 100,000-character
+    expected delta: each exits 2 with one short line that names what is
+    wrong."""
+    ring_file, manifest = tmp_path / "ring.json", tmp_path / "catalog.json"
+    ring_file.write_text(json.dumps({"order": list(range(100_000))}))
+    entry = {"name": "z2", "preset": "zmod:2", "expected": {"delta": "x" * 100_000}}
+    manifest.write_text(json.dumps({"entries": [entry]}))
+    argv = {
+        "order-digits": ["build", "zmod:" + "1" * 4300, "-o", str(tmp_path / "x.json")],
+        "matrix-digits": ["build", f"mat:{'9' * 2200}:zmod:2", "-o", str(tmp_path / "x.json")],
+        "order-list": ["report", str(ring_file)],
+        "expected-delta": ["verify-paper", "--catalog", str(manifest)],
+    }[case]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == "" and stderr.endswith("\n")
+    line = stderr[:-1]
+    assert line.startswith("error: ") and "\n" not in line
+    assert len(line) <= 200 and named in line, line[:300]
+
+
 def test_build_refuses_a_preset_nested_past_the_recursion_limit(tmp_path, capsys):
     preset = "tri:1:" * 5000 + "zmod:2"
     code, stdout, stderr = run(capsys, "build", preset, "-o", str(tmp_path / "x.json"))
@@ -535,6 +574,21 @@ def test_check_element_payload_is_pinned(tmp_path, capsys, key):
         if count is not None:
             expected["witness_count"] = count
     assert (code, json.loads(stdout)) == (0 if expected["holds"] else 1, expected)
+
+
+def test_check_element_prints_its_checks_as_json_true(tmp_path, capsys):
+    """json.loads reads 1 as equal to True, so the pins above would pass an
+    int check; the text must say true."""
+    path = tmp_path / "ring.json"
+    assert main(["build", "tri:2:zmod:2", "-o", str(path)]) == 0
+    capsys.readouterr()
+    code, stdout, _ = run(
+        capsys, "check", str(path), "weakly-delta-quasipolar", "--element", "7"
+    )
+    checks = json.loads(stdout)["checks"]
+    assert code == 0 and len(checks) == 3
+    assert all(ok is True for _, ok in checks)
+    assert stdout.count("true") == 4  # "holds" and the three checks
 
 
 def test_check_element_refutation(z4_file, capsys):

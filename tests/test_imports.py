@@ -280,7 +280,14 @@ def test_only_the_ring_builders_call_finite_ring():
 # library paths that tests/oracles.py must not read: each is a fast path
 # that the oracles check, so an oracle reading it would check it against
 # itself
-_ORACLE_DENIED = ("_FINDERS", "_summand_witnesses")
+_ORACLE_DENIED = (
+    "_FINDERS",
+    "_summand_witnesses",
+    "center",
+    "commutant",
+    "commutant_bits",
+    "double_commutant",
+)
 
 
 def test_oracles_read_no_denied_library_path():
