@@ -78,7 +78,7 @@ def _ascii_int(token: str, what: str) -> int | None:
 def _parse_positive_int(token: str, what: str) -> int:
     value = _ascii_int(token, what)
     if value is None:
-        raise PresetError(f"{what} must be written in ASCII digits, got {token!r}")
+        raise PresetError(f"{what} must be written in ASCII digits, got {_quoted(token)}")
     if value < 1:
         raise PresetError(f"{what} must be positive, got {value}")
     return value
@@ -117,13 +117,13 @@ def _plan(text: str) -> tuple[int | None, Callable[[], FiniteRing]]:
     head, _, rest = text.partition(":")
     if head == "zmod":
         if not rest or ":" in rest:
-            raise PresetError(f"expected zmod:N, got {text!r}")
+            raise PresetError(f"expected zmod:N, got {_quoted(text)}")
         n = _parse_positive_int(rest, "modulus")
         return _checked(n), partial(build_zmod, n)
     if head == "product":
         tokens = rest.split(",") if rest else []
         if not tokens or any(not t for t in tokens):
-            raise PresetError(f"expected product:P1,P2[,...], got {text!r}")
+            raise PresetError(f"expected product:P1,P2[,...], got {_quoted(text)}")
         if any(t.partition(":")[0] == "product" for t in tokens):
             raise PresetError("products may not be nested inside a product preset")
         orders, builds = zip(*map(_plan, tokens))
@@ -132,7 +132,7 @@ def _plan(text: str) -> tuple[int | None, Callable[[], FiniteRing]]:
     if head in _PATTERNS:
         size_token, _, base_text = rest.partition(":")
         if not size_token or not base_text:
-            raise PresetError(f"expected {head}:K:P, got {text!r}")
+            raise PresetError(f"expected {head}:K:P, got {_quoted(text)}")
         k = _parse_positive_int(size_token, "matrix size")
         digits = _PATTERNS[head][1](k)  # stored digits of a k x k matrix
         _check_pattern_digits(k, digits)
@@ -141,7 +141,7 @@ def _plan(text: str) -> tuple[int | None, Callable[[], FiniteRing]]:
         return _checked(order), lambda: _pattern_ring(base(), k, head)
     if head == "dorroh":
         if not rest:
-            raise PresetError(f"expected dorroh:P, got {text!r}")
+            raise PresetError(f"expected dorroh:P, got {_quoted(text)}")
         base_order, base = _plan(rest)
         order = None if base_order is None else base_order**2
         return _checked(order), lambda: build_dorroh(dorroh_of_ring(base()))
@@ -150,20 +150,20 @@ def _plan(text: str) -> tuple[int | None, Callable[[], FiniteRing]]:
         if mode == "gen":
             gen_token, _, base_text = base_text.partition(":")
             if not gen_token or not base_text:
-                raise PresetError(f"expected quot:gen:I1[+I2...]:P, got {text!r}")
+                raise PresetError(f"expected quot:gen:I1[+I2...]:P, got {_quoted(text)}")
             generators = [_generator(piece, text) for piece in gen_token.split("+")]
             ideal = partial(_generated_ideal, generators)
         elif mode in ("delta", "jac"):
             if not base_text:
-                raise PresetError(f"expected quot:{mode}:P, got {text!r}")
+                raise PresetError(f"expected quot:{mode}:P, got {_quoted(text)}")
             ideal = delta_mask if mode == "delta" else jacobson
         else:
-            raise PresetError(f"unknown quotient mode in {text!r}")
+            raise PresetError(f"unknown quotient mode in {_quoted(text)}")
         base_order, base = _plan(base_text)
         if mode == "gen" and base_order is not None:
             _check_generators(generators, base_order)
         return None, lambda: build_quotient((ring := base()), ideal(ring))[0]
-    raise PresetError(f"unknown preset kind: {text!r}")
+    raise PresetError(f"unknown preset kind: {_quoted(text)}")
 
 
 def _checked(order: int | None) -> int | None:
@@ -175,7 +175,7 @@ def _checked(order: int | None) -> int | None:
 def _generator(piece: str, text: str) -> int:
     value = _ascii_int(piece, "generator")
     if value is None:
-        raise PresetError(f"bad generator {piece!r} in {text!r}")
+        raise PresetError(f"bad generator {_quoted(piece)} in {_quoted(text)}")
     return value
 
 
@@ -503,14 +503,14 @@ def load_catalog_manifest(path: str | Path) -> list[CatalogEntry]:
         )
         name = raw["name"]
         if name in names:
-            raise ValueError(f"duplicate catalog entry name {name!r}")
+            raise ValueError(f"duplicate catalog entry name {_quoted(name)}")
         names.add(name)
         _check_expected(name, raw.get("expected", {}))
         has_preset = "preset" in raw
         has_file = "file" in raw
         if has_preset == has_file:
             raise ValueError(
-                f"catalog entry {name!r} needs exactly one of 'preset' or 'file'"
+                f"catalog entry {_quoted(name)} needs exactly one of 'preset' or 'file'"
             )
         entries.append(
             CatalogEntry(

@@ -30,6 +30,7 @@ from ringlab.core import (
     _check_fields,
     _int_list_text,
     _int_rows,
+    _quoted,
     _read_json,
     build_dorroh,
     load_ring,
@@ -90,7 +91,7 @@ def _ring_from_spec_obj(obj) -> FiniteRing:
         _check_fields(obj, "ring spec", {"preset": str}, {"name": str})
         ring = build_preset(obj["preset"])
     elif obj["kind"] != "dorroh":
-        raise ValueError(f"unknown ring spec kind: {obj['kind']!r}")
+        raise ValueError(f"unknown ring spec kind: {_quoted(obj['kind'])}")
     else:
         actions = {"left_action": list, "right_action": list}
         required = {"kind": str, "base": dict, "bimodule": dict, **actions}

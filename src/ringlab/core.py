@@ -13,7 +13,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field, replace
-from itertools import chain, compress, product, repeat, starmap
+from itertools import compress, product, repeat, starmap
 from operator import eq, getitem, itemgetter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -504,12 +504,14 @@ def build_zmod(n: int) -> FiniteRing:
     if n < 1:
         raise ValueError(f"modulus must be positive, got {n}")
     check_size(n)
-    # every cell points at one of the n ints of base: row a of + is a
-    # rotation; row a of * walks base in steps of a when a is 1 or a prime,
-    # and is row m read at the cells of row p when a = p m with p = least[a]
-    # its least prime factor, since a x = m (p x)
+    # every cell points at one of the n ints of base: row a of + is a slice
+    # of base + base.  Row a of * is row m read at the cells of row p when
+    # a = p m with p = least[a] its least prime factor, since a x = m (p x).
+    # When a is 1 or a prime it is built by doubling: after the L cells
+    # a*0 .. a*(L-1), the next L are a*L + a*y, row a*L of + read at them.
     base = tuple(range(n))
-    add = tuple(base[a:] + base[:a] for a in range(n))
+    double = base + base
+    add = tuple(double[a : a + n] for a in range(n))
     least = list(range(n))
     for p in range(math.isqrt(n - 1), 1, -1):  # the least p written last
         least[p * p :: p] = [p] * len(range(p * p, n, p))
@@ -519,7 +521,10 @@ def build_zmod(n: int) -> FiniteRing:
         if p < a:
             mul.append(itemgetter(*mul[p])(mul[a // p]))
         else:
-            mul.append(tuple([base[x % n] for x in range(0, a * n, a)]))
+            row = [0]
+            while len(row) < n:
+                row += _picker(row)(add[add[row[-1]][a]])
+            mul.append(tuple(row[:n]))
     return FiniteRing(
         order=n,
         add=add,
@@ -532,30 +537,23 @@ def build_zmod(n: int) -> FiniteRing:
 
 
 def build_product(factors: Sequence[FiniteRing]) -> FiniteRing:
-    """The direct product; component tuples are packed last factor fastest."""
+    """The direct product; component tuples are packed last factor fastest,
+    the tables by :func:`_product_table`, ``zero`` and ``one`` digit by digit."""
     if not factors:
         raise ValueError("a product needs at least one factor")
     order = math.prod(f.order for f in factors)
     check_size(order)
-    last = factors[-1]
-    add, mul, zero, one, width = last.add, last.mul, last.zero, last.one, last.order
-    # Mixed-radix packing is associative, d1*(n2*n3) + (d2*n3 + d3) =
-    # (d1*n2 + d2)*n3 + d3, so folding from the right keeps the last factor
-    # fastest and gives the same tables, with the wide operand on the right.
-    for f in reversed(factors[:-1]):
-        add = _pair_table(f.add, add)
-        mul = _pair_table(f.mul, mul)
-        zero += f.zero * width
-        one += f.one * width
-        width *= f.order
+    zero = one = 0
+    for f in factors:
+        zero, one = zero * f.order + f.zero, one * f.order + f.one
     labels = tuple(
         "(" + ",".join(parts) + ")"
         for parts in product(*([f.label(x) for x in range(f.order)] for f in factors))
     )
     return FiniteRing(
         order=order,
-        add=add,
-        mul=mul,
+        add=_product_table([f.add for f in factors]),
+        mul=_product_table([f.mul for f in factors]),
         zero=zero,
         one=one,
         name="x".join(f.name for f in factors),
@@ -563,37 +561,55 @@ def build_product(factors: Sequence[FiniteRing]) -> FiniteRing:
     )
 
 
+def _product_table(tables: Sequence[Sequence[Sequence[int]]]) -> Sequence[Sequence[int]]:
+    """The table of the product of rings with these tables, packed as in
+    :func:`build_product`.  Mixed-radix packing is associative,
+    d1*(n2*n3) + (d2*n3 + d3) = (d1*n2 + d2)*n3 + d3, so the list is split
+    where the left part's order, squared, is nearest the whole order, each
+    side is built the same way, and one :func:`_pair_table` joins them with
+    rows of about sqrt(order) blocks, each about sqrt(order) wide."""
+    if len(tables) == 1:
+        return tables[0]
+    order = math.prod(map(len, tables))
+    gaps = [abs(math.prod(map(len, tables[:k])) ** 2 - order) for k in range(1, len(tables))]
+    k = 1 + gaps.index(min(gaps))
+    return _pair_table(_product_table(tables[:k]), _product_table(tables[k:]))
+
+
 def _pair_table(
     left: Sequence[Sequence[int]], right: Sequence[Sequence[int]]
 ) -> tuple[tuple[int, ...], ...]:
     """The table of a two-factor product; pair ``(i, j)`` has index ``i*m + j``
-    where ``m = len(right)``."""
+    where ``m = len(right)``.  Row (i, j) joins, by list extension, the blocks
+    ``shifted[a]`` for the a of ``left[i]``: row j of ``right`` read at the
+    span of ints a*m .. a*m + m - 1, once per j, so every cell is one of the
+    ``len(left) * m`` shared ints, as in :func:`build_zmod`."""
     m = len(right)
     ints = tuple(range(len(left) * m))
     spans = [ints[a * m : (a + 1) * m] for a in range(len(left))]
     rows: list = [None] * len(ints)
     for j, right_row in enumerate(right):
-        # shifted[a] is the block of row (i, j) under the columns (k, .) with
-        # left[i][k] = a, so each row is a concatenation of these blocks.  The
-        # blocks are read out of the shared ints, so every cell is one of the
-        # len(left) * m ints, as in build_zmod.  A wide right operand makes
-        # each row a few long blocks.
         shifted = list(map(_picker(right_row), spans))
         for i, left_row in enumerate(left):
-            blocks = map(shifted.__getitem__, left_row)
-            rows[i * m + j] = tuple(chain.from_iterable(blocks))
+            row = []
+            for a in left_row:
+                row += shifted[a]
+            rows[i * m + j] = tuple(row)
     return tuple(rows)
 
 
 def _sum_row(add: Sequence[Sequence[int]], columns: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """The row whose entry at the packed index of ``(i_1, ..., i_d)``, first
     digit most significant, is ``columns[0][i_1] + ... + columns[-1][i_d]``.
-    It folds from the right, as :func:`build_product` does: the wide row so
-    far is read through one ``itemgetter`` at row x of ``add`` for each x of
-    the next column, so each cell is a cell of ``add``."""
+    It folds from the right: the wide row so far is read through one
+    ``itemgetter`` at row x of ``add`` for each x of the next column, and the
+    blocks are joined by list extension, so each cell is a cell of ``add``."""
     row = columns[-1]
     for column in reversed(columns[:-1]):
-        row = tuple(chain.from_iterable(map(_picker(row), map(add.__getitem__, column))))
+        pick = _picker(row)
+        row = []
+        for x in column:
+            row += pick(add[x])
     return tuple(row)
 
 
@@ -617,10 +633,11 @@ def _pattern_ring(base: FiniteRing, k: int, head: str) -> FiniteRing:
     positions in no cell hold zero.  The pattern must hold the identity and be
     closed under products, so digit t of a product is read at cells[t][0].
     Digits are packed in cell order, the last fastest, so (R,+) is base^d for
-    d cells and its table folds as in :func:`build_product`.  b -> ab is
-    additive, so row a of the product table is :func:`_sum_row` of the d lists
-    of ``a E_j(v)`` over v, read off a's digits, where ``E_j(v)`` holds v on
-    cell j and zero elsewhere.  Every label fills one template.
+    d cells and its table is :func:`_product_table` of d copies of base's, as
+    in :func:`build_product`.  b -> ab is additive, so row a of the product
+    table is :func:`_sum_row` of the d lists of ``a E_j(v)`` over v, read off
+    a's digits, where ``E_j(v)`` holds v on cell j and zero elsewhere.  Every
+    label fills one template.
     """
     prefix, digit_count, cells_for = _PATTERNS[head]
     d = digit_count(k)
@@ -629,9 +646,7 @@ def _pattern_ring(base: FiniteRing, k: int, head: str) -> FiniteRing:
     order = n**d
     check_size(order)
     cells = cells_for(k)
-    add = base.add
-    for _ in cells[1:]:
-        add = _pair_table(base.add, add)
+    add = _product_table([base.add] * d)
     first = [cell[0] for cell in cells]
     digit_at = {position: i for i, cell in enumerate(cells) for position in cell}
     # Entry (r, c) of a E_j(v) sums a[r][m] v over the (m, c) in cell j.  In
@@ -990,7 +1005,7 @@ def _unique_fields(pairs: list[tuple[str, object]], what: str) -> dict:
     if len(obj) < len(pairs):
         keys = [key for key, _ in pairs]
         repeated = next(key for key in keys if keys.count(key) > 1)
-        raise ValueError(f"{what} repeats field {repeated!r}")
+        raise ValueError(f"{what} repeats field {_quoted(repeated)}")
     return obj
 
 

@@ -92,6 +92,10 @@ _PATTERNS = (
     "tests/test_core.py::test_pattern_builders_match_brute_force",
     "tests/test_core.py::test_pattern_and_dorroh_tables_above_the_oracles_are_pinned",
 )
+_PRODUCTS = (
+    "tests/test_core.py::test_right_folded_product_matches_brute_force",
+    "tests/test_core.py::test_product_and_zmod_tables_at_the_cap_are_pinned",
+)
 _PRE_CHANGE_CLAIMS = (
     "tests/test_claim_rows.py::test_per_ring_claims_match_their_pre_change_checkers",
 )
@@ -384,6 +388,34 @@ MUTANTS = (
             "row a is read as row a // p at the cells of row p for the factor p"
             " written last; any factor 1 < p < a gives a x = (a // p)(p x), and"
             " rows p and a // p are built before row a"
+        ),
+    ),
+    Mutant(
+        id="zmod-doubling-off-by-one",
+        file="ringlab/core.py",
+        old="                row += _picker(row)(add[add[row[-1]][a]])",
+        new="                row += _picker(row)(add[row[-1]])",
+        tests=_ZMOD,
+    ),
+    # product tables: the split at the middle order and the row assembly
+    Mutant(
+        id="product-row-reads-a-fixed-block",
+        file="ringlab/core.py",
+        old="                row += shifted[a]",
+        new="                row += shifted[0]",
+        tests=_PRODUCTS,
+    ),
+    Mutant(
+        id="product-split-always-after-the-first-factor",
+        file="ringlab/core.py",
+        old="    k = 1 + gaps.index(min(gaps))",
+        new="    k = 1",
+        tests=(*_PRODUCTS, *_PATTERNS),
+        equivalent=(
+            "mixed-radix packing is associative, d1*(n2*n3) + (d2*n3 + d3) ="
+            " (d1*n2 + d2)*n3 + d3, so a join at any k puts each product at the"
+            " same index; k = 1 is the old right fold, and every cell is still"
+            " read out of the top join's shared ints"
         ),
     ),
     # verify_axioms: distributivity along the walk's edges

@@ -221,6 +221,67 @@ def test_error_line_quotes_a_huge_input_in_short(tmp_path, capsys, case, named):
     assert len(line) <= 200 and named in line, line[:300]
 
 
+_LONG = "x" * 100_000
+
+# each bad input with a 100,000-character part, and what its error names
+_LONG_INPUTS = {
+    "preset-kind": (_LONG, "unknown preset kind: 'xxx"),
+    "modulus-digits": ("zmod:" + _LONG, "modulus must be written in ASCII digits, got 'xxx"),
+    "zmod-shape": ("zmod:2:" + _LONG, "expected zmod:N, got 'zmod:2:xxx"),
+    "product-shape": ("product:zmod:2,," + _LONG, "expected product:P1,P2[,...], got"),
+    "pattern-shape": ("mat:" + _LONG, "expected mat:K:P, got 'mat:xxx"),
+    "quot-gen-shape": ("quot:gen:" + "1" * 100_000, "expected quot:gen:I1[+I2...]:P, got"),
+    "quot-mode": ("quot:" + _LONG + ":zmod:2", "unknown quotient mode in 'quot:xxx"),
+    "generator": ("quot:gen:" + _LONG + ":zmod:2", "bad generator 'xxx"),
+    "spec-kind": ({"kind": _LONG}, "unknown ring spec kind: 'xxx"),
+    "spec-repeated-key": (
+        '{"K": 1, "K": 2}'.replace("K", _LONG[:50_000]), "ring spec repeats field 'xxx"
+    ),
+    "manifest-repeated-name": ([{"name": _LONG, "preset": "zmod:2"}] * 2, "duplicate catalog"),
+    "manifest-no-recipe": ([{"name": _LONG}], "needs exactly one of 'preset' or 'file'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_INPUTS))
+def test_error_line_quotes_a_long_preset_spec_or_name_in_short(tmp_path, capsys, case):
+    """A preset, a spec's kind or repeated key, or a manifest entry's name of
+    50,000 characters or more exits 2 with one line of at most 200
+    characters that names what is wrong."""
+    source, named = _LONG_INPUTS[case]
+    path = tmp_path / "input.json"
+    if case.startswith("manifest"):
+        path.write_text(json.dumps({"entries": source}))
+        argv = ["verify-paper", "--catalog", str(path)]
+    else:
+        if case.startswith("spec"):
+            path.write_text(source if type(source) is str else json.dumps(source))
+            source = str(path)
+        argv = ["build", source, "-o", str(tmp_path / "x.json")]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == 2 and stdout == "" and stderr.endswith("\n")
+    line = stderr[:-1]
+    assert line.startswith("error: ") and "\n" not in line
+    assert len(line) <= 200 and named in line, line[:300]
+
+
+@pytest.mark.parametrize(
+    "preset, message",
+    [
+        ("ring", "unknown preset kind: 'ring'"),
+        ("zmod:x", "modulus must be written in ASCII digits, got 'x'"),
+        ("zmod:2:3", "expected zmod:N, got 'zmod:2:3'"),
+        ("product:zmod:2,", "expected product:P1,P2[,...], got 'product:zmod:2,'"),
+        ("tri:2", "expected tri:K:P, got 'tri:2'"),
+        ("quot:gen:1", "expected quot:gen:I1[+I2...]:P, got 'quot:gen:1'"),
+        ("quot:both:zmod:4", "unknown quotient mode in 'quot:both:zmod:4'"),
+        ("quot:gen:a:zmod:4", "bad generator 'a' in 'quot:gen:a:zmod:4'"),
+    ],
+)
+def test_error_line_quotes_a_short_preset_whole(tmp_path, capsys, preset, message):
+    code, stdout, stderr = run(capsys, "build", preset, "-o", str(tmp_path / "x.json"))
+    assert (code, stdout, stderr) == (2, "", f"error: {message}\n")
+
+
 def test_build_refuses_a_preset_nested_past_the_recursion_limit(tmp_path, capsys):
     preset = "tri:1:" * 5000 + "zmod:2"
     code, stdout, stderr = run(capsys, "build", preset, "-o", str(tmp_path / "x.json"))

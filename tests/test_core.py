@@ -249,9 +249,17 @@ def _assert_cells_shared(ring):
         "product:zmod:4,zmod:1,zmod:3",
         "product:zmod:4,zmod:3,zmod:1",
         "product:zmod:1,zmod:1",
+        # splits where the left order, squared, is nearest the whole order:
+        # Z2 | Z64xZ2 and then Z64 | Z2, a wide left operand on a narrow one
+        "product:zmod:2,zmod:64,zmod:2",
+        "product:zmod:3,zmod:2,zmod:2,zmod:2,zmod:5",  # Z3xZ2xZ2 | Z2xZ5
+        "product:zmod:1,zmod:2,zmod:1,zmod:3",  # Z1xZ2 | Z1xZ3
+        "product:zmod:5,zmod:7",
     ],
 )
 def test_right_folded_product_matches_brute_force(preset):
+    """The tables of any split of the factor list are the oracle's, since
+    mixed-radix packing is associative."""
     factors = [build_preset(token) for token in preset.partition(":")[2].split(",")]
     got, want = build_product(factors), oracles.brute_build_product(factors)
     for field in ("add", "mul", "zero", "one", "labels", "name"):
@@ -364,10 +372,11 @@ def _table_sha256(ring):
     ``zero``, ``one`` and the labels."""
     digest = hashlib.sha256()
     for table in (ring.add, ring.mul):
-        cells = array("H", itertools.chain.from_iterable(table))
-        if sys.byteorder == "big":
-            cells.byteswap()
-        digest.update(cells.tobytes())
+        for row in table:  # a row at a time, half the time of one array
+            cells = array("H", row)
+            if sys.byteorder == "big":
+                cells.byteswap()
+            digest.update(cells)
     digest.update(f"{ring.zero},{ring.one}\0".encode())
     digest.update("\0".join(ring.labels).encode())
     return digest.hexdigest()
@@ -376,6 +385,21 @@ def _table_sha256(ring):
 @pytest.mark.parametrize("preset", sorted(PINNED_TABLE_SHA256))
 def test_pattern_and_dorroh_tables_above_the_oracles_are_pinned(preset):
     assert _table_sha256(build_preset(preset)) == PINNED_TABLE_SHA256[preset]
+
+
+# _table_sha256 at the cap and just below it, recorded before products were
+# split at the middle order and zmod rows built by doubling
+PINNED_CAP_TABLE_SHA256 = {
+    "product:" + ",".join(["zmod:2"] * 12):
+        "0e1b85e3f49b00fbc79a359287475fe88e1f097cabb44049b4f8a1026e7f530a",
+    "product:zmod:2,zmod:2048": "1ae219f60a45e070c07ece93be3126039956a9b723e03b225c20a555bc030519",
+    "zmod:1024": "50c18a6dc1da3c420f7929f25ed412bc0f2c2a24273fbbf56761611979355db2",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PINNED_CAP_TABLE_SHA256))
+def test_product_and_zmod_tables_at_the_cap_are_pinned(preset):
+    assert _table_sha256(build_preset(preset)) == PINNED_CAP_TABLE_SHA256[preset]
 
 
 # -------------------------------------------------------------- triangular
