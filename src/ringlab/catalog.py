@@ -14,17 +14,16 @@ from functools import partial
 from pathlib import Path
 
 from ringlab.core import (
-    DorrohData,
     ElementSet,
     FiniteRing,
     RinglabError,
     _PATTERNS,
     _check_fields,
     _check_pattern_digits,
+    _dorroh_ring,
     _pattern_ring,
     _quoted,
     _read_json,
-    build_dorroh,
     build_product,
     build_quotient,
     build_zmod,
@@ -144,7 +143,7 @@ def _plan(text: str) -> tuple[int | None, Callable[[], FiniteRing]]:
             raise PresetError(f"expected dorroh:P, got {_quoted(text)}")
         base_order, base = _plan(rest)
         order = None if base_order is None else base_order**2
-        return _checked(order), lambda: build_dorroh(dorroh_of_ring(base()))
+        return _checked(order), lambda: _dorroh_ring((p := base()), p, p.mul, p.mul)
     if head == "quot":
         mode, _, base_text = rest.partition(":")
         if mode == "gen":
@@ -196,16 +195,6 @@ def dorroh_base(recipe: str | None) -> FiniteRing | None:
     other recipe."""
     head, _, rest = (recipe or "").partition(":")
     return build_preset(rest) if head == "dorroh" else None
-
-
-def dorroh_of_ring(base: FiniteRing) -> DorrohData:
-    """Extension data for a ring acting on itself by multiplication."""
-    return DorrohData(
-        base=base,
-        bimodule=base,
-        left_action=base.mul,
-        right_action=base.mul,
-    )
 
 
 # --------------------------------------------------------------------------

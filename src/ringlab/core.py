@@ -118,7 +118,7 @@ class ElementSet:
         bits = 0
         for i in indices:
             if not 0 <= i < size:
-                raise ValueError(f"index {i} out of range for size {size}")
+                raise ValueError(f"index {_quoted(i)} out of range for size {size}")
             bits |= 1 << i
         return cls(bits, size)
 
@@ -258,7 +258,7 @@ class FiniteRing:
 
 def _check_element(ring: FiniteRing, a: int, what: str = "element") -> None:
     if not 0 <= a < ring.order:
-        raise ValueError(f"{what} {a} out of range for order {ring.order}")
+        raise ValueError(f"{what} {_quoted(a)} out of range for order {ring.order}")
 
 
 def renamed(ring: FiniteRing, name: str) -> FiniteRing:
@@ -764,12 +764,24 @@ def build_dorroh(data: DorrohData) -> FiniteRing:
     Raises :class:`BimoduleError` if the actions are malformed or not
     unital, or if the extension fails ``verify_axioms``.
     """
-    base, bim = data.base, data.bimodule
-    la, ra = data.left_action, data.right_action
-    nr, nv = base.order, bim.order
-    order = nr * nv
-    check_size(order)
+    check_size(data.base.order * data.bimodule.order)
     _validate_dorroh(data)
+    ring = _dorroh_ring(data.base, data.bimodule, data.left_action, data.right_action)
+    violations = verify_axioms(ring)
+    if violations:
+        raise BimoduleError(
+            "assembled extension violates ring axioms: " + violations[0]
+        )
+    return ring
+
+
+def _dorroh_ring(base: FiniteRing, bim: FiniteRing, la, ra) -> FiniteRing:
+    """The extension of :func:`build_dorroh`, unchecked.  It is a ring when
+    the actions obey the bimodule laws, so D(P, P), with P acting on itself
+    by its product, is one: each bimodule law is then an associative or a
+    distributive law of P."""
+    nr, nv = base.order, bim.order
+    check_size(nr * nv)
     # (r, v) has the pair index of a two-factor product, so + is base x bimodule
     add = _pair_table(base.add, bim.add)
     shift = nv * base.zero
@@ -784,8 +796,8 @@ def build_dorroh(data: DorrohData) -> FiniteRing:
     labels = tuple(
         f"({base.label(r)},{bim.label(v)})" for r in range(nr) for v in range(nv)
     )
-    ring = FiniteRing(
-        order=order,
+    return FiniteRing(
+        order=nr * nv,
         add=add,
         mul=tuple(mul),
         zero=shift + bim.zero,
@@ -793,12 +805,6 @@ def build_dorroh(data: DorrohData) -> FiniteRing:
         name=f"D({base.name},{bim.name})",
         labels=labels,
     )
-    violations = verify_axioms(ring)
-    if violations:
-        raise BimoduleError(
-            "assembled extension violates ring axioms: " + violations[0]
-        )
-    return ring
 
 
 @memo
@@ -825,12 +831,13 @@ def build_quotient(
 
 def build_corner(ring: FiniteRing, e: int) -> FiniteRing:
     """The corner ring ``e R e`` for a central idempotent ``e``."""
+    from ringlab.radicals import center_bits
+
     _check_element(ring, e)
     if ring.mul[e][e] != e:
         raise ValueError(f"element {e} is not idempotent in {ring.name}")
-    for r in range(ring.order):
-        if ring.mul[e][r] != ring.mul[r][e]:
-            raise ValueError(f"idempotent {e} is not central in {ring.name}")
+    if not center_bits(ring) >> e & 1:
+        raise ValueError(f"idempotent {e} is not central in {ring.name}")
     members = sorted(set(ring.mul[e]))
     position = {m: i for i, m in enumerate(members)}
     labels = tuple(map(ring.label, members))

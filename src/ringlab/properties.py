@@ -19,6 +19,7 @@ from ringlab.core import (
     ElementSet,
     FiniteRing,
     _check_element,
+    _quoted,
     bit_members,
     build_quotient,
     element_sets,
@@ -81,7 +82,7 @@ def _coerce(prop) -> PropertyName:
     try:
         return PropertyName(prop)
     except ValueError:
-        raise ValueError(f"unknown property name: {prop!r}") from None
+        raise ValueError(f"unknown property name: {_quoted(prop)}") from None
 
 
 @dataclass(frozen=True)
@@ -542,7 +543,7 @@ _SPECTRAL_FLAVORS = {
 def spectral_candidates(ring: FiniteRing, a: int, flavor: str) -> tuple[int, ...]:
     """All idempotents usable as the companion of ``a`` for the given flavor."""
     if not isinstance(flavor, str) or flavor not in _SPECTRAL_FLAVORS:
-        raise ValueError(f"unknown spectral flavor: {flavor!r}")
+        raise ValueError(f"unknown spectral flavor: {_quoted(flavor)}")
     _check_element(ring, a)
     return tuple(_companions_of(ring, _SPECTRAL_FLAVORS[flavor], a))
 

@@ -494,6 +494,13 @@ MUTANTS = (
         new="            mul.append(_sum_row(add, [right, left]))",
         tests=_DORROH,
     ),
+    Mutant(
+        id="dorroh-preset-left-action-transposed",
+        file="ringlab/catalog.py",
+        old="_dorroh_ring((p := base()), p, p.mul, p.mul)",
+        new="_dorroh_ring((p := base()), p, tuple(zip(*p.mul)), p.mul)",
+        tests=("tests/test_core.py::test_dorroh_preset_matches_the_checked_builder",),
+    ),
     # one decision per fact: certificates read the property masks, and the
     # claims read residue sizes and the Dorroh hypotheses off decided facts
     Mutant(

@@ -15,10 +15,11 @@ from itertools import islice
 from operator import itemgetter
 from typing import Sequence
 
-from ringlab.catalog import CatalogEntry, build_entry, dorroh_base, dorroh_of_ring
+from ringlab.catalog import CatalogEntry, build_entry, dorroh_base
 from ringlab.claims import Checker, SuiteContext, _holds, _mask, _witness
 from ringlab.core import (
     BimoduleError,
+    DorrohData,
     ElementSet,
     FiniteRing,
     IdealError,
@@ -1883,7 +1884,7 @@ def check_dorroh_transfer(ctx: SuiteContext) -> list[dict]:
         if (base := dorroh_base(entry.recipe)) is None:
             continue
         extension = ctx.rings[entry.name]
-        data = dorroh_of_ring(base)
+        data = DorrohData(base, base, base.mul, base.mul)
         ext_delta_qp = _holds(extension, PropertyName.DELTA_QUASIPOLAR)
         base_delta_qp = _holds(base, PropertyName.DELTA_QUASIPOLAR)
         if ext_delta_qp and not base_delta_qp:

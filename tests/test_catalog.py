@@ -129,7 +129,7 @@ def test_malformed_recipe_builds_no_table(bad, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"a table was built for {bad}")
 
-    for name in ("build_zmod", "build_product", "_pattern_ring", "build_dorroh",
+    for name in ("build_zmod", "build_product", "_pattern_ring", "_dorroh_ring",
                  "build_quotient"):
         monkeypatch.setattr(catalog, name, refuse)
     with pytest.raises(PresetError):

@@ -264,6 +264,45 @@ def test_error_line_quotes_a_long_preset_spec_or_name_in_short(tmp_path, capsys,
     assert len(line) <= 200 and named in line, line[:300]
 
 
+_HUGE_ELEMENT = "9" * 4000
+_LONG_NAME = "x" * 5000
+
+# each command with a huge element or a long property name, and what its error
+# names; a short input is quoted whole
+_LONG_PROPERTY_INPUTS = {
+    "check-element": (["check", "RING", "clean", "--element", _HUGE_ELEMENT],
+                      "element 9999999999... (4000 digits) out of range for order 2"),
+    "check-property": (["check", "RING", _LONG_NAME], "unknown property name: 'xxx"),
+    "search-hyp": (["search", "--hyp", _LONG_NAME, "--concl", "clean"],
+                   "unknown property name: 'xxx"),
+    "manifest-property": (["verify-paper", "--catalog", "MANIFEST"],
+                          "unknown property name: 'xxx"),
+    "short-element": (["check", "RING", "clean", "--element", "7"],
+                      "element 7 out of range for order 2"),
+    "short-property": (["check", "RING", "bogus"], "unknown property name: 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LONG_PROPERTY_INPUTS))
+def test_error_line_quotes_a_huge_element_or_property_name_in_short(tmp_path, capsys, case):
+    """An element of 4,000 digits, and a property name of 5,000 characters
+    given to check, to search or as a manifest's expected property, each
+    exit 2 with one line of at most 200 characters naming the fault."""
+    ring_file, manifest = tmp_path / "ring.json", tmp_path / "catalog.json"
+    ring_file.write_text(json.dumps(ring_to_json(build_zmod(2))))
+    entry = {"name": "z2", "preset": "zmod:2", "expected": {"properties": {_LONG_NAME: True}}}
+    manifest.write_text(json.dumps({"entries": [entry]}))
+    argv, named = _LONG_PROPERTY_INPUTS[case]
+    paths = {"RING": str(ring_file), "MANIFEST": str(manifest)}
+    code, stdout, stderr = run(capsys, *(paths.get(arg, arg) for arg in argv))
+    assert code == 2 and stdout == "" and stderr.endswith("\n")
+    line = stderr[:-1]
+    assert line.startswith("error: ") and "\n" not in line
+    assert len(line) <= 200 and named in line, line[:300]
+    if case.startswith("short"):
+        assert line == f"error: {named}"
+
+
 @pytest.mark.parametrize(
     "preset, message",
     [

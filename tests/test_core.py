@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from oracles import mixed_radix_decode, mixed_radix_encode
-from ringlab.catalog import build_preset, dorroh_of_ring
+from ringlab.catalog import build_preset
 from ringlab.claims import PRODUCT_PAIR_CAP
 from ringlab.ideals import all_right_ideals
 from ringlab.radicals import _row_commutant
@@ -501,6 +501,36 @@ def test_dorroh_rejects_bad_action():
     assert "unital" in str(err.value)
 
 
+# bases of the dorroh: presets checked against build_dorroh; the planned
+# order of the last is None, so only the build checks its size
+DORROH_PRESET_BASES = ("zmod:1", "zmod:2", "zmod:6", "product:zmod:2,zmod:3", "tri:2:zmod:2",
+                       "cdtri:3:zmod:2", "mat:2:zmod:2", "quot:jac:tri:2:zmod:4")
+
+
+@pytest.mark.parametrize("base", DORROH_PRESET_BASES)
+def test_dorroh_preset_matches_the_checked_builder(base):
+    """The preset builds, unchecked, the ring that build_dorroh checks."""
+    p = build_preset(base)
+    want = build_dorroh(DorrohData(p, p, p.mul, p.mul))
+    got = build_preset(f"dorroh:{base}")
+    for field in ("add", "mul", "zero", "one", "labels", "name"):
+        assert getattr(got, field) == getattr(want, field), field
+
+
+@pytest.mark.parametrize("preset", ["dorroh:zmod:4", "dorroh:tri:2:zmod:2", "dorroh:dorroh:zmod:2"])
+def test_dorroh_preset_checks_no_tables(preset, monkeypatch):
+    """P acting on itself obeys the bimodule laws by P's ring laws, so the
+    preset neither validates the actions nor verifies the extension."""
+    from ringlab import core
+
+    def refuse(*args):
+        raise AssertionError(f"{preset} checked a table it built")
+
+    for name in ("verify_axioms", "_validate_dorroh"):
+        monkeypatch.setattr(core, name, refuse)
+    assert build_preset(preset).order == build_preset(preset.partition(":")[2]).order ** 2
+
+
 DORROH_BASES = ("zmod:2", "zmod:3", "zmod:4", "zmod:6", "product:zmod:2,zmod:2",
                 "tri:2:zmod:2", "cdtri:2:zmod:2")
 DORROH_BIMODULES = ("zmod:1", "zmod:2", "zmod:3", "zmod:4", "product:zmod:2,zmod:2",
@@ -555,7 +585,7 @@ def _dorroh_cases():
                 yield _random_unital_action(rng, rings[b], rings[m])
     # Z1 has no other value to perturb a cell to
     for preset in sorted(set(DORROH_BASES + DORROH_BIMODULES) - {"zmod:1"}):
-        exact = dorroh_of_ring(rings[preset])
+        exact = _dorroh_of_ring(rings[preset])
         yield exact
         for _ in range(30):
             yield _perturbed_action(rng, exact)
@@ -595,7 +625,7 @@ def _relabelled_dorroh_cases(preset):
     la = tuple(tuple(q[ring.mul[back_p[r]][back_q[v]]] for v in elements) for r in elements)
     ra = tuple(tuple(q[ring.mul[back_q[v]][back_p[r]]] for r in elements) for v in elements)
     exact = DorrohData(base=base, bimodule=bim, left_action=la, right_action=ra)
-    yield dorroh_of_ring(base)
+    yield _dorroh_of_ring(base)
     yield exact
     for _ in range(10):
         yield _perturbed_action(rng, exact)

@@ -228,7 +228,7 @@ _RING_BUILDERS = {
     "build_zmod",
     "build_product",
     "_pattern_ring",
-    "build_dorroh",
+    "_dorroh_ring",
     "_induced_ring",
     "ring_from_json",
 }

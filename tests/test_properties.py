@@ -544,3 +544,19 @@ def test_delta_spectral_idempotent_of_units_when_delta_is_radical(catalog_rings)
             continue
         for u in units_map(ring):
             assert spectral_candidates(ring, u, "delta") == (ring.one,), (name, u)
+
+
+@pytest.mark.parametrize(
+    "call, named",
+    [
+        (lambda: spectral_candidates(build_zmod(2), 0, "x" * 5000), "unknown spectral flavor: 'xxx"),
+        (lambda: ElementSet.from_indices(2, [int("9" * 4000)]), "index 9999999999... (4000 digits)"),
+        (lambda: spectral_candidates(build_zmod(2), 0, "bogus"), "unknown spectral flavor: 'bogus'"),
+        (lambda: ElementSet.from_indices(2, [5]), "index 5 out of range for size 2"),
+    ],
+    ids=["long-flavor", "huge-index", "short-flavor", "short-index"],
+)
+def test_error_quotes_a_long_flavor_or_huge_index_in_short(call, named):
+    with pytest.raises(ValueError) as err:
+        call()
+    assert len(str(err.value)) <= 200 and named in str(err.value)
